@@ -7,6 +7,7 @@ HIERLP_COMPARE_ (click's auto envvar mapping).
 """
 
 import json
+import math
 import os
 import sys
 import time
@@ -56,12 +57,24 @@ def main():
 def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
         split_file, threads, chunk_size, max_buckets, out_dir):
     """Run the full experiment and write split, histograms, curves, summaries."""
-    import math
-
     base = math.e if not log_base else float(log_base)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        specs = []
+        for token in score_tokens:
+            spec = ScoreSpec.parse(token, log_base=base)
+            if spec.kind.value == "inf_log_kd" and "k=" not in token:
+                spec = ScoreSpec(spec.kind, k=k, log_base=base)
+            specs.append(spec)
+        # artifacts are named by score kind alone, so two runs of one
+        # kind would overwrite each other's files
+        stems = [spec.kind.value for spec in specs]
+        if len(set(stems)) < len(stems):
+            raise click.ClickException(
+                f"--score values of one kind would overwrite each other's artifacts "
+                f"({', '.join(f'{stem}_*' for stem in stems)}); use separate --out directories"
+            )
+        out.mkdir(parents=True, exist_ok=True)
         graph, report = load_edge_list(graph_path, format=fmt)
         click.echo(
             f"loaded {graph.vertex_count} vertices, {graph.edge_count} edges "
@@ -83,10 +96,7 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
             err=True,
         )
         workers = threads if threads is not None else (os.cpu_count() or 1)
-        for token in score_tokens:
-            spec = ScoreSpec.parse(token, log_base=base)
-            if spec.kind.value == "inf_log_kd" and "k=" not in token:
-                spec = ScoreSpec(spec.kind, k=k, log_base=base)
+        for spec in specs:
             started = time.perf_counter()
             hist = score_all(
                 split.train_graph,
@@ -140,7 +150,12 @@ def compare_reports(records):
 
 
 def improvement_percent(aupr_a, aupr_b):
-    """Relative AUPR improvement of a over b, in percent."""
+    """Relative AUPR improvement of a over b, in percent.
+
+    Against b = 0 the improvement is infinite, or 0 when a is 0 too.
+    """
+    if aupr_b == 0.0:
+        return 0.0 if aupr_a == 0.0 else math.inf
     return (aupr_a / aupr_b - 1.0) * 100.0
 
 

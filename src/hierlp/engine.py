@@ -8,20 +8,22 @@ The (overwhelming) zero-score remainder of the candidate universe is
 accounted for analytically from the universe size.
 
 Workers claim fixed-size chunks of source vertices dynamically, which
-absorbs the degree skew of webgraphs. The final histogram is bit
-identical for any worker count and chunk size: every chunk's values
-depend only on its own rows, and the merge adds integer counters keyed
-by exact score values.
+absorbs the degree skew of webgraphs. A histogram holds the distinct
+nonzero score values, descending, with int64 (tp, fp) counts; one merge
+builds every histogram. The result is bit identical for any worker
+count and chunk size: every chunk's values depend only on its own rows,
+and the merge sums the integer counts of exactly equal values.
 """
 
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _opened
 from .scores import (
     INF_FAMILY,
     UNDIRECTED_KINDS,
@@ -50,19 +52,33 @@ class CandidateUniverse:
     universe_size: int
 
 
-@dataclass
+#: One histogram bucket: a distinct nonzero score value and its counts.
+BUCKET_DTYPE = np.dtype([("value", np.float64), ("tp", np.int64), ("fp", np.int64)])
+
+_TRAILER = re.compile(r"^#[ \t]*(\w+)[ \t]*(.*)$", re.MULTILINE)
+
+
+@dataclass(eq=False)
 class ThresholdHistogram:
     """Per-distinct-score (tp, fp) tallies plus the analytic zero bucket."""
 
-    buckets: dict  # exact nonzero score value -> (tp, fp)
+    buckets: np.ndarray  # BUCKET_DTYPE, distinct nonzero values descending
     zero_bucket: tuple  # (tp, fp) of all zero-scored candidates
     positives_total: int
     negatives_total: int
 
+    def __eq__(self, other):
+        if not isinstance(other, ThresholdHistogram):
+            return NotImplemented
+        return (
+            self.zero_bucket == other.zero_bucket
+            and self.positives_total == other.positives_total
+            and self.negatives_total == other.negatives_total
+            and np.array_equal(self.buckets, other.buckets)
+        )
+
     def explicit_totals(self):
-        tp = sum(b[0] for b in self.buckets.values())
-        fp = sum(b[1] for b in self.buckets.values())
-        return tp, fp
+        return int(self.buckets["tp"].sum()), int(self.buckets["fp"].sum())
 
     def check_conservation(self):
         tp, fp = self.explicit_totals()
@@ -77,39 +93,50 @@ class ThresholdHistogram:
         """Write "score tp fp" lines sorted by descending score, plus a
         trailer with the zero bucket and totals. Scores are serialized
         with round-trip precision."""
-        if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-            with open(sink, "w") as fh:
-                self.dump(fh)
-            return
-        for value in sorted(self.buckets, reverse=True):
-            tp, fp = self.buckets[value]
-            sink.write(f"{value!r} {tp} {fp}\n")
-        sink.write(f"# zero_bucket {self.zero_bucket[0]} {self.zero_bucket[1]}\n")
-        sink.write(f"# positives_total {self.positives_total}\n")
-        sink.write(f"# negatives_total {self.negatives_total}\n")
+        b = self.buckets
+        rows = zip(b["value"].tolist(), b["tp"].tolist(), b["fp"].tolist())
+        with _opened(sink, "w") as fh:
+            fh.writelines([f"{value!r} {tp} {fp}\n" for value, tp, fp in rows])
+            fh.write(f"# zero_bucket {self.zero_bucket[0]} {self.zero_bucket[1]}\n")
+            fh.write(f"# positives_total {self.positives_total}\n")
+            fh.write(f"# negatives_total {self.negatives_total}\n")
 
     @classmethod
     def load(cls, source):
-        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            with open(source) as fh:
-                return cls.load(fh)
-        buckets = {}
-        zero = (0, 0)
-        positives = negatives = 0
-        for line in source:
-            fields = line.split()
-            if not fields:
-                continue
-            if fields[0] == "#":
-                if fields[1] == "zero_bucket":
-                    zero = (int(fields[2]), int(fields[3]))
-                elif fields[1] == "positives_total":
-                    positives = int(fields[2])
-                elif fields[1] == "negatives_total":
-                    negatives = int(fields[2])
-                continue
-            buckets[float(fields[0])] = (int(fields[1]), int(fields[2]))
-        return cls(buckets, zero, positives, negatives)
+        with _opened(source) as fh:
+            text = fh.read()
+        trailer = dict(_TRAILER.findall(text))
+        rows = np.array(_TRAILER.sub("", text).split()).reshape(-1, 3)
+        part = (rows[:, 0].astype(np.float64), rows[:, 1].astype(np.int64), rows[:, 2].astype(np.int64))
+        zero = tuple(int(x) for x in trailer.get("zero_bucket", "0 0").split())
+        positives = int(trailer.get("positives_total", 0))
+        return cls(_merge([part]), zero, positives, int(trailer.get("negatives_total", 0)))
+
+
+def _columns(buckets):
+    return buckets["value"], buckets["tp"], buckets["fp"]
+
+
+def _merge(parts):
+    """Combine (values, tp, fp) parts into one BUCKET_DTYPE array.
+
+    Equal values become one bucket, sorted descending, whose tp and fp
+    are the int64 sums of theirs: exact, so the result does not depend
+    on the order or grouping of the parts. This is np.unique's sort
+    done in the open, so the same permutation gathers the counts.
+    """
+    values = np.concatenate([part[0] for part in parts])
+    if len(values) == 0:
+        return np.empty(0, dtype=BUCKET_DTYPE)
+    order = np.argsort(values)[::-1]
+    values = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    merged = np.empty(len(starts), dtype=BUCKET_DTYPE)
+    merged["value"] = values[starts]
+    for index, name in ((1, "tp"), (2, "fp")):
+        counts = np.concatenate([part[index] for part in parts])[order]
+        merged[name] = np.add.reduceat(counts, starts, dtype=np.int64)
+    return merged
 
 
 def _encode_edges(edges, n):
@@ -248,11 +275,12 @@ def _inv_log_weights(degrees, base):
     return out
 
 
-def _fold_chunk(ctx, lo, hi, train_keys, test_keys, local_hist):
-    """Process one chunk into the worker-local histogram.
+def _fold_chunk(ctx, lo, hi, train_keys, test_keys, buckets):
+    """Merge the candidates of rows [lo, hi) into ``buckets``.
 
-    Returns the number of explicitly-scored candidates (diagonal and
-    training edges excluded, zero-valued candidates included).
+    Returns (merged buckets, explicit_count), the count of
+    explicitly-scored candidates (diagonal and training edges excluded,
+    zero-valued candidates included).
     """
     rows, cols, data = ctx.chunk_candidates(lo, hi)
     keys = rows * ctx.n + cols
@@ -267,49 +295,26 @@ def _fold_chunk(ctx, lo, hi, train_keys, test_keys, local_hist):
     if not np.all(np.isfinite(data)):
         raise ValidationError("non-finite score outside the excluded diagonal")
     if len(data) == 0:
-        return explicit_count
+        return buckets, explicit_count
     is_tp = _in_sorted(test_keys, keys)
-    values, inverse = np.unique(data, return_inverse=True)
-    totals = np.bincount(inverse, minlength=len(values))
-    tps = np.bincount(inverse[is_tp], minlength=len(values))
-    for value, tp, total in zip(values.tolist(), tps.tolist(), totals.tolist()):
-        bucket = local_hist.get(value)
-        if bucket is None:
-            local_hist[value] = [tp, total - tp]
-        else:
-            bucket[0] += tp
-            bucket[1] += total - tp
-    return explicit_count
+    return _merge([_columns(buckets), (data, is_tp, ~is_tp)]), explicit_count
 
 
-def score_from_vertex(graph, n1, spec, test_membership):
+def score_from_vertex(graph, n1, spec, test_edges):
     """Score every candidate (n1, y) reachable by a 2-hop expansion.
 
-    ``test_membership(n1, y)`` answers whether (n1, y) is a held-out
-    positive. Returns (buckets, explicit_count): nonzero-score buckets
-    as {value: (tp, fp)} and the count of explicitly-scored candidates,
-    from which the caller can complete the zero bucket analytically.
-    Ineligible vertices are skipped, producing an empty contribution.
+    ``test_edges`` are the held-out positives, (u, v) pairs. Returns
+    (buckets, explicit_count): the nonzero-score buckets as a
+    BUCKET_DTYPE array, distinct values descending, and the count of
+    explicitly-scored candidates, from which the caller can complete
+    the zero bucket analytically. Ineligible vertices are skipped,
+    producing an empty contribution.
     """
     graph._check_vertex(n1)
     ctx = _RunContext(graph, spec)
-    rows, cols, data = ctx.chunk_candidates(n1, n1 + 1)
-    keys = rows * ctx.n + cols
-    keep = (rows != cols) & ~_in_sorted(graph.edge_keys(), keys)
-    cols, data = cols[keep], data[keep]
-    explicit_count = len(data)
-    buckets = {}
-    for y, value in zip(cols.tolist(), data.tolist()):
-        if value == 0.0:
-            continue
-        if not math.isfinite(value):
-            raise ValidationError("non-finite score outside the excluded diagonal")
-        tp, fp = buckets.get(value, (0, 0))
-        if test_membership(n1, y):
-            buckets[value] = (tp + 1, fp)
-        else:
-            buckets[value] = (tp, fp + 1)
-    return buckets, explicit_count
+    test_keys = _encode_edges(test_edges, graph.vertex_count)
+    empty = np.empty(0, dtype=BUCKET_DTYPE)
+    return _fold_chunk(ctx, n1, n1 + 1, graph.edge_keys(), test_keys, empty)
 
 
 def score_all(
@@ -355,7 +360,7 @@ def score_all(
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), max(len(chunk_bounds), 1)))
 
-    def run_worker(local_hist):
+    def run_worker(slot):
         while True:
             with claim_lock:
                 index = next_chunk[0]
@@ -363,29 +368,31 @@ def score_all(
                     return
                 next_chunk[0] += 1
             lo, hi = chunk_bounds[index]
-            _fold_chunk(ctx, lo, hi, train_keys, test_keys, local_hist)
-            if max_buckets is not None and len(local_hist) > max_buckets:
+            local_hists[slot], _ = _fold_chunk(
+                ctx, lo, hi, train_keys, test_keys, local_hists[slot]
+            )
+            if max_buckets is not None and len(local_hists[slot]) > max_buckets:
                 raise MemoryGuardError(
                     f"distinct score values exceeded max_buckets={max_buckets}"
                 )
 
     claim_lock = threading.Lock()
     next_chunk = [0]
-    local_hists = [dict() for _ in range(workers)]
+    local_hists = [np.empty(0, dtype=BUCKET_DTYPE) for _ in range(workers)]
     if workers == 1:
-        run_worker(local_hists[0])
+        run_worker(0)
     else:
         errors = []
 
-        def guarded(hist):
+        def guarded(slot):
             try:
-                run_worker(hist)
+                run_worker(slot)
             except BaseException as exc:  # propagate to the caller
                 errors.append(exc)
 
         threads = [
-            threading.Thread(target=guarded, args=(h,), daemon=True)
-            for h in local_hists
+            threading.Thread(target=guarded, args=(slot,), daemon=True)
+            for slot in range(workers)
         ]
         for t in threads:
             t.start()
@@ -394,19 +401,12 @@ def score_all(
         if errors:
             raise errors[0]
 
-    merged = {}
-    for local in local_hists:
-        for value, (tp, fp) in local.items():
-            if value in merged:
-                merged[value][0] += tp
-                merged[value][1] += fp
-            else:
-                merged[value] = [tp, fp]
-    if max_buckets is not None and len(merged) > max_buckets:
+    # a single worker's histogram is merged already
+    buckets = local_hists[0] if workers == 1 else _merge([_columns(b) for b in local_hists])
+    if max_buckets is not None and len(buckets) > max_buckets:
         raise MemoryGuardError(f"distinct score values exceeded max_buckets={max_buckets}")
-    buckets = {value: (tp, fp) for value, (tp, fp) in merged.items()}
-    explicit_tp = sum(b[0] for b in buckets.values())
-    explicit_fp = sum(b[1] for b in buckets.values())
+    explicit_tp = int(buckets["tp"].sum())
+    explicit_fp = int(buckets["fp"].sum())
     hist = ThresholdHistogram(
         buckets=buckets,
         zero_bucket=(positives - explicit_tp, negatives - explicit_fp),

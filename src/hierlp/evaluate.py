@@ -9,13 +9,11 @@ threshold and a prediction at exactly the threshold counts as positive.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ThresholdHistogram, ValidationError
-from .graph import Graph
+from .graph import Graph, _opened
 from .scores import ScoreSpec
 
 
@@ -80,46 +78,41 @@ def split_edges(graph, fraction=0.10, seed=0):
 
 def save_split(split, sink):
     """Persist a split (test edges + seed); enough to rerun bit-exactly."""
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w") as fh:
-            save_split(split, fh)
-        return
-    sink.write("# hierlp edge split\n")
-    sink.write(f"# seed {split.seed}\n")
-    sink.write(f"# fraction {split.fraction!r}\n")
-    sink.write(f"# vertices {split.train_graph.vertex_count}\n")
-    sink.write(f"# test {len(split.test_edges)}\n")
-    for u, v in split.test_edges.tolist():
-        sink.write(f"{u} {v}\n")
-    sink.write(f"# dropped {len(split.dropped_test_edges)}\n")
-    for u, v in split.dropped_test_edges.tolist():
-        sink.write(f"{u} {v}\n")
+    with _opened(sink, "w") as fh:
+        fh.write("# hierlp edge split\n")
+        fh.write(f"# seed {split.seed}\n")
+        fh.write(f"# fraction {split.fraction!r}\n")
+        fh.write(f"# vertices {split.train_graph.vertex_count}\n")
+        fh.write(f"# test {len(split.test_edges)}\n")
+        for u, v in split.test_edges.tolist():
+            fh.write(f"{u} {v}\n")
+        fh.write(f"# dropped {len(split.dropped_test_edges)}\n")
+        for u, v in split.dropped_test_edges.tolist():
+            fh.write(f"{u} {v}\n")
 
 
 def load_split(graph, source):
     """Rebuild an EdgeSplit against the original graph from a split file."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as fh:
-            return load_split(graph, fh)
     seed = 0
     fraction = 0.0
     pairs = {"test": [], "dropped": []}
     section = None
-    for line in source:
-        fields = line.split()
-        if not fields:
-            continue
-        if fields[0] == "#":
-            if fields[1] == "seed":
-                seed = int(fields[2])
-            elif fields[1] == "fraction":
-                fraction = float(fields[2])
-            elif fields[1] in pairs:
-                section = fields[1]
-            continue
-        if section is None:
-            raise ValueError("malformed split file: edges before a section header")
-        pairs[section].append((int(fields[0]), int(fields[1])))
+    with _opened(source) as fh:
+        for line in fh:
+            fields = line.split()
+            if not fields:
+                continue
+            if fields[0] == "#":
+                if fields[1] == "seed":
+                    seed = int(fields[2])
+                elif fields[1] == "fraction":
+                    fraction = float(fields[2])
+                elif fields[1] in pairs:
+                    section = fields[1]
+                continue
+            if section is None:
+                raise ValueError("malformed split file: edges before a section header")
+            pairs[section].append((int(fields[0]), int(fields[1])))
     test = np.array(pairs["test"], dtype=np.int64).reshape(-1, 2)
     dropped = np.array(pairs["dropped"], dtype=np.int64).reshape(-1, 2)
     removed = np.concatenate([test, dropped]) if len(dropped) else test
@@ -143,16 +136,15 @@ def build_curves(histogram, spec=None, metadata=None):
     inherently one threshold.
     """
     histogram.check_conservation()
-    values = sorted(histogram.buckets, reverse=True)
-    tp = [histogram.buckets[v][0] for v in values]
-    fp = [histogram.buckets[v][1] for v in values]
-    if histogram.zero_bucket != (0, 0) or not values:
-        values.append(0.0)
-        tp.append(histogram.zero_bucket[0])
-        fp.append(histogram.zero_bucket[1])
-    thresholds = np.array(values, dtype=np.float64)
-    cum_tp = np.cumsum(np.array(tp, dtype=np.int64))
-    cum_fp = np.cumsum(np.array(fp, dtype=np.int64))
+    buckets = histogram.buckets
+    thresholds, tp, fp = buckets["value"], buckets["tp"], buckets["fp"]
+    if histogram.zero_bucket != (0, 0) or not len(buckets):
+        thresholds = np.concatenate((thresholds, [0.0]))
+        tp = np.concatenate((tp, [histogram.zero_bucket[0]]))
+        fp = np.concatenate((fp, [histogram.zero_bucket[1]]))
+    thresholds = np.ascontiguousarray(thresholds)
+    cum_tp = np.cumsum(tp)
+    cum_fp = np.cumsum(fp)
     positives = histogram.positives_total
     negatives = histogram.negatives_total
     recall = _safe_rate(cum_tp, positives)
@@ -191,14 +183,11 @@ def area_under_pr(points):
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         return 0.0
-    if np.any(np.diff(points[:, 0]) < 0):
+    recall_steps = points[:, 0] - np.concatenate(([0.0], points[:-1, 0]))
+    if (recall_steps[1:] < 0).any():
         raise ValueError("PR points must be sorted by ascending recall")
-    total = 0.0
-    previous_recall = 0.0
-    for recall, precision in points.tolist():
-        total += precision * (recall - previous_recall)
-        previous_recall = recall
-    return total
+    # cumsum adds in sequence, so the sum is bit-identical to a loop
+    return float(np.cumsum(points[:, 1] * recall_steps)[-1])
 
 
 def area_under_roc(points):
@@ -206,26 +195,18 @@ def area_under_roc(points):
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         return 0.0
-    if np.any(np.diff(points[:, 0]) < 0):
+    previous = np.concatenate(([[0.0, 0.0]], points[:-1]))
+    fpr_steps = points[:, 0] - previous[:, 0]
+    if (fpr_steps[1:] < 0).any():
         raise ValueError("ROC points must be sorted by ascending fpr")
-    total = 0.0
-    prev_fpr = 0.0
-    prev_tpr = 0.0
-    for fpr, tpr in points.tolist():
-        total += (fpr - prev_fpr) * (tpr + prev_tpr) / 2.0
-        prev_fpr, prev_tpr = fpr, tpr
-    return total
+    return float(np.cumsum(fpr_steps * (points[:, 1] + previous[:, 1]) / 2.0)[-1])
 
 
 def write_curve_csv(points, header, sink):
     """One CSV per curve, values with full round-trip precision."""
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w") as fh:
-            write_curve_csv(points, header, fh)
-        return
-    sink.write(header + "\n")
-    for x, y in np.asarray(points).tolist():
-        sink.write(f"{x!r},{y!r}\n")
+    with _opened(sink, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines([f"{x!r},{y!r}\n" for x, y in np.asarray(points).tolist()])
 
 
 def summary_record(report, seed, fraction, wall_time, threads, chunk_size, graph_name=""):
@@ -249,9 +230,6 @@ def summary_record(report, seed, fraction, wall_time, threads, chunk_size, graph
 
 
 def write_summary(record, sink):
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w") as fh:
-            write_summary(record, fh)
-        return
-    json.dump(record, sink, indent=2, sort_keys=True)
-    sink.write("\n")
+    with _opened(sink, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -7,8 +7,10 @@ iteration is a contiguous slice and set intersections can run as linear
 merges.
 """
 
+import contextlib
 import gzip
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,17 +184,19 @@ class Graph:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
-def _open_source(source):
-    """Accept a path or an open text/binary stream; returns (file, close?)."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        path = str(source)
-        if path.endswith(".gz"):
-            return gzip.open(path, "rt"), True
-        return open(path, "r"), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # binary stream
-    return io.TextIOWrapper(source), False
+@contextlib.contextmanager
+def _opened(target, mode="r"):
+    """Yield a text stream for a path or a stream. A path is opened in
+    ``mode``, through gzip when it ends in .gz, and closed afterwards; a
+    binary stream is read as text; a text stream is used as it is."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        opener = gzip.open if os.fsdecode(target).endswith(".gz") else open
+        with opener(target, mode + "t") as fh:
+            yield fh
+    elif mode == "r" and not isinstance(target, io.TextIOBase):
+        yield io.TextIOWrapper(target)
+    else:
+        yield target
 
 
 def load_edge_list(source, format="auto"):
@@ -209,13 +213,12 @@ def load_edge_list(source, format="auto"):
     """
     if format not in ("auto", "integer", "token"):
         raise ValueError(f"unknown edge-list format {format!r}")
-    fh, should_close = _open_source(source)
     src_pairs = []
     dst_pairs = []
     lines_total = 0
     comment_lines = 0
     integer_ok = True
-    try:
+    with _opened(source) as fh:
         for line_number, line in enumerate(fh, start=1):
             lines_total += 1
             stripped = line.strip()
@@ -244,9 +247,6 @@ def load_edge_list(source, format="auto"):
                     integer_ok = False
             src_pairs.append(a)
             dst_pairs.append(b)
-    finally:
-        if should_close:
-            fh.close()
 
     if not src_pairs:
         raise GraphParseError("empty input: no edges found")
@@ -290,10 +290,7 @@ def write_edge_list(graph, sink):
 
     Internal dense ids are used, so a reload yields an identical Graph.
     """
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w") as fh:
-            write_edge_list(graph, fh)
-        return
     u, v = graph.edges()
-    for a, b in zip(u.tolist(), v.tolist()):
-        sink.write(f"{a} {b}\n")
+    with _opened(sink, "w") as fh:
+        for a, b in zip(u.tolist(), v.tolist()):
+            fh.write(f"{a} {b}\n")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ThresholdHistogram
+from .engine import BUCKET_DTYPE, ThresholdHistogram
 from . import scores as sc
 
 
@@ -89,8 +89,9 @@ def oracle_score_all(graph, spec, test_edges, cap=DEFAULT_VERTEX_CAP):
     positives = len(test_set)
     m = len(eligible)
     negatives = m * (m - 1) - graph.edge_count - positives
+    rows = sorted(((value, tp, fp) for value, (tp, fp) in buckets.items()), reverse=True)
     histogram = ThresholdHistogram(
-        buckets=buckets,
+        buckets=np.array(rows, dtype=BUCKET_DTYPE),
         zero_bucket=(zero_tp, zero_fp),
         positives_total=positives,
         negatives_total=negatives,
@@ -116,9 +117,10 @@ def naive_curves(histogram):
     value-0 threshold. Only usable for modest threshold counts.
     """
     histogram.check_conservation()
-    values = sorted(histogram.buckets, reverse=True)
-    tp = [histogram.buckets[v][0] for v in values]
-    fp = [histogram.buckets[v][1] for v in values]
+    buckets = {value: (tp, fp) for value, tp, fp in histogram.buckets.tolist()}
+    values = sorted(buckets, reverse=True)
+    tp = [buckets[v][0] for v in values]
+    fp = [buckets[v][1] for v in values]
     if histogram.zero_bucket != (0, 0) or not values:
         values.append(0.0)
         tp.append(histogram.zero_bucket[0])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ class TestRun:
         ])
         assert result.exit_code != 0
 
+    def test_scores_sharing_artifact_names_refused(self, graph_file, tmp_path):
+        out = tmp_path / "clash"
+        result = CliRunner().invoke(main, [
+            "run", "--graph", str(graph_file), "--score", "inf_log_kd(k=1)",
+            "--score", "inf_log_kd(k=3)", "--out", str(out),
+        ])
+        assert result.exit_code != 0
+        assert "inf_log_kd_*" in result.output
+        assert not out.exists()
+
     def test_four_headline_scores_one_invocation(self, graph_file, tmp_path):
         out = tmp_path / "all"
         result = run_cli([
@@ -96,6 +107,8 @@ class TestCompare:
         assert improvement_percent(0.52640, 0.31855) == pytest.approx(65.24, abs=0.01)
         assert improvement_percent(0.45156, 0.05491) == pytest.approx(722.36, abs=0.01)
         assert improvement_percent(0.4, 0.4) == 0.0
+        assert improvement_percent(0.4, 0.0) == math.inf
+        assert improvement_percent(0.0, 0.0) == 0.0
 
     def test_mismatched_splits_refused(self):
         a = {"score": "cn", "aupr": 0.1, "auroc": 0.5,
@@ -113,6 +126,17 @@ class TestCompare:
         assert [r["score"] for r in result["ranking"]] == ["inf_log_kd(k=2)", "cn"]
         pct = result["improvements"][("inf_log_kd(k=2)", "cn")]
         assert pct == pytest.approx(65.23, abs=0.02)
+
+    def test_zero_aupr_record(self):
+        base = {"seed": 1, "fraction": 0.1, "positives": 0, "negatives": 100,
+                "auroc": 0.5}
+        a = dict(base, score="cn", aupr=0.0)
+        b = dict(base, score="aa", aupr=0.0)
+        c = dict(base, score="ra", aupr=0.25)
+        improvements = compare_reports([a, b, c])["improvements"]
+        assert improvements[("cn", "aa")] == 0.0
+        assert improvements[("ra", "cn")] == math.inf
+        assert improvements[("cn", "ra")] == -100.0
 
     def test_compare_command(self, graph_file, tmp_path):
         out = tmp_path / "cmp"

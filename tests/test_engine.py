@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierlp import (
     MemoryGuardError,
@@ -14,6 +16,7 @@ from hierlp import (
     score_from_vertex,
     universe_stats,
 )
+from hierlp.engine import _columns, _merge
 from hierlp.scores import ScoreKind, ScoreSpec
 
 from conftest import erdos_renyi_digraph, graph_from_edges, preferential_attachment_digraph
@@ -45,36 +48,34 @@ class TestScoreFromVertex:
     def test_star_ded_example(self):
         # x -> {a, b}, a -> y, b -> y
         g = graph_from_edges([(0, 1), (0, 2), (1, 3), (2, 3)])
-        buckets, count = score_from_vertex(
-            g, 0, ScoreSpec(ScoreKind.DED), lambda u, v: (u, v) == (0, 3)
-        )
-        assert buckets == {1.0: (1, 0)}
+        buckets, count = score_from_vertex(g, 0, ScoreSpec(ScoreKind.DED), [(0, 3)])
+        assert buckets.tolist() == [(1.0, 1, 0)]
         assert count == 1
 
     def test_no_two_hop_paths_is_empty(self):
         g = graph_from_edges([(0, 1)], n=3)
-        buckets, count = score_from_vertex(g, 0, ScoreSpec(ScoreKind.DED), lambda u, v: False)
-        assert buckets == {}
+        buckets, count = score_from_vertex(g, 0, ScoreSpec(ScoreKind.DED), NO_TEST)
+        assert len(buckets) == 0
         assert count == 0
 
     def test_existing_training_edge_not_emitted(self):
         # x -> z -> y with (x, y) already an edge
         g = graph_from_edges([(0, 1), (1, 2), (0, 2)])
-        buckets, count = score_from_vertex(g, 0, ScoreSpec(ScoreKind.DED), lambda u, v: False)
-        assert 2 not in {k for k in buckets}
+        buckets, count = score_from_vertex(g, 0, ScoreSpec(ScoreKind.DED), NO_TEST)
+        assert len(buckets) == 0
         assert count == 0
 
     def test_ineligible_vertex_skipped(self):
         g = graph_from_edges([(0, 1)], n=3)
-        buckets, count = score_from_vertex(g, 2, ScoreSpec(ScoreKind.CN), lambda u, v: False)
-        assert buckets == {} and count == 0
+        buckets, count = score_from_vertex(g, 2, ScoreSpec(ScoreKind.CN), NO_TEST)
+        assert len(buckets) == 0 and count == 0
 
 
 class TestScoreAllFourCycle:
     def test_ded_hand_enumeration(self, four_cycle):
         hist = score_all(four_cycle, ScoreSpec(ScoreKind.DED), [(0, 2)], workers=1)
         # only length-2 directed paths exist; each candidate scores 1.0
-        assert hist.buckets == {1.0: (1, 3)}
+        assert hist.buckets.tolist() == [(1.0, 1, 3)]
         assert hist.positives_total == 1
         assert hist.negatives_total == 7
         assert hist.zero_bucket == (0, 4)
@@ -82,7 +83,7 @@ class TestScoreAllFourCycle:
     def test_empty_test_set(self, four_cycle):
         hist = score_all(four_cycle, ScoreSpec(ScoreKind.DED), NO_TEST, workers=1)
         assert hist.positives_total == 0
-        assert all(tp == 0 for tp, _ in hist.buckets.values())
+        assert not hist.buckets["tp"].any()
         assert hist.zero_bucket[0] == 0
 
     def test_worker_counts_identical(self, four_cycle):
@@ -143,7 +144,7 @@ class TestConservationAndSoundness:
         for (x, y), value in result.scores.items():
             has_path = any(y in out_sets[z] for z in out_sets[x])
             assert (value != 0.0) == has_path
-        assert sum(tp + fp for tp, fp in hist.buckets.values()) == len(explicit)
+        assert sum(hist.explicit_totals()) == len(explicit)
 
     def test_sparse_work_not_quadratic(self):
         # a long directed path has n-2 wedges; the engine must emit
@@ -216,8 +217,9 @@ class TestHistogramDump:
         assert reloaded == hist
 
     def test_sorted_descending_with_trailer(self):
+        unsorted = (np.array([0.5, 2.0]), np.array([1, 0]), np.array([0, 3]))
         hist = ThresholdHistogram(
-            buckets={0.5: (1, 0), 2.0: (0, 3)},
+            buckets=_merge([unsorted]),
             zero_bucket=(0, 7),
             positives_total=1,
             negatives_total=10,
@@ -229,3 +231,56 @@ class TestHistogramDump:
         assert lines[1].startswith("0.5 ")
         assert lines[2] == "# zero_bucket 0 7"
         assert lines[-1] == "# negatives_total 10"
+
+
+_rows = st.lists(
+    st.tuples(st.sampled_from([0.25, 1 / 3, 1.0, 2.5, 7.0]), st.integers(0, 3), st.integers(0, 3)),
+    max_size=8,
+)
+
+
+def _part(rows):
+    values, tp, fp = zip(*rows) if rows else ((), (), ())
+    return np.array(values, dtype=np.float64), np.array(tp, dtype=np.int64), np.array(fp, dtype=np.int64)
+
+
+class TestMerge:
+    @given(st.lists(_rows, min_size=2, max_size=6), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_order_and_grouping_do_not_matter(self, row_lists, random):
+        reference = {}
+        for value, tp, fp in (row for rows in row_lists for row in rows):
+            old_tp, old_fp = reference.get(value, (0, 0))
+            reference[value] = (old_tp + tp, old_fp + fp)
+        parts = [_part(rows) for rows in row_lists]
+        merged = _merge(parts)
+        assert merged.tolist() == [
+            (value, *reference[value]) for value in sorted(reference, reverse=True)
+        ]
+        shuffled = random.sample(parts, len(parts))
+        assert np.array_equal(_merge(shuffled), merged)
+        cut = random.randrange(1, len(parts))
+        grouped = [_columns(_merge(shuffled[:cut])), _columns(_merge(shuffled[cut:]))]
+        assert np.array_equal(_merge(grouped), merged)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        kind=st.sampled_from(list(ScoreKind)),
+        workers=st.sampled_from([1, 2]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_score_all_chunk_and_worker_invariance(self, seed, n, kind, workers, data):
+        from hierlp import split_edges
+
+        g = erdos_renyi_digraph(np.random.default_rng(seed), n)
+        if g.edge_count >= 10:
+            split = split_edges(g, 0.1, seed=seed)
+            train, test = split.train_graph, split.test_edges
+        else:
+            train, test = g, NO_TEST
+        chunk = data.draw(st.integers(1, n), label="chunk_size")
+        spec = ScoreSpec(kind)
+        reference = score_all(train, spec, test, workers=1, chunk_size=n)
+        assert score_all(train, spec, test, workers=workers, chunk_size=chunk) == reference

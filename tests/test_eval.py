@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierlp import (
     ThresholdHistogram,
@@ -13,13 +15,16 @@ from hierlp import (
     save_split,
     split_edges,
 )
-from hierlp.oracle import naive_area_under_pr, naive_curves
+from hierlp.engine import BUCKET_DTYPE
+from hierlp.oracle import naive_area_under_pr, naive_area_under_roc, naive_curves
 
 from conftest import erdos_renyi_digraph, graph_from_edges
 
 
 def hist(buckets, zero, positives, negatives):
-    return ThresholdHistogram(buckets, zero, positives, negatives)
+    """Histogram of a {value: (tp, fp)} mapping."""
+    rows = sorted(((value, tp, fp) for value, (tp, fp) in buckets.items()), reverse=True)
+    return ThresholdHistogram(np.array(rows, dtype=BUCKET_DTYPE), zero, positives, negatives)
 
 
 class TestSplitEdges:
@@ -179,13 +184,11 @@ class TestAreas:
             h_b = _random_histogram(rng)
             # classifier A: same thresholds, each cumulative (tp, fp) dominates
             # B's by moving one fp from every bucket into the zero bucket
-            buckets_a = {}
-            moved = 0
-            for value, (tp, fp) in h_b.buckets.items():
-                take = 1 if fp > 0 else 0
-                buckets_a[value] = (tp, fp - take)
-                moved += take
-            h_a = hist(
+            buckets_a = h_b.buckets.copy()
+            take = buckets_a["fp"] > 0
+            buckets_a["fp"] -= take
+            moved = int(take.sum())
+            h_a = ThresholdHistogram(
                 buckets_a,
                 (h_b.zero_bucket[0], h_b.zero_bucket[1] + moved),
                 h_b.positives_total,
@@ -194,3 +197,10 @@ class TestAreas:
             aupr_a = build_curves(h_a).aupr
             aupr_b = build_curves(h_b).aupr
             assert aupr_a >= aupr_b - 1e-12
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_naive_loops(self, points):
+        points = sorted(points)
+        assert area_under_pr(points).hex() == naive_area_under_pr(points).hex()
+        assert area_under_roc(points).hex() == naive_area_under_roc(points).hex()

@@ -1,3 +1,4 @@
+import gzip
 import io
 
 import numpy as np
@@ -153,6 +154,14 @@ class TestRoundTrip:
                 labels[a] * g.vertex_count + labels[b] for a, b in zip(u.tolist(), v.tolist())
             }
             assert r_keys == g_keys
+
+    def test_gzip_path_round_trip(self, tmp_path):
+        g, _ = load_edge_list(io.StringIO("0 1\n1 2\n2 0\n"))
+        path = tmp_path / "graph.txt.gz"
+        write_edge_list(g, path)
+        with gzip.open(path, "rt") as fh:
+            assert fh.read() == "0 1\n1 2\n2 0\n"
+        assert load_edge_list(path)[0] == g
 
     def test_loaded_graph_round_trips_exactly(self):
         rng = np.random.default_rng(22)

@@ -20,7 +20,7 @@ class TestOracle:
         g = graph_from_edges([], n=0)
         result = oracle_score_all(g, ScoreSpec(ScoreKind.CN), NO_TEST)
         assert result.scores == {}
-        assert result.histogram.buckets == {}
+        assert len(result.histogram.buckets) == 0
 
     def test_four_cycle_ded_reproduced(self):
         g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
