@@ -132,7 +132,9 @@ def compare_reports(records):
     """Ranking table with pairwise AUPR improvement percentages.
 
     All records must come from the same split; comparisons across
-    splits are invalid and refused.
+    splits are invalid and refused. Improvements are keyed by
+    ``score_label`` pairs, so one score run with two log bases is
+    two entries.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 reports to compare")
@@ -140,13 +142,21 @@ def compare_reports(records):
     if len(split_meta) != 1:
         raise ValueError("reports come from different splits; comparison refused")
     ranked = sorted(records, key=lambda r: r["aupr"], reverse=True)
+    labelled = [(score_label(r), r["aupr"]) for r in ranked]
     improvements = {}
-    for a in ranked:
-        for b in ranked:
-            if a["score"] == b["score"]:
-                continue
-            improvements[(a["score"], b["score"])] = improvement_percent(a["aupr"], b["aupr"])
+    for a, aupr_a in labelled:
+        for b, aupr_b in labelled:
+            if a != b:
+                improvements[(a, b)] = improvement_percent(aupr_a, aupr_b)
     return {"ranking": ranked, "improvements": improvements}
+
+
+def score_label(record):
+    """The record's score token, plus its log base when that is not e."""
+    base = record.get("log_base")
+    if base is None or base == math.e:
+        return record["score"]
+    return f"{record['score']} (log base {float(base)!r})"
 
 
 def improvement_percent(aupr_a, aupr_b):
@@ -174,12 +184,12 @@ def compare(summaries):
         raise click.ClickException(str(exc)) from exc
     click.echo(f"{'score':<20} {'AUPR':>10} {'AUROC':>10}")
     for record in result["ranking"]:
-        click.echo(f"{record['score']:<20} {record['aupr']:>10.5f} {record['auroc']:>10.5f}")
+        click.echo(f"{score_label(record):<20} {record['aupr']:>10.5f} {record['auroc']:>10.5f}")
     click.echo("")
-    best = result["ranking"][0]
-    for other in result["ranking"][1:]:
-        pct = result["improvements"][(best["score"], other["score"])]
-        click.echo(f"{best['score']} over {other['score']}: {pct:+.2f}%")
+    best = score_label(result["ranking"][0])
+    for other in map(score_label, result["ranking"][1:]):
+        if other != best:
+            click.echo(f"{best} over {other}: {result['improvements'][(best, other)]:+.2f}%")
 
 
 if __name__ == "__main__":

@@ -7,21 +7,32 @@ positive, and folds the result into a per-worker threshold histogram.
 The (overwhelming) zero-score remainder of the candidate universe is
 accounted for analytically from the universe size.
 
+Exclusion and membership are structural. One marker matrix per run is
++1 at the training edges and -1 at the test edges; one elementwise
+product of a chunk's product (its entries numbered 1..nnz) with the
+marker's rows, a per-row sparse intersection as in Gustavson's
+row-wise SpGEMM, returns the position of every training and every test
+edge among the chunk's candidates. The diagonal is dropped by
+comparing rows with columns. The chunk's other candidates are counted
+per distinct value before the merge; its few test edges go to the
+merge one by one.
+
 Workers claim fixed-size chunks of source vertices dynamically, which
-absorbs the degree skew of webgraphs. A histogram holds the distinct
-nonzero score values, descending, with int64 (tp, fp) counts; one merge
-builds every histogram. The result is bit identical for any worker
-count and chunk size: every chunk's values depend only on its own rows,
-and the merge sums the integer counts of exactly equal values.
+absorbs the degree skew of webgraphs; the first worker to fail stops
+the others from claiming more. A histogram holds the distinct nonzero
+score values, descending, with int64 (tp, fp) counts; one merge builds
+every histogram. The result is bit identical for any worker count and
+chunk size: every chunk's values depend only on its own rows, and the
+merge sums the integer counts of exactly equal values.
 """
 
-import math
 import os
 import re
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import _opened
 from .scores import (
@@ -151,12 +162,21 @@ def _encode_edges(edges, n):
     return np.unique(edges[:, 0] * n + edges[:, 1])
 
 
-def _in_sorted(sorted_keys, keys):
-    if len(sorted_keys) == 0:
-        return np.zeros(len(keys), dtype=bool)
-    idx = np.searchsorted(sorted_keys, keys)
-    idx = np.minimum(idx, len(sorted_keys) - 1)
-    return sorted_keys[idx] == keys
+def _marker(graph, test_keys):
+    """CSR int64 matrix of the known pairs: +1 at every training edge,
+    -1 at every test edge (``test_keys``, sorted u*n+v, disjoint from
+    the training edges)."""
+    n = graph.vertex_count
+    keys = np.concatenate([graph.edge_keys(), test_keys])
+    tags = np.ones(len(keys), dtype=np.int64)
+    tags[graph.edge_count:] = -1
+    # a stable sort of two sorted runs is one linear merge
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    tags = tags[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((tags, keys % n, indptr), shape=(n, n))
 
 
 def universe_stats(graph, test_edges):
@@ -167,7 +187,7 @@ def universe_stats(graph, test_edges):
     """
     n = graph.vertex_count
     test_keys = _encode_edges(test_edges, n) if len(np.asarray(test_edges)) else np.empty(0, np.int64)
-    if np.any(_in_sorted(graph.edge_keys(), test_keys)):
+    if len(np.intersect1d(graph.edge_keys(), test_keys, assume_unique=True)):
         raise ValidationError("test edge present in the training graph")
     eligible = (graph.out_degrees + graph.in_degrees) > 0
     m = int(eligible.sum())
@@ -181,7 +201,6 @@ class _RunContext:
     def __init__(self, graph, spec):
         self.graph = graph
         self.spec = spec
-        self.n = graph.vertex_count
         kind = spec.kind
         base = spec.log_base
         if kind in UNDIRECTED_KINDS:
@@ -216,17 +235,15 @@ class _RunContext:
                 self.passes = [(out, out), (inn, out)]
 
     def chunk_candidates(self, lo, hi):
-        """Score rows [lo, hi); returns (rows, cols, values) of every
-        explicitly-reached ordered pair, before exclusions."""
-        kind = self.spec.kind
+        """Score rows [lo, hi); returns a CSR matrix, row i for vertex
+        lo + i, holding every explicitly-reached ordered pair before
+        exclusions. The caller owns it."""
         mats = []
         for pass_index, (left, right) in enumerate(self.passes):
-            prod = left[lo:hi] @ right
+            prod = _rows(left, lo, hi) @ right
             prod.data = self._weight(pass_index, lo, prod)
             mats.append(prod)
-        combined = mats[0] if len(mats) == 1 else mats[0] + mats[1]
-        coo = combined.tocoo()
-        return coo.row.astype(np.int64) + lo, coo.col.astype(np.int64), coo.data
+        return mats[0] if len(mats) == 1 else mats[0] + mats[1]
 
     def _weight(self, pass_index, lo, prod):
         """Per-entry value transform; arithmetic mirrors scores.py exactly."""
@@ -254,50 +271,69 @@ class _RunContext:
         return values
 
 
+def _rows(matrix, lo, hi):
+    """Rows [lo, hi) of a CSR matrix that is only read; the matrix
+    itself when that is all of it, which saves a copy per small graph."""
+    return matrix if hi - lo == matrix.shape[0] else matrix[lo:hi]
+
+
 def _log_of_degrees(degrees, base):
-    # scalar math.log per vertex so engine values match scores.log_in_base
-    # bit for bit; vectorized np.log may differ in the last ulp
-    return np.array(
-        [log_in_base(int(d), base) if d > 0 else 0.0 for d in degrees],
-        dtype=np.float64,
-    )
+    # scalar math.log per distinct degree so engine values match
+    # scores.log_in_base bit for bit; vectorized np.log may differ in
+    # the last ulp
+    distinct, inverse = np.unique(degrees, return_inverse=True)
+    logs = [log_in_base(int(d), base) if d > 0 else 0.0 for d in distinct]
+    return np.array(logs, dtype=np.float64)[inverse]
 
 
 def _inv_log_weights(degrees, base):
-    out = np.empty(len(degrees), dtype=np.float64)
-    for i, d in enumerate(degrees):
-        if d == 0:
-            out[i] = 0.0
-        else:
-            lv = log_in_base(int(d), base)
-            # degree-1 vertices only ever reach the excluded diagonal
-            out[i] = math.inf if lv == 0.0 else 1.0 / lv
-    return out
+    logs = _log_of_degrees(degrees, base)
+    # degree-1 vertices (log 0) only ever reach the excluded diagonal
+    with np.errstate(divide="ignore"):
+        return np.where(degrees > 0, 1.0 / logs, 0.0)
 
 
-def _fold_chunk(ctx, lo, hi, train_keys, test_keys, buckets):
+def _fold_chunk(ctx, lo, hi, marker, buckets):
     """Merge the candidates of rows [lo, hi) into ``buckets``.
 
-    Returns (merged buckets, explicit_count), the count of
-    explicitly-scored candidates (diagonal and training edges excluded,
-    zero-valued candidates included).
+    ``marker`` is the run's ``_marker``. Returns (merged buckets,
+    explicit_count), the count of explicitly-scored candidates
+    (diagonal and training edges excluded, zero-valued candidates
+    included).
     """
-    rows, cols, data = ctx.chunk_candidates(lo, hi)
-    keys = rows * ctx.n + cols
-    keep = rows != cols
-    keep &= ~_in_sorted(train_keys, keys)
-    data = data[keep]
-    keys = keys[keep]
-    explicit_count = len(data)
-    nonzero = data != 0.0
-    data = data[nonzero]
-    keys = keys[nonzero]
-    if not np.all(np.isfinite(data)):
+    prod = ctx.chunk_candidates(lo, hi)
+    values = prod.data
+    if len(values) == 0:
+        return buckets, 0
+    # With the product's entries numbered 1..nnz, the elementwise
+    # product with the marker rows intersects them row by row and
+    # yields +position at training edges and -position at test edges.
+    prod.data = np.arange(1, len(values) + 1, dtype=np.int64)
+    hits = prod.multiply(_rows(marker, lo, hi)).data
+    rows = np.repeat(np.arange(lo, hi), np.diff(prod.indptr))
+    keep = rows != prod.indices
+    keep[hits[hits > 0] - 1] = False
+    test = -hits[hits < 0] - 1
+    test = test[keep[test]]  # a test pair on the diagonal stays excluded
+    explicit_count = int(np.count_nonzero(keep))
+    keep[test] = False
+    fp_values, fp_counts = np.unique(_nonzero_finite(values[keep]), return_counts=True)
+    tp_values = _nonzero_finite(values[test])
+    # a chunk holds few test edges: the merge counts them one by one
+    tp_ones = np.ones(len(tp_values), dtype=np.int64)
+    parts = [
+        _columns(buckets),
+        (fp_values, np.zeros_like(fp_counts), fp_counts),
+        (tp_values, tp_ones, np.zeros_like(tp_ones)),
+    ]
+    return _merge(parts), explicit_count
+
+
+def _nonzero_finite(values):
+    values = values[values != 0.0]
+    if not np.all(np.isfinite(values)):
         raise ValidationError("non-finite score outside the excluded diagonal")
-    if len(data) == 0:
-        return buckets, explicit_count
-    is_tp = _in_sorted(test_keys, keys)
-    return _merge([_columns(buckets), (data, is_tp, ~is_tp)]), explicit_count
+    return values
 
 
 def score_from_vertex(graph, n1, spec, test_edges):
@@ -312,9 +348,8 @@ def score_from_vertex(graph, n1, spec, test_edges):
     """
     graph._check_vertex(n1)
     ctx = _RunContext(graph, spec)
-    test_keys = _encode_edges(test_edges, graph.vertex_count)
-    empty = np.empty(0, dtype=BUCKET_DTYPE)
-    return _fold_chunk(ctx, n1, n1 + 1, graph.edge_keys(), test_keys, empty)
+    marker = _marker(graph, _encode_edges(test_edges, graph.vertex_count))
+    return _fold_chunk(ctx, n1, n1 + 1, marker, np.empty(0, dtype=BUCKET_DTYPE))
 
 
 def score_all(
@@ -331,7 +366,11 @@ def score_all(
     graph; every test edge must have both endpoints eligible. The
     result is bit identical regardless of ``workers`` and
     ``chunk_size``. ``max_buckets`` is a hard memory guardrail on the
-    distinct-score count: exceeding it raises, never bins silently.
+    distinct-score count: exceeding it raises, never bins silently. It
+    is checked on each worker's histogram after every chunk and on the
+    merged result, so the workers together may hold up to
+    ``workers * max_buckets`` buckets. A worker that raises stops the
+    others from claiming further chunks, and its error is re-raised.
     """
     n = graph.vertex_count
     if chunk_size is None:
@@ -354,7 +393,7 @@ def score_all(
     negatives = universe.universe_size - positives
 
     ctx = _RunContext(graph, spec)
-    train_keys = graph.edge_keys()
+    marker = _marker(graph, test_keys)
     chunk_bounds = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
     if workers is None:
         workers = os.cpu_count() or 1
@@ -364,19 +403,18 @@ def score_all(
         while True:
             with claim_lock:
                 index = next_chunk[0]
-                if index >= len(chunk_bounds):
+                if stop.is_set() or index >= len(chunk_bounds):
                     return
                 next_chunk[0] += 1
             lo, hi = chunk_bounds[index]
-            local_hists[slot], _ = _fold_chunk(
-                ctx, lo, hi, train_keys, test_keys, local_hists[slot]
-            )
+            local_hists[slot], _ = _fold_chunk(ctx, lo, hi, marker, local_hists[slot])
             if max_buckets is not None and len(local_hists[slot]) > max_buckets:
                 raise MemoryGuardError(
                     f"distinct score values exceeded max_buckets={max_buckets}"
                 )
 
     claim_lock = threading.Lock()
+    stop = threading.Event()  # set by the first failing worker
     next_chunk = [0]
     local_hists = [np.empty(0, dtype=BUCKET_DTYPE) for _ in range(workers)]
     if workers == 1:
@@ -389,6 +427,7 @@ def score_all(
                 run_worker(slot)
             except BaseException as exc:  # propagate to the caller
                 errors.append(exc)
+                stop.set()
 
         threads = [
             threading.Thread(target=guarded, args=(slot,), daemon=True)

@@ -85,6 +85,7 @@ class Graph:
         self._out_indptr, self._out_indices = _csr_arrays(edge_u, edge_v, n)
         self._in_indptr, self._in_indices = _csr_arrays(edge_v, edge_u, n)
         self._und = None  # lazy union view, built once on demand
+        self._csr_views = {}  # lazy scipy views, built once on demand
         for a in (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices):
             a.setflags(write=False)
 
@@ -149,26 +150,30 @@ class Graph:
         return u * self.vertex_count + v
 
     def out_csr(self):
-        """Out-adjacency as a scipy CSR matrix with unit weights."""
-        return sp.csr_matrix(
-            (np.ones(self.edge_count), self._out_indices, self._out_indptr),
-            shape=(self.vertex_count, self.vertex_count),
-        )
+        """Out-adjacency as a read-only scipy CSR matrix with unit weights."""
+        return self._csr("out", self._out_indptr, self._out_indices)
 
     def in_csr(self):
-        """In-adjacency as a scipy CSR matrix with unit weights."""
-        return sp.csr_matrix(
-            (np.ones(self.edge_count), self._in_indices, self._in_indptr),
-            shape=(self.vertex_count, self.vertex_count),
-        )
+        """In-adjacency as a read-only scipy CSR matrix with unit weights."""
+        return self._csr("in", self._in_indptr, self._in_indices)
 
     def undirected_csr(self):
-        """Union view as a symmetric scipy CSR matrix with unit weights."""
-        indptr, indices = self._undirected_arrays()
-        return sp.csr_matrix(
-            (np.ones(len(indices)), indices, indptr),
-            shape=(self.vertex_count, self.vertex_count),
-        )
+        """Union view as a read-only symmetric scipy CSR matrix with unit
+        weights."""
+        return self._csr("undirected", *self._undirected_arrays())
+
+    def _csr(self, name, indptr, indices):
+        # built once per graph and shared by every caller, so frozen
+        matrix = self._csr_views.get(name)
+        if matrix is None:
+            matrix = sp.csr_matrix(
+                (np.ones(len(indices)), indices, indptr),
+                shape=(self.vertex_count, self.vertex_count),
+            )
+            for a in (matrix.data, matrix.indices, matrix.indptr):
+                a.setflags(write=False)
+            self._csr_views[name] = matrix
+        return matrix
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -188,13 +193,20 @@ class Graph:
 def _opened(target, mode="r"):
     """Yield a text stream for a path or a stream. A path is opened in
     ``mode``, through gzip when it ends in .gz, and closed afterwards; a
-    binary stream is read as text; a text stream is used as it is."""
+    binary stream is read as text and left open; a text stream is used
+    as it is."""
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         opener = gzip.open if os.fsdecode(target).endswith(".gz") else open
         with opener(target, mode + "t") as fh:
             yield fh
     elif mode == "r" and not isinstance(target, io.TextIOBase):
-        yield io.TextIOWrapper(target)
+        wrapper = io.TextIOWrapper(target)
+        try:
+            yield wrapper
+        finally:
+            # a wrapper closes its buffer when it is collected; the
+            # caller's stream stays the caller's to close
+            wrapper.detach()
     else:
         yield target
 

@@ -138,6 +138,17 @@ class TestCompare:
         assert improvements[("ra", "cn")] == math.inf
         assert improvements[("cn", "ra")] == -100.0
 
+    def test_log_bases_kept_apart(self):
+        base = {"seed": 1, "fraction": 0.1, "positives": 10, "negatives": 100,
+                "auroc": 0.5, "score": "aa"}
+        natural = dict(base, log_base=math.e, aupr=0.25)
+        binary = dict(base, log_base=2.0, aupr=0.5)
+        result = compare_reports([natural, binary])
+        assert result["improvements"] == {
+            ("aa (log base 2.0)", "aa"): 100.0,
+            ("aa", "aa (log base 2.0)"): -50.0,
+        }
+
     def test_compare_command(self, graph_file, tmp_path):
         out = tmp_path / "cmp"
         run_cli(["run", "--graph", str(graph_file), "--score", "cn",

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierlp import (
+    Graph,
     MemoryGuardError,
     ThresholdHistogram,
     ValidationError,
@@ -16,8 +18,9 @@ from hierlp import (
     score_from_vertex,
     universe_stats,
 )
-from hierlp.engine import _columns, _merge
-from hierlp.scores import ScoreKind, ScoreSpec
+from hierlp import engine
+from hierlp.engine import _columns, _inv_log_weights, _log_of_degrees, _merge
+from hierlp.scores import ScoreKind, ScoreSpec, log_in_base
 
 from conftest import erdos_renyi_digraph, graph_from_edges, preferential_attachment_digraph
 
@@ -115,6 +118,43 @@ class TestScoreAllValidation:
         g = erdos_renyi_digraph(rng, 60)
         with pytest.raises(MemoryGuardError):
             score_all(g, ScoreSpec(ScoreKind.AA), NO_TEST, workers=1, max_buckets=1)
+
+    def test_failing_worker_stops_the_run(self, monkeypatch):
+        g = erdos_renyi_digraph(np.random.default_rng(3), 300)
+        real_fold = engine._fold_chunk
+        folded = []
+        lock = threading.Lock()
+
+        def fail_first(ctx, lo, *rest):
+            with lock:
+                folded.append(lo)
+                first = len(folded) == 1
+            if first:
+                raise ValidationError("first chunk fails")
+            return real_fold(ctx, lo, *rest)
+
+        monkeypatch.setattr(engine, "_fold_chunk", fail_first)
+        with pytest.raises(ValidationError, match="first chunk fails"):
+            score_all(g, ScoreSpec(ScoreKind.CN), NO_TEST, workers=2, chunk_size=1)
+        # 300 chunks; the other worker stops at its next claim
+        assert len(folded) < 75
+
+
+class TestDegreeLogs:
+    @given(
+        degrees=st.lists(st.integers(0, 10**6), max_size=50),
+        base=st.sampled_from([math.e, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_match_per_vertex_loop(self, degrees, base):
+        logs = [log_in_base(d, base) if d > 0 else 0.0 for d in degrees]
+        weights = [
+            0.0 if d == 0 else (math.inf if lv == 0.0 else 1.0 / lv)
+            for d, lv in zip(degrees, logs)
+        ]
+        degrees = np.array(degrees, dtype=np.int64)
+        assert _log_of_degrees(degrees, base).tobytes() == np.array(logs, dtype=np.float64).tobytes()
+        assert _inv_log_weights(degrees, base).tobytes() == np.array(weights, dtype=np.float64).tobytes()
 
 
 class TestConservationAndSoundness:
@@ -284,3 +324,40 @@ class TestMerge:
         spec = ScoreSpec(kind)
         reference = score_all(train, spec, test, workers=1, chunk_size=n)
         assert score_all(train, spec, test, workers=workers, chunk_size=chunk) == reference
+
+
+class TestStructuralFold:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 24),
+        pendants=st.integers(0, 4),
+        kind=st.sampled_from(list(ScoreKind)),
+        workers=st.sampled_from([1, 2]),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_score_all_matches_oracle(self, seed, n, pendants, kind, workers, data):
+        rng = np.random.default_rng(seed)
+        g = erdos_renyi_digraph(rng, n)
+        hub = int(np.argmax(g.out_degrees + g.in_degrees))
+        # degree-1 vertices hanging off the hub (AA weighs them 1/log 1)
+        extra = np.arange(n, n + pendants)
+        inward = rng.random(pendants) < 0.5
+        u, v = g.edges()
+        train = Graph(
+            n + pendants,
+            np.concatenate([u, np.where(inward, extra, hub)]),
+            np.concatenate([v, np.where(inward, hub, extra)]),
+        )
+        m = train.vertex_count
+        eligible = np.flatnonzero(train.out_degrees + train.in_degrees)
+        known = set(train.edge_keys().tolist())
+        non_edges = [(x, y) for x in eligible for y in eligible if x != y and x * m + y not in known]
+        # about half of the hub's row is held out, plus a few other pairs
+        test = [p for p in non_edges if p[0] == hub and rng.random() < 0.5]
+        test += [p for p in non_edges if p[0] != hub and rng.random() < 0.1]
+        test = np.array(test, dtype=np.int64).reshape(-1, 2)
+        spec = ScoreSpec(kind)
+        chunk = data.draw(st.integers(1, m), label="chunk_size")
+        engine_hist = score_all(train, spec, test, workers=workers, chunk_size=chunk)
+        assert engine_hist == oracle_score_all(train, spec, test).histogram

@@ -1,3 +1,4 @@
+import gc
 import gzip
 import io
 
@@ -52,6 +53,13 @@ class TestLoadEdgeList:
     def test_auto_falls_back_to_token_mode(self):
         g, _ = load_edge_list(text_stream("0 1\nx 1\n"))
         assert g.vertex_labels == ["0", "1", "x"]
+
+    def test_binary_stream_left_open(self):
+        stream = io.BytesIO(b"0 1\n1 2\n")
+        g, _ = load_edge_list(stream)
+        gc.collect()
+        assert g.edge_count == 2
+        assert not stream.closed
 
     def test_integer_ids_remapped_dense(self):
         g, _ = load_edge_list(text_stream("10 20\n20 30\n"))
@@ -126,6 +134,15 @@ class TestInvariants:
         for x in range(g.vertex_count):
             for y in g.undirected_neighbors(x):
                 assert x in g.undirected_neighbors(y)
+
+    @pytest.mark.parametrize("view", ["out_csr", "in_csr", "undirected_csr"])
+    def test_csr_views_built_once_and_read_only(self, view):
+        g = graph_from_edges([(0, 1), (1, 2), (2, 0), (0, 2)])
+        matrix = getattr(g, view)()
+        assert getattr(g, view)() is matrix
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
 
     def test_neighbor_lists_sorted(self):
         rng = np.random.default_rng(14)
