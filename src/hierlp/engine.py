@@ -8,12 +8,13 @@ The (overwhelming) zero-score remainder of the candidate universe is
 accounted for analytically from the universe size.
 
 Exclusion and membership are structural. One marker matrix per run is
-+1 at the training edges and -1 at the test edges; one elementwise
-product of a chunk's product (its entries numbered 1..nnz) with the
-marker's rows, a per-row sparse intersection as in Gustavson's
-row-wise SpGEMM, returns the position of every training and every test
-edge among the chunk's candidates. The diagonal is dropped by
-comparing rows with columns. The chunk's other candidates are counted
++1 at the training edges and -1 at the test edges; the sort that
+builds it is also the one check of the held-out pairs, for every entry
+point. One elementwise product of a chunk's product (its entries
+numbered 1..nnz) with the marker's rows, a per-row sparse intersection
+as in Gustavson's row-wise SpGEMM, returns the position of every
+training and every test edge among the chunk's candidates. The
+diagonal is dropped by comparing rows with columns. The chunk's other candidates are counted
 per distinct value before the merge; its few test edges go to the
 merge one by one.
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _opened
+from .graph import _csr_arrays, _opened
 from .scores import (
     INF_FAMILY,
     UNDIRECTED_KINDS,
@@ -139,7 +140,9 @@ def _merge(parts):
     values = np.concatenate([part[0] for part in parts])
     if len(values) == 0:
         return np.empty(0, dtype=BUCKET_DTYPE)
-    order = np.argsort(values)[::-1]
+    # the parts are runs (a histogram descending, a chunk's np.unique
+    # values ascending), which a stable sort merges in linear time
+    order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     merged = np.empty(len(starts), dtype=BUCKET_DTYPE)
@@ -150,33 +153,42 @@ def _merge(parts):
     return merged
 
 
-def _encode_edges(edges, n):
-    """Directed edges as sorted unique u*n+v keys."""
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValidationError("edge set must be an array of (u, v) pairs")
-    if edges.min() < 0 or edges.max() >= n:
-        raise ValidationError("edge endpoint out of range")
-    return np.unique(edges[:, 0] * n + edges[:, 1])
+def _held_out(graph, test_edges):
+    """Check the held-out pairs and mark them beside the training edges.
 
-
-def _marker(graph, test_keys):
-    """CSR int64 matrix of the known pairs: +1 at every training edge,
-    -1 at every test edge (``test_keys``, sorted u*n+v, disjoint from
-    the training edges)."""
+    The pairs must lie in the candidate universe: no self-loop, both
+    endpoints with a training edge, no training edge, no duplicate.
+    Returns (test_keys, marker): the pairs as sorted u*n+v keys, and a
+    CSR int64 matrix that is +1 at every training edge and -1 at every
+    test edge.
+    """
     n = graph.vertex_count
-    keys = np.concatenate([graph.edge_keys(), test_keys])
+    pairs = np.asarray(test_edges, dtype=np.int64)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValidationError("edge set must be an array of (u, v) pairs")
+    pairs = pairs.reshape(-1, 2)
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValidationError("edge endpoint out of range")
+    u, v = pairs.T
+    if np.any(u == v):
+        raise ValidationError("self-loop test edge")
+    eligible = _universe(graph).eligible_mask
+    if not np.all(eligible[u] & eligible[v]):
+        raise ValidationError("test edge with an ineligible (disconnected) endpoint")
+    keys = np.concatenate([graph.edge_keys(), u * n + v])
     tags = np.ones(len(keys), dtype=np.int64)
     tags[graph.edge_count:] = -1
-    # a stable sort of two sorted runs is one linear merge
+    # stable, so a training edge precedes the test pairs equal to it
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     tags = tags[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((tags, keys % n, indptr), shape=(n, n))
+    tied = tags[:-1][keys[1:] == keys[:-1]]
+    if np.any(tied > 0):
+        raise ValidationError("test edge present in the training graph")
+    if len(tied):
+        raise ValidationError("duplicate test edges")
+    indptr, indices = _csr_arrays(keys, n)
+    return keys[tags < 0], sp.csr_matrix((tags, indices, indptr), shape=(n, n))
 
 
 def universe_stats(graph, test_edges):
@@ -184,11 +196,13 @@ def universe_stats(graph, test_edges):
 
     Eligible vertices have in-degree + out-degree > 0 in the training
     graph; the universe is every ordered non-edge pair between them.
+    ``test_edges`` are checked as ``score_all`` checks them.
     """
-    n = graph.vertex_count
-    test_keys = _encode_edges(test_edges, n) if len(np.asarray(test_edges)) else np.empty(0, np.int64)
-    if len(np.intersect1d(graph.edge_keys(), test_keys, assume_unique=True)):
-        raise ValidationError("test edge present in the training graph")
+    _held_out(graph, test_edges)
+    return _universe(graph)
+
+
+def _universe(graph):
     eligible = (graph.out_degrees + graph.in_degrees) > 0
     m = int(eligible.sum())
     universe = m * (m - 1) - graph.edge_count
@@ -296,8 +310,8 @@ def _inv_log_weights(degrees, base):
 def _fold_chunk(ctx, lo, hi, marker, buckets):
     """Merge the candidates of rows [lo, hi) into ``buckets``.
 
-    ``marker`` is the run's ``_marker``. Returns (merged buckets,
-    explicit_count), the count of explicitly-scored candidates
+    ``marker`` is the run's marker from ``_held_out``. Returns (merged
+    buckets, explicit_count), the count of explicitly-scored candidates
     (diagonal and training edges excluded, zero-valued candidates
     included).
     """
@@ -339,16 +353,16 @@ def _nonzero_finite(values):
 def score_from_vertex(graph, n1, spec, test_edges):
     """Score every candidate (n1, y) reachable by a 2-hop expansion.
 
-    ``test_edges`` are the held-out positives, (u, v) pairs. Returns
-    (buckets, explicit_count): the nonzero-score buckets as a
-    BUCKET_DTYPE array, distinct values descending, and the count of
-    explicitly-scored candidates, from which the caller can complete
-    the zero bucket analytically. Ineligible vertices are skipped,
-    producing an empty contribution.
+    ``test_edges`` are the held-out positives, (u, v) pairs, checked as
+    ``score_all`` checks them. Returns (buckets, explicit_count): the
+    nonzero-score buckets as a BUCKET_DTYPE array, distinct values
+    descending, and the count of explicitly-scored candidates, from
+    which the caller can complete the zero bucket analytically.
+    Ineligible vertices are skipped, producing an empty contribution.
     """
     graph._check_vertex(n1)
+    _, marker = _held_out(graph, test_edges)
     ctx = _RunContext(graph, spec)
-    marker = _marker(graph, _encode_edges(test_edges, graph.vertex_count))
     return _fold_chunk(ctx, n1, n1 + 1, marker, np.empty(0, dtype=BUCKET_DTYPE))
 
 
@@ -362,8 +376,9 @@ def score_all(
 ):
     """Complete ThresholdHistogram over the full candidate universe.
 
-    ``test_edges`` is the positive class, absent from the training
-    graph; every test edge must have both endpoints eligible. The
+    ``test_edges`` is the positive class: distinct pairs of the
+    candidate universe, so no self-loop, no training edge, and both
+    endpoints eligible; anything else raises ValidationError. The
     result is bit identical regardless of ``workers`` and
     ``chunk_size``. ``max_buckets`` is a hard memory guardrail on the
     distinct-score count: exceeding it raises, never bins silently. It
@@ -377,23 +392,11 @@ def score_all(
         chunk_size = min(DEFAULT_CHUNK_SIZE, max(n, 1))
     if not 1 <= chunk_size <= max(n, 1):
         raise ValidationError(f"chunk_size must be in [1, {max(n, 1)}], got {chunk_size}")
-    test_edges = np.asarray(test_edges, dtype=np.int64).reshape(-1, 2)
-    universe = universe_stats(graph, test_edges)
-    test_keys = _encode_edges(test_edges, n)
-    if len(test_keys) != len(test_edges):
-        raise ValidationError("duplicate test edges")
-    if len(test_keys):
-        endpoints_ok = (
-            universe.eligible_mask[test_edges[:, 0]]
-            & universe.eligible_mask[test_edges[:, 1]]
-        )
-        if not endpoints_ok.all():
-            raise ValidationError("test edge with an ineligible (disconnected) endpoint")
+    test_keys, marker = _held_out(graph, test_edges)
     positives = len(test_keys)
-    negatives = universe.universe_size - positives
+    negatives = _universe(graph).universe_size - positives
 
     ctx = _RunContext(graph, spec)
-    marker = _marker(graph, test_keys)
     chunk_bounds = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
     if workers is None:
         workers = os.cpu_count() or 1

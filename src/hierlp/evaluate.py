@@ -92,7 +92,8 @@ def save_split(split, sink):
 
 
 def load_split(graph, source):
-    """Rebuild an EdgeSplit against the original graph from a split file."""
+    """Rebuild an EdgeSplit against the original graph from a split file;
+    refuse a file written for a graph of another vertex count."""
     seed = 0
     fraction = 0.0
     pairs = {"test": [], "dropped": []}
@@ -107,6 +108,11 @@ def load_split(graph, source):
                     seed = int(fields[2])
                 elif fields[1] == "fraction":
                     fraction = float(fields[2])
+                elif fields[1] == "vertices" and int(fields[2]) != graph.vertex_count:
+                    raise ValueError(
+                        f"split file is for {fields[2]} vertices, "
+                        f"the graph has {graph.vertex_count}"
+                    )
                 elif fields[1] in pairs:
                     section = fields[1]
                 continue

@@ -39,15 +39,11 @@ class LoadReport:
     edges_retained: int
 
 
-def _csr_arrays(u, v, n):
-    """Build (indptr, indices) for edges u->v; rows sorted, input deduped."""
-    order = np.lexsort((v, u))
-    u = u[order]
-    v = v[order]
-    counts = np.bincount(u, minlength=n)
+def _csr_arrays(keys, n):
+    """(indptr, indices) of the pairs u->v given as sorted u*n+v keys."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.ascontiguousarray(v, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n
 
 
 class Graph:
@@ -73,8 +69,8 @@ class Graph:
             raise ValueError("vertex id out of range")
         if np.any(edge_u == edge_v):
             raise ValueError("self loops are not allowed")
-        keys = edge_u * n + edge_v
-        if len(np.unique(keys)) != len(keys):
+        keys = np.sort(edge_u * n + edge_v)
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges are not allowed")
         if vertex_labels is not None and len(vertex_labels) != n:
             raise ValueError("vertex_labels length must equal vertex_count")
@@ -82,8 +78,8 @@ class Graph:
         self.vertex_count = n
         self.edge_count = len(edge_u)
         self.vertex_labels = list(vertex_labels) if vertex_labels is not None else None
-        self._out_indptr, self._out_indices = _csr_arrays(edge_u, edge_v, n)
-        self._in_indptr, self._in_indices = _csr_arrays(edge_v, edge_u, n)
+        self._out_indptr, self._out_indices = _csr_arrays(keys, n)
+        self._in_indptr, self._in_indices = _csr_arrays(np.sort(edge_v * n + edge_u), n)
         self._und = None  # lazy union view, built once on demand
         self._csr_views = {}  # lazy scipy views, built once on demand
         for a in (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices):
@@ -115,10 +111,7 @@ class Graph:
         if self._und is None:
             n = self.vertex_count
             u, v = self.edges()
-            both_u = np.concatenate([u, v])
-            both_v = np.concatenate([v, u])
-            keys = np.unique(both_u * n + both_v)
-            self._und = _csr_arrays(keys // n, keys % n, n)
+            self._und = _csr_arrays(np.unique(np.concatenate([u * n + v, v * n + u])), n)
             for a in self._und:
                 a.setflags(write=False)
         return self._und
@@ -193,19 +186,19 @@ class Graph:
 def _opened(target, mode="r"):
     """Yield a text stream for a path or a stream. A path is opened in
     ``mode``, through gzip when it ends in .gz, and closed afterwards; a
-    binary stream is read as text and left open; a text stream is used
-    as it is."""
+    binary stream is read or written as text and left open; a text
+    stream is used as it is."""
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         opener = gzip.open if os.fsdecode(target).endswith(".gz") else open
         with opener(target, mode + "t") as fh:
             yield fh
-    elif mode == "r" and not isinstance(target, io.TextIOBase):
+    elif not isinstance(target, io.TextIOBase):
         wrapper = io.TextIOWrapper(target)
         try:
             yield wrapper
         finally:
-            # a wrapper closes its buffer when it is collected; the
-            # caller's stream stays the caller's to close
+            # detach flushes, and a wrapper closes its buffer when it is
+            # collected; the caller's stream stays the caller's to close
             wrapper.detach()
     else:
         yield target

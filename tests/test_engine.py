@@ -73,6 +73,19 @@ class TestScoreFromVertex:
         buckets, count = score_from_vertex(g, 2, ScoreSpec(ScoreKind.CN), NO_TEST)
         assert len(buckets) == 0 and count == 0
 
+    @pytest.mark.parametrize(
+        "test_edges, message",
+        [
+            ([(0, 2)], "present in the training graph"),
+            ([(0, 3), (0, 3)], "duplicate"),
+            ([(0, 0)], "self-loop"),
+        ],
+    )
+    def test_held_out_edges_checked(self, test_edges, message):
+        g = Graph(4, [0, 1, 0, 2], [1, 2, 2, 3])
+        with pytest.raises(ValidationError, match=message):
+            score_from_vertex(g, 0, ScoreSpec(ScoreKind.DED), test_edges)
+
 
 class TestScoreAllFourCycle:
     def test_ded_hand_enumeration(self, four_cycle):
@@ -101,6 +114,16 @@ class TestScoreAllValidation:
     def test_test_edge_in_training_graph(self, four_cycle):
         with pytest.raises(ValidationError):
             score_all(four_cycle, ScoreSpec(ScoreKind.CN), [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "test_edges, message",
+        [([(0, 0)], "self-loop"), ([(0, 2), (1, 3), (0, 2)], "duplicate")],
+    )
+    def test_pair_outside_universe(self, four_cycle, test_edges, message):
+        with pytest.raises(ValidationError, match=message):
+            score_all(four_cycle, ScoreSpec(ScoreKind.DED), test_edges)
+        with pytest.raises(ValidationError, match=message):
+            universe_stats(four_cycle, test_edges)
 
     def test_ineligible_test_endpoint(self):
         g = graph_from_edges([(0, 1)], n=3)
@@ -255,6 +278,14 @@ class TestHistogramDump:
         hist.dump(buf)
         reloaded = ThresholdHistogram.load(io.StringIO(buf.getvalue()))
         assert reloaded == hist
+
+    def test_binary_stream_round_trip(self, four_cycle):
+        hist = score_all(four_cycle, ScoreSpec(ScoreKind.DED), [(0, 2)], workers=1)
+        buf = io.BytesIO()
+        hist.dump(buf)
+        assert not buf.closed
+        buf.seek(0)
+        assert ThresholdHistogram.load(buf) == hist
 
     def test_sorted_descending_with_trailer(self):
         unsorted = (np.array([0.5, 2.0]), np.array([1, 0]), np.array([0, 3]))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierlp import (
+    Graph,
     ThresholdHistogram,
     area_under_pr,
     area_under_roc,
@@ -81,6 +82,15 @@ class TestSplitEdges:
         assert reloaded.seed == 77
         assert reloaded.train_graph == split.train_graph
         assert np.array_equal(reloaded.test_edges, split.test_edges)
+
+    def test_split_of_another_graph_refused(self, tmp_path):
+        g = erdos_renyi_digraph(np.random.default_rng(44), 150)
+        path = tmp_path / "split.txt"
+        save_split(split_edges(g, 0.15, seed=77), path)
+        u, v = g.edges()
+        bigger = Graph(g.vertex_count + 1, u, v)
+        with pytest.raises(ValueError, match="vertices"):
+            load_split(bigger, path)
 
 
 class TestBuildCurves:
