@@ -7,16 +7,26 @@ positive, and folds the result into a per-worker threshold histogram.
 The (overwhelming) zero-score remainder of the candidate universe is
 accounted for analytically from the universe size.
 
-Exclusion and membership are structural. One marker matrix per run is
-+1 at the training edges and -1 at the test edges; the sort that
-builds it is also the one check of the held-out pairs, for every entry
-point. One elementwise product of a chunk's product (its entries
-numbered 1..nnz) with the marker's rows, a per-row sparse intersection
-as in Gustavson's row-wise SpGEMM, returns the position of every
-training and every test edge among the chunk's candidates. The
-diagonal is dropped by comparing rows with columns. The chunk's other candidates are counted
-per distinct value before the merge; its few test edges go to the
+Exclusion and membership are structural. One marker matrix per run
+tags the training and the test edges (for the symmetric kinds, both
+directions of a pair in one entry); the sort that builds it is also
+the one check of the held-out pairs, for every entry point. One
+elementwise product of a chunk's product (its entries numbered) with
+the marker's rows, a per-row sparse intersection as in Gustavson's
+row-wise SpGEMM, returns the position and the tags of every tagged
+pair among the chunk's candidates. The diagonal is dropped by
+comparing rows with columns. The chunk's other candidates are counted
+per distinct value before the merge; its few tagged pairs go to the
 merge one by one.
+
+The undirected kinds (CN, AA, RA, Jaccard) are symmetric, so each
+unordered pair is scored once. A chunk of rows [lo, hi) multiplies by
+the columns y >= lo of the right factor only, keeps the pairs y > x,
+and credits each value to (x, y) and to (y, x), each direction by its
+own tag. The bits cannot differ from scoring (y, x) itself: the
+product sums over the shared neighbours in ascending order either way,
+and Jaccard's du + dv commutes. ``score_from_vertex`` scores its whole
+row, y < x included, through the same fold.
 
 Workers claim fixed-size chunks of source vertices dynamically, which
 absorbs the degree skew of webgraphs; the first worker to fail stops
@@ -35,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _csr_arrays, _opened
+from .graph import _csr_arrays, _opened, _reprs
 from .scores import (
     INF_FAMILY,
     UNDIRECTED_KINDS,
@@ -106,7 +116,7 @@ class ThresholdHistogram:
         trailer with the zero bucket and totals. Scores are serialized
         with round-trip precision."""
         b = self.buckets
-        rows = zip(b["value"].tolist(), b["tp"].tolist(), b["fp"].tolist())
+        rows = zip(b["value"].tolist(), _reprs(b["tp"].tolist()), _reprs(b["fp"].tolist()))
         with _opened(sink, "w") as fh:
             fh.writelines([f"{value!r} {tp} {fp}\n" for value, tp, fp in rows])
             fh.write(f"# zero_bucket {self.zero_bucket[0]} {self.zero_bucket[1]}\n")
@@ -153,14 +163,16 @@ def _merge(parts):
     return merged
 
 
-def _held_out(graph, test_edges):
+def _held_out(graph, test_edges, unordered=False):
     """Check the held-out pairs and mark them beside the training edges.
 
     The pairs must lie in the candidate universe: no self-loop, both
     endpoints with a training edge, no training edge, no duplicate.
     Returns (test_keys, marker): the pairs as sorted u*n+v keys, and a
-    CSR int64 matrix that is +1 at every training edge and -1 at every
-    test edge.
+    CSR int64 matrix that holds the tag t(x, y) at every training edge
+    (t = 1) and test edge (t = 2). With ``unordered`` it holds
+    t(x, y) + 3 t(y, x) at every pair of which either direction is one,
+    so each entry tags both directions of its pair.
     """
     n = graph.vertex_count
     pairs = np.asarray(test_edges, dtype=np.int64)
@@ -175,20 +187,37 @@ def _held_out(graph, test_edges):
     eligible = _universe(graph).eligible_mask
     if not np.all(eligible[u] & eligible[v]):
         raise ValidationError("test edge with an ineligible (disconnected) endpoint")
-    keys = np.concatenate([graph.edge_keys(), u * n + v])
-    tags = np.ones(len(keys), dtype=np.int64)
-    tags[graph.edge_count:] = -1
-    # stable, so a training edge precedes the test pairs equal to it
+    keys = [graph.edge_keys(), u * n + v]
+    counts = [graph.edge_count, len(u)]
+    if unordered:
+        keys += [graph.reverse_edge_keys(), v * n + u]
+        counts *= 2
+    keys = np.concatenate(keys)
+    tags = np.repeat(np.array([1, 2, 3, 6][: len(counts)]), counts)
+    # stable, so at each key a training edge precedes the test pairs
+    # equal to it, and both precede the reversed pairs
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     tags = tags[order]
-    tied = tags[:-1][keys[1:] == keys[:-1]]
-    if np.any(tied > 0):
-        raise ValidationError("test edge present in the training graph")
-    if len(tied):
-        raise ValidationError("duplicate test edges")
+    test_keys = keys[tags == 2]
+    tied = keys[1:] == keys[:-1]
+    if tied.any():
+        # a key holds at most a training edge (1), test pairs (2), a
+        # reversed training edge (3) and reversed test pairs (6), in
+        # this order; of adjacent tags only (1, 2) multiply to 2 and
+        # (2, 2) to 4
+        neighbours = (tags[:-1] * tags[1:])[tied]
+        if np.any(neighbours == 2):
+            raise ValidationError("test edge present in the training graph")
+        if np.any(neighbours == 4):
+            raise ValidationError("duplicate test edges")
+        # the two directions of a pair: one entry with both tags
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = ~tied
+        starts = np.flatnonzero(first)
+        keys, tags = keys[starts], np.add.reduceat(tags, starts)
     indptr, indices = _csr_arrays(keys, n)
-    return keys[tags < 0], sp.csr_matrix((tags, indices, indptr), shape=(n, n))
+    return test_keys, sp.csr_matrix((tags, indices, indptr), shape=(n, n))
 
 
 def universe_stats(graph, test_edges):
@@ -248,13 +277,20 @@ class _RunContext:
             else:
                 self.passes = [(out, out), (inn, out)]
 
-    def chunk_candidates(self, lo, hi):
-        """Score rows [lo, hi); returns a CSR matrix, row i for vertex
-        lo + i, holding every explicitly-reached ordered pair before
-        exclusions. The caller owns it."""
+    def chunk_candidates(self, lo, hi, first=0):
+        """Score rows [lo, hi) against columns [first, n); returns a CSR
+        matrix of all n columns, row i for vertex lo + i, holding every
+        explicitly-reached ordered pair before exclusions. The caller
+        owns it."""
         mats = []
         for pass_index, (left, right) in enumerate(self.passes):
-            prod = _rows(left, lo, hi) @ right
+            if first:
+                prod = _rows(left, lo, hi) @ right[:, first:]
+                prod = sp.csr_matrix(
+                    (prod.data, prod.indices + first, prod.indptr), shape=(hi - lo, right.shape[1])
+                )
+            else:
+                prod = _rows(left, lo, hi) @ right
             prod.data = self._weight(pass_index, lo, prod)
             mats.append(prod)
         return mats[0] if len(mats) == 1 else mats[0] + mats[1]
@@ -307,47 +343,67 @@ def _inv_log_weights(degrees, base):
         return np.where(degrees > 0, 1.0 / logs, 0.0)
 
 
-def _fold_chunk(ctx, lo, hi, marker, buckets):
+# The (tp, fp) a tagged pair counts, by its marker tag t(x, y) + 3 t(y, x)
+# (t: 0 candidate, 1 training edge, 2 test edge): row 0 counts (x, y)
+# alone, row 1 both directions.
+_TAG_COUNTS = np.array(
+    [
+        [(int(t % 3 == 2), int(t % 3 == 0)) for t in range(9)],
+        [((t % 3 == 2) + (t // 3 == 2), (t % 3 == 0) + (t // 3 == 0)) for t in range(9)],
+    ],
+    dtype=np.int64,
+)
+
+
+def _fold_chunk(ctx, lo, hi, marker, buckets, unordered=False):
     """Merge the candidates of rows [lo, hi) into ``buckets``.
 
-    ``marker`` is the run's marker from ``_held_out``. Returns (merged
-    buckets, explicit_count), the count of explicitly-scored candidates
-    (diagonal and training edges excluded, zero-valued candidates
-    included).
+    ``marker`` is the run's marker from ``_held_out``. With
+    ``unordered`` (for a symmetric score) only the pairs y > x are
+    scored, and each value counts for (x, y) and for (y, x), each
+    direction by its own tag. Returns (merged buckets, explicit_count),
+    the count of explicitly-scored candidates (diagonal and training
+    edges excluded, zero-valued candidates included).
     """
-    prod = ctx.chunk_candidates(lo, hi)
+    prod = ctx.chunk_candidates(lo, hi, lo if unordered else 0)
     values = prod.data
     if len(values) == 0:
         return buckets, 0
-    # With the product's entries numbered 1..nnz, the elementwise
-    # product with the marker rows intersects them row by row and
-    # yields +position at training edges and -position at test edges.
-    prod.data = np.arange(1, len(values) + 1, dtype=np.int64)
-    hits = prod.multiply(_rows(marker, lo, hi)).data
     rows = np.repeat(np.arange(lo, hi), np.diff(prod.indptr))
-    keep = rows != prod.indices
-    keep[hits[hits > 0] - 1] = False
-    test = -hits[hits < 0] - 1
-    test = test[keep[test]]  # a test pair on the diagonal stays excluded
-    explicit_count = int(np.count_nonzero(keep))
-    keep[test] = False
-    fp_values, fp_counts = np.unique(_nonzero_finite(values[keep]), return_counts=True)
-    tp_values = _nonzero_finite(values[test])
-    # a chunk holds few test edges: the merge counts them one by one
-    tp_ones = np.ones(len(tp_values), dtype=np.int64)
-    parts = [
-        _columns(buckets),
-        (fp_values, np.zeros_like(fp_counts), fp_counts),
-        (tp_values, tp_ones, np.zeros_like(tp_ones)),
-    ]
-    return _merge(parts), explicit_count
+    keep = prod.indices > rows if unordered else prod.indices != rows
+    # With entry p of the product stored as 16p + 1, the elementwise
+    # product with the marker rows intersects them row by row and
+    # yields (16p + 1) * tag at every tagged pair; a tag is below 16.
+    prod.data = np.arange(1, 16 * len(values), 16, dtype=np.int64)
+    hits = prod.multiply(_rows(marker, lo, hi)).data
+    tags = hits % 16
+    at = hits // (16 * tags)
+    tagged = keep[at]  # a tagged pair on (unordered: below) the diagonal stays excluded
+    at, tags = at[tagged], tags[tagged]
+    keep[at] = False
+    counts = _TAG_COUNTS[int(unordered)][tags]
+    directions = 2 if unordered else 1
+    explicit_count = directions * int(np.count_nonzero(keep)) + int(counts.sum())
+    fp_values, fp_counts = np.unique(values[keep], return_counts=True)
+    fp_counts *= directions
+    tp, fp = counts.T
+    # a chunk holds few tagged pairs: the merge counts them one by one
+    scored = _scored(
+        np.concatenate([fp_values, values[at]]),
+        np.concatenate([np.zeros_like(fp_counts), tp]),
+        np.concatenate([fp_counts, fp]),
+    )
+    return _merge([_columns(buckets), scored]), explicit_count
 
 
-def _nonzero_finite(values):
-    values = values[values != 0.0]
+def _scored(values, tp, fp):
+    """The (values, tp, fp) that count: nonzero values, each finite,
+    with a nonzero count."""
+    counted = (values != 0.0) & (tp + fp > 0)
+    values = values[counted]
     if not np.all(np.isfinite(values)):
         raise ValidationError("non-finite score outside the excluded diagonal")
-    return values
+    return values, tp[counted], fp[counted]
 
 
 def score_from_vertex(graph, n1, spec, test_edges):
@@ -392,7 +448,8 @@ def score_all(
         chunk_size = min(DEFAULT_CHUNK_SIZE, max(n, 1))
     if not 1 <= chunk_size <= max(n, 1):
         raise ValidationError(f"chunk_size must be in [1, {max(n, 1)}], got {chunk_size}")
-    test_keys, marker = _held_out(graph, test_edges)
+    unordered = spec.kind in UNDIRECTED_KINDS  # symmetric: score each pair once
+    test_keys, marker = _held_out(graph, test_edges, unordered)
     positives = len(test_keys)
     negatives = _universe(graph).universe_size - positives
 
@@ -410,7 +467,7 @@ def score_all(
                     return
                 next_chunk[0] += 1
             lo, hi = chunk_bounds[index]
-            local_hists[slot], _ = _fold_chunk(ctx, lo, hi, marker, local_hists[slot])
+            local_hists[slot], _ = _fold_chunk(ctx, lo, hi, marker, local_hists[slot], unordered)
             if max_buckets is not None and len(local_hists[slot]) > max_buckets:
                 raise MemoryGuardError(
                     f"distinct score values exceeded max_buckets={max_buckets}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _opened
+from .graph import Graph, _opened, _reprs
 from .scores import ScoreSpec
 
 
@@ -93,10 +93,13 @@ def save_split(split, sink):
 
 def load_split(graph, source):
     """Rebuild an EdgeSplit against the original graph from a split file;
-    refuse a file written for a graph of another vertex count."""
+    refuse a file written for a graph of another vertex count, one whose
+    section counts differ from the edges it lists, and one that lists an
+    edge twice."""
     seed = 0
     fraction = 0.0
     pairs = {"test": [], "dropped": []}
+    declared = {}
     section = None
     with _opened(source) as fh:
         for line in fh:
@@ -115,15 +118,25 @@ def load_split(graph, source):
                     )
                 elif fields[1] in pairs:
                     section = fields[1]
+                    if len(fields) > 2:
+                        declared[section] = int(fields[2])
                 continue
             if section is None:
                 raise ValueError("malformed split file: edges before a section header")
             pairs[section].append((int(fields[0]), int(fields[1])))
+    for name, count in declared.items():
+        if count != len(pairs[name]):
+            raise ValueError(
+                f"split file declares {count} {name} edges but lists {len(pairs[name])}"
+            )
     test = np.array(pairs["test"], dtype=np.int64).reshape(-1, 2)
     dropped = np.array(pairs["dropped"], dtype=np.int64).reshape(-1, 2)
     removed = np.concatenate([test, dropped]) if len(dropped) else test
     n = graph.vertex_count
-    removed_keys = removed[:, 0] * n + removed[:, 1] if len(removed) else np.empty(0, np.int64)
+    removed_keys = np.sort(removed[:, 0] * n + removed[:, 1])
+    twice = removed_keys[1:][removed_keys[1:] == removed_keys[:-1]]
+    if len(twice):
+        raise ValueError(f"split file lists edge ({twice[0] // n}, {twice[0] % n}) twice")
     u, v = graph.edges()
     keep = ~np.isin(u * n + v, removed_keys)
     if (~keep).sum() != len(removed):
@@ -210,9 +223,10 @@ def area_under_roc(points):
 
 def write_curve_csv(points, header, sink):
     """One CSV per curve, values with full round-trip precision."""
+    xs, ys = np.asarray(points).reshape(-1, 2).T.tolist()
     with _opened(sink, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines([f"{x!r},{y!r}\n" for x, y in np.asarray(points).tolist()])
+        fh.writelines([f"{x},{y}\n" for x, y in zip(_reprs(xs), _reprs(ys))])
 
 
 def summary_record(report, seed, fraction, wall_time, threads, chunk_size, graph_name=""):

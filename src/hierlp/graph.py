@@ -120,15 +120,16 @@ class Graph:
 
     @property
     def out_degrees(self):
-        return np.diff(self._out_indptr)
+        return self._out_indptr[1:] - self._out_indptr[:-1]
 
     @property
     def in_degrees(self):
-        return np.diff(self._in_indptr)
+        return self._in_indptr[1:] - self._in_indptr[:-1]
 
     @property
     def undirected_degrees(self):
-        return np.diff(self._undirected_arrays()[0])
+        indptr = self._undirected_arrays()[0]
+        return indptr[1:] - indptr[:-1]
 
     # -- whole-graph views ---------------------------------------------------
 
@@ -141,6 +142,11 @@ class Graph:
         """Edges encoded as sorted u*n+v keys (n = vertex_count)."""
         u, v = self.edges()
         return u * self.vertex_count + v
+
+    def reverse_edge_keys(self):
+        """Edges encoded as sorted v*n+u keys, head first."""
+        v = np.repeat(np.arange(self.vertex_count, dtype=np.int64), self.in_degrees)
+        return v * self.vertex_count + self._in_indices
 
     def out_csr(self):
         """Out-adjacency as a read-only scipy CSR matrix with unit weights."""
@@ -202,6 +208,20 @@ def _opened(target, mode="r"):
             wrapper.detach()
     else:
         yield target
+
+
+def _reprs(column):
+    """repr of every item of a list, computed once per run of equal
+    items: a curve column repeats its values in long runs."""
+    texts = []
+    previous = text = None
+    for value in column:
+        # 0.0 == -0.0, but their reprs differ
+        if value != previous or not value:
+            text = repr(value)
+            previous = value
+        texts.append(text)
+    return texts
 
 
 def load_edge_list(source, format="auto"):

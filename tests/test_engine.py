@@ -392,3 +392,49 @@ class TestStructuralFold:
         chunk = data.draw(st.integers(1, m), label="chunk_size")
         engine_hist = score_all(train, spec, test, workers=workers, chunk_size=chunk)
         assert engine_hist == oracle_score_all(train, spec, test).histogram
+
+
+UNDIRECTED = [ScoreKind.CN, ScoreKind.AA, ScoreKind.RA, ScoreKind.JACCARD]
+
+
+class TestReciprocalPairs:
+    """Symmetric kinds score each unordered pair once and credit both
+    directions, each by its own tag. Vertices 1 and 4 share the
+    neighbours 0 and 2; vertex 6 is a pendant of 1."""
+
+    BASE = [(1, 0), (0, 4), (2, 1), (4, 2), (3, 5), (5, 1), (3, 4), (6, 1)]
+    CASES = {
+        "training then test": ([(1, 4)], [(4, 1), (3, 0)]),
+        "both test": ([], [(1, 4), (4, 1), (0, 3)]),
+        "both training": ([(1, 4), (4, 1)], [(3, 0), (5, 2)]),
+        "neither": ([], [(3, 0)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("kind", UNDIRECTED)
+    def test_matches_oracle(self, case, kind):
+        extra, test = self.CASES[case]
+        g = graph_from_edges(self.BASE + extra)
+        spec = ScoreSpec(kind)
+        expected = oracle_score_all(g, spec, test).histogram
+        # chunk 1 and 2 put vertices 1 and 4 in different chunks
+        for chunk in (1, 2, 3, g.vertex_count):
+            for workers in (1, 2):
+                assert score_all(g, spec, test, workers=workers, chunk_size=chunk) == expected
+
+    @pytest.mark.parametrize("kind", UNDIRECTED)
+    def test_score_from_vertex_scores_the_whole_row(self, kind):
+        extra, test = self.CASES["training then test"]
+        g = graph_from_edges(self.BASE + extra)
+        spec = ScoreSpec(kind)
+        scores = oracle_score_all(g, spec, test).scores
+        x = 4
+        row = {y: value for (u, y), value in scores.items() if u == x and value != 0.0}
+        assert 1 in row  # the test pair (4, 1) lies below the diagonal
+        buckets, count = score_from_vertex(g, x, spec, test)
+        assert count == len(row)
+        expected = {}
+        for y, value in row.items():
+            tp, fp = expected.get(value, (0, 0))
+            expected[value] = (tp + 1, fp) if (x, y) in test else (tp, fp + 1)
+        assert buckets.tolist() == [(v, *expected[v]) for v in sorted(expected, reverse=True)]

@@ -17,6 +17,7 @@ from hierlp import (
     split_edges,
 )
 from hierlp.engine import BUCKET_DTYPE
+from hierlp.evaluate import write_curve_csv
 from hierlp.oracle import naive_area_under_pr, naive_area_under_roc, naive_curves
 
 from conftest import erdos_renyi_digraph, graph_from_edges
@@ -91,6 +92,32 @@ class TestSplitEdges:
         bigger = Graph(g.vertex_count + 1, u, v)
         with pytest.raises(ValueError, match="vertices"):
             load_split(bigger, path)
+
+    SPLIT_HEAD = "# hierlp edge split\n# seed 1\n# fraction 0.5\n# vertices 4\n"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "# test 2\n0 1\n0 1\n# dropped 0\n",
+            "# test 1\n0 1\n# dropped 1\n0 1\n",
+        ],
+    )
+    def test_edge_listed_twice_refused(self, body):
+        g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError, match=r"lists edge \(0, 1\) twice"):
+            load_split(g, io.StringIO(self.SPLIT_HEAD + body))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("# test 99\n0 1\n1 2\n# dropped 0\n", "declares 99 test edges but lists 2"),
+            ("# test 1\n0 1\n# dropped 2\n1 2\n", "declares 2 dropped edges but lists 1"),
+        ],
+    )
+    def test_section_count_mismatch_refused(self, body, message):
+        g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError, match=message):
+            load_split(g, io.StringIO(self.SPLIT_HEAD + body))
 
 
 class TestBuildCurves:
@@ -214,3 +241,50 @@ class TestAreas:
         points = sorted(points)
         assert area_under_pr(points).hex() == naive_area_under_pr(points).hex()
         assert area_under_roc(points).hex() == naive_area_under_roc(points).hex()
+
+
+# values whose repr is tricky: subnormals, scientific notation, exact
+# ends, and a signed zero that compares equal to 0.0
+_TRICKY = [0.0, -0.0, 1.0, 5e-324, 2.5e-310, 1e-07, 1.2345678901234567e-07, 1 / 3, 0.1, 3e16]
+_runs = st.lists(st.tuples(st.sampled_from(_TRICKY), st.integers(1, 40)), max_size=12)
+
+
+def _column(runs):
+    return [value for value, length in runs for _ in range(length)]
+
+
+class TestWriters:
+    """The writers format a run of equal values once; the bytes must be
+    those of a repr per value."""
+
+    @given(xs=_runs, ys=_runs)
+    @settings(max_examples=200, deadline=None)
+    def test_curve_csv_matches_repr(self, xs, ys):
+        xs, ys = _column(xs), _column(ys)
+        size = min(len(xs), len(ys))
+        points = np.column_stack([xs[:size], ys[:size]]).reshape(-1, 2)
+        buf = io.StringIO()
+        write_curve_csv(points, "recall,precision", buf)
+        expected = ["recall,precision"] + [f"{x!r},{y!r}" for x, y in points.tolist()]
+        assert buf.getvalue().splitlines() == expected
+
+    @given(
+        values=st.sets(st.sampled_from([v for v in _TRICKY if v]) | st.floats(1e-9, 1e3), max_size=40),
+        tp=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 15)), max_size=10),
+        fp=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 15)), max_size=10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dump_matches_repr(self, values, tp, fp):
+        values = sorted(values, reverse=True)
+        tp, fp = _column(tp), _column(fp)
+        size = min(len(values), len(tp), len(fp))
+        rows = list(zip(values[:size], tp[:size], fp[:size]))
+        h = ThresholdHistogram(np.array(rows, dtype=BUCKET_DTYPE), (0, 5), sum(tp[:size]), sum(fp[:size]) + 5)
+        buf = io.StringIO()
+        h.dump(buf)
+        expected = [f"{value!r} {t} {f}" for value, t, f in rows] + [
+            "# zero_bucket 0 5",
+            f"# positives_total {h.positives_total}",
+            f"# negatives_total {h.negatives_total}",
+        ]
+        assert buf.getvalue().splitlines() == expected
