@@ -1,29 +1,48 @@
 """Exhaustive scoring of all candidate missing edges.
 
 Candidates are never materialized as a full score table. Each chunk of
-source vertices expands its 2-hop neighborhood as a sparse matrix
-product, classifies every explicitly-reached candidate as true/false
-positive, and folds the result into a per-worker threshold histogram.
-The (overwhelming) zero-score remainder of the candidate universe is
-accounted for analytically from the universe size.
+source vertices lists the candidates its 2-hop neighborhood reaches,
+classifies each as true/false positive, and folds the result into a
+per-worker threshold histogram. The (overwhelming) zero-score remainder
+of the candidate universe is accounted for analytically from the
+universe size.
 
-Exclusion and membership are structural. One marker matrix per run
-tags the training and the test edges (for the symmetric kinds, both
-directions of a pair in one entry); the sort that builds it is also
-the one check of the held-out pairs, for every entry point. One
-elementwise product of a chunk's product (its entries numbered) with
-the marker's rows, a per-row sparse intersection as in Gustavson's
-row-wise SpGEMM, returns the position and the tags of every tagged
-pair among the chunk's candidates. The diagonal is dropped by
-comparing rows with columns. The chunk's other candidates are counted
-per distinct value before the merge; its few tagged pairs go to the
-merge one by one.
+Exclusion and membership are structural. One marker per run tags the
+training and the test edges (for the symmetric kinds, both directions
+of a pair in one entry) as sorted keys u*n+v with a tag each; the sort
+that builds it is also the one check of the held-out pairs, for every
+entry point. The diagonal is never a candidate.
+
+A chunk of rows [lo, hi) lists its candidates as (keys, values, tags)
+through one of two backends, chosen per chunk from what the code can
+observe: the dense one when its accumulator of (hi - lo) * n cells and
+its 2-hop path count are both small (DENSE_MAX_CELLS, DENSE_MAX_PATHS),
+scipy's otherwise. Small graphs and small chunks take the first, the
+1000-row chunks of large graphs the second.
+
+- Dense: every path (x, z, y) is listed with numpy in x, z, y order and
+  summed per pair by ``np.bincount`` into a dense accumulator, the one
+  of Gustavson's row-wise SpGEMM; the marker's entries in the chunk are
+  spread over the same cells for the tags. It builds no scipy object.
+- Sparse: scipy's SpGEMM, then one elementwise product of the chunk's
+  product (its entries numbered) with the rows of a CSR copy of the
+  marker, a per-row sparse intersection that returns the position and
+  the tag of every tagged pair. The CSR marker and the scipy factors
+  are built once per call, before any worker starts, and only when
+  some chunk takes this backend.
+
+Their bits agree: ``np.bincount`` and scipy's csr_matmat both add each
+pair's paths one by one from 0.0 in ascending z, both drop a zero sum,
+and the INF family's two weighted passes are added pass 0 first and a
+zero sum dropped, as scipy's csr_plus_csr does. The fold after either
+is one: the chunk's untagged candidates are counted per distinct value
+before the merge, its few tagged pairs go to the merge one by one.
 
 The undirected kinds (CN, AA, RA, Jaccard) are symmetric, so each
-unordered pair is scored once. A chunk of rows [lo, hi) multiplies by
-the columns y >= lo of the right factor only, keeps the pairs y > x,
-and credits each value to (x, y) and to (y, x), each direction by its
-own tag. The bits cannot differ from scoring (y, x) itself: the
+unordered pair is scored once. A chunk of rows [lo, hi) keeps the pairs
+y > x only (scipy's multiplies by the columns y >= lo of the right
+factor), and credits each value to (x, y) and to (y, x), each direction
+by its own tag. The bits cannot differ from scoring (y, x) itself: the
 product sums over the shared neighbours in ascending order either way,
 and Jaccard's du + dv commutes. ``score_from_vertex`` scores its whole
 row, y < x included, through the same fold.
@@ -45,14 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _csr_arrays, _opened, _reprs
-from .scores import (
-    INF_FAMILY,
-    UNDIRECTED_KINDS,
-    ScoreKind,
-    ScoreSpec,
-    log_in_base,
-)
+from .graph import _csr_arrays, _opened, _reprs, _scipy_csr
+from .scores import UNDIRECTED_KINDS, ScoreKind, log_in_base
 
 DEFAULT_CHUNK_SIZE = 1000
 
@@ -163,16 +176,17 @@ def _merge(parts):
     return merged
 
 
-def _held_out(graph, test_edges, unordered=False):
+def _held_out(graph, test_edges, eligible, unordered=False):
     """Check the held-out pairs and mark them beside the training edges.
 
     The pairs must lie in the candidate universe: no self-loop, both
-    endpoints with a training edge, no training edge, no duplicate.
-    Returns (test_keys, marker): the pairs as sorted u*n+v keys, and a
-    CSR int64 matrix that holds the tag t(x, y) at every training edge
-    (t = 1) and test edge (t = 2). With ``unordered`` it holds
-    t(x, y) + 3 t(y, x) at every pair of which either direction is one,
-    so each entry tags both directions of its pair.
+    endpoints ``eligible`` (with a training edge), no training edge, no
+    duplicate. Returns (test_keys, keys, tags): the pairs as sorted
+    u*n+v keys, and the marker as sorted unique keys with an int64 tag
+    each, t(x, y) at every training edge (t = 1) and test edge (t = 2).
+    With ``unordered`` it holds t(x, y) + 3 t(y, x) at every pair of
+    which either direction is one, so each entry tags both directions
+    of its pair.
     """
     n = graph.vertex_count
     pairs = np.asarray(test_edges, dtype=np.int64)
@@ -184,7 +198,6 @@ def _held_out(graph, test_edges, unordered=False):
     u, v = pairs.T
     if np.any(u == v):
         raise ValidationError("self-loop test edge")
-    eligible = _universe(graph).eligible_mask
     if not np.all(eligible[u] & eligible[v]):
         raise ValidationError("test edge with an ineligible (disconnected) endpoint")
     keys = [graph.edge_keys(), u * n + v]
@@ -216,8 +229,7 @@ def _held_out(graph, test_edges, unordered=False):
         first[1:] = ~tied
         starts = np.flatnonzero(first)
         keys, tags = keys[starts], np.add.reduceat(tags, starts)
-    indptr, indices = _csr_arrays(keys, n)
-    return test_keys, sp.csr_matrix((tags, indices, indptr), shape=(n, n))
+    return test_keys, keys, tags
 
 
 def universe_stats(graph, test_edges):
@@ -227,8 +239,9 @@ def universe_stats(graph, test_edges):
     graph; the universe is every ordered non-edge pair between them.
     ``test_edges`` are checked as ``score_all`` checks them.
     """
-    _held_out(graph, test_edges)
-    return _universe(graph)
+    universe = _universe(graph)
+    _held_out(graph, test_edges, universe.eligible_mask)
+    return universe
 
 
 def _universe(graph):
@@ -238,87 +251,195 @@ def _universe(graph):
     return CandidateUniverse(eligible_mask=eligible, eligible_count=m, universe_size=universe)
 
 
-class _RunContext:
-    """Per-run immutable scoring state shared read-only by all workers."""
+#: A chunk takes the dense backend when its accumulator, (hi - lo) * n
+#: cells, and its 2-hop path count are both at most these. On Zipf
+#: digraphs of 40-10^4 vertices a whole fold took 0.25-0.8 of scipy's
+#: time below them, and up to 1.2-20 times it above (INF the worst).
+DENSE_MAX_CELLS = 1 << 15
+DENSE_MAX_PATHS = 1 << 13
 
-    def __init__(self, graph, spec):
+
+class _RunContext:
+    """Per-run immutable scoring state shared read-only by all workers.
+
+    Built for a fixed list of chunks (lo, hi): ``dense[i]`` says which
+    backend chunk i takes, and the scipy factors and the CSR marker
+    exist only when some chunk takes scipy's.
+    """
+
+    def __init__(self, graph, spec, marker_keys, marker_tags, chunks, unordered=False):
         self.graph = graph
         self.spec = spec
+        self.n = graph.vertex_count
+        self.unordered = unordered
+        self.marker_keys = marker_keys
+        self.marker_tags = marker_tags
         kind = spec.kind
         base = spec.log_base
+        # each pass multiplies a left by a right adjacency view; the
+        # right one is weighted by a per-vertex weight of its row z
+        weight = None
         if kind in UNDIRECTED_KINDS:
-            und = graph.undirected_csr()
             deg = graph.undirected_degrees
             if kind is ScoreKind.AA:
-                right = und.copy()
-                right.data = np.repeat(_inv_log_weights(deg, base), deg)
+                weight = _inv_log_weights(deg, base)
             elif kind is ScoreKind.RA:
-                right = und.copy()
-                with np.errstate(divide="ignore"):
-                    right.data = np.repeat(
-                        np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0), deg
-                    )
-            else:
-                right = und
-            self.passes = [(und, right)]
+                weight = np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
+            self.passes = [("undirected", "undirected")]
             self.deg_float = deg.astype(np.float64)
         else:
-            out = graph.out_csr()
-            if kind is ScoreKind.IND or kind in INF_FAMILY:
-                inn = graph.in_csr()
             self.out_deg = graph.out_degrees.astype(np.float64)
             self.in_deg = graph.in_degrees.astype(np.float64)
-            self.log_out = _log_of_degrees(graph.out_degrees, base)
-            self.log_in = _log_of_degrees(graph.in_degrees, base)
+            if kind in (ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD):
+                self.log_out = _log_of_degrees(graph.out_degrees, base)
+                self.log_in = _log_of_degrees(graph.in_degrees, base)
             if kind is ScoreKind.DED:
-                self.passes = [(out, out)]
+                self.passes = [("out", "out")]
             elif kind is ScoreKind.IND:
-                self.passes = [(inn, out)]
+                self.passes = [("in", "out")]
             else:
-                self.passes = [(out, out), (inn, out)]
+                self.passes = [("out", "out"), ("in", "out")]
+        self.z_weight = weight
+        self.dense = self._dense_chunks(chunks)
+        self.sparse_passes = self.marker = None
+        if not all(self.dense):
+            self.sparse_passes = []
+            for left, right in self.passes:
+                right = graph._csr(right)
+                if weight is not None:
+                    right = right.copy()
+                    right.data = np.repeat(weight, np.diff(right.indptr))
+                self.sparse_passes.append((graph._csr(left), right))
+            self.marker = _scipy_csr(marker_tags, *_csr_arrays(marker_keys, self.n), self.n)
 
-    def chunk_candidates(self, lo, hi, first=0):
-        """Score rows [lo, hi) against columns [first, n); returns a CSR
-        matrix of all n columns, row i for vertex lo + i, holding every
-        explicitly-reached ordered pair before exclusions. The caller
-        owns it."""
-        mats = []
-        for pass_index, (left, right) in enumerate(self.passes):
-            if first:
-                prod = _rows(left, lo, hi) @ right[:, first:]
-                prod = sp.csr_matrix(
-                    (prod.data, prod.indices + first, prod.indptr), shape=(hi - lo, right.shape[1])
-                )
-            else:
-                prod = _rows(left, lo, hi) @ right
-            prod.data = self._weight(pass_index, lo, prod)
-            mats.append(prod)
-        return mats[0] if len(mats) == 1 else mats[0] + mats[1]
+    def _dense_chunks(self, chunks):
+        small = [(hi - lo) * self.n <= DENSE_MAX_CELLS for lo, hi in chunks]
+        if not any(small):
+            return small
+        # paths[x - first]: the 2-hop paths of rows [first, x), all
+        # passes, over the rows the small chunks span
+        first = min(lo for fits, (lo, _) in zip(small, chunks) if fits)
+        last = max(hi for fits, (_, hi) in zip(small, chunks) if fits)
+        paths = 0
+        for left, right in self.passes:
+            indptr, indices = self.graph._adjacency(left)
+            right_indptr = self.graph._adjacency(right)[0]
+            z = indices[indptr[first]:indptr[last]]
+            ends = np.zeros(len(z) + 1, dtype=np.int64)
+            np.cumsum(right_indptr[z + 1] - right_indptr[z], out=ends[1:])
+            paths = paths + ends[indptr[first:last + 1] - indptr[first]]
+        return [
+            fits and int(paths[hi - first] - paths[lo - first]) <= DENSE_MAX_PATHS
+            for fits, (lo, hi) in zip(small, chunks)
+        ]
 
-    def _weight(self, pass_index, lo, prod):
-        """Per-entry value transform; arithmetic mirrors scores.py exactly."""
+    def weight(self, pass_index, data, at_rows, cols):
+        """Per-entry value transform of pass ``pass_index``'s sums
+        ``data`` at columns ``cols``; ``at_rows(a)`` is the per-vertex
+        array ``a`` at each entry's row. Arithmetic mirrors scores.py
+        exactly."""
         kind = self.spec.kind
-        data = prod.data
-        nnz_per_row = np.diff(prod.indptr)
         if kind in (ScoreKind.CN, ScoreKind.AA, ScoreKind.RA):
             return data
         if kind is ScoreKind.JACCARD:
-            du = np.repeat(self.deg_float[lo:lo + len(nnz_per_row)], nnz_per_row)
-            dv = self.deg_float[prod.indices]
+            du = at_rows(self.deg_float)
+            dv = self.deg_float[cols]
             return data / (du + dv - data)
-        if pass_index == 0 and kind is not ScoreKind.IND:
-            denom = self.out_deg
-            logs = self.log_out
-        else:
-            denom = self.in_deg
-            logs = self.log_in
-        d_rep = np.repeat(denom[lo:lo + len(nnz_per_row)], nnz_per_row)
-        values = data / d_rep
+        out = pass_index == 0 and kind is not ScoreKind.IND
+        values = data / at_rows(self.out_deg if out else self.in_deg)
         if kind in (ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD):
-            values = values * np.repeat(logs[lo:lo + len(nnz_per_row)], nnz_per_row)
+            values = values * at_rows(self.log_out if out else self.log_in)
         if kind is ScoreKind.INF_LOG_KD and pass_index == 0:
             values = values * self.spec.k
         return values
+
+
+def _dense_candidates(ctx, lo, hi):
+    """(keys, values, tags) of the candidates of rows [lo, hi), by a
+    dense accumulator of (hi - lo) * n cells.
+
+    Every 2-hop path (x, z, y) is listed in x, z, y order and its pair
+    summed by ``np.bincount``, which adds in array order: each pair's
+    sum adds its z ascending from 0.0, as scipy's csr_matmat does, and
+    a zero sum is no candidate, as in scipy's product. The INF family
+    adds its two weighted passes, pass 0 first, and again drops a zero
+    sum, as scipy's csr_plus_csr does.
+    """
+    n = ctx.n
+    cells = (hi - lo) * n
+    x = np.arange(lo, hi)
+    keys = values = None
+    for pass_index, (left, right) in enumerate(ctx.passes):
+        indptr, indices = ctx.graph._adjacency(left)
+        right_indptr, right_indices = ctx.graph._adjacency(right)
+        z = indices[indptr[lo]:indptr[hi]]
+        xs = np.repeat(x, indptr[lo + 1:hi + 1] - indptr[lo:hi])
+        starts = right_indptr[z]
+        counts = right_indptr[z + 1] - starts
+        # y runs over row z of the right factor, for each (x, z)
+        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        ys = right_indices[np.arange(len(offsets)) + offsets]
+        xs = np.repeat(xs, counts)
+        keep = ys > xs if ctx.unordered else ys != xs
+        cell = ((xs - lo) * n + ys)[keep]
+        if ctx.z_weight is None:
+            sums = np.bincount(cell, minlength=cells).astype(np.float64)
+        else:
+            w = np.repeat(ctx.z_weight[z], counts)[keep]
+            sums = np.bincount(cell, weights=w, minlength=cells)
+        found = np.flatnonzero(sums)
+        pass_values = ctx.weight(pass_index, sums[found], lambda a: a[lo + found // n], found % n)
+        if keys is None:
+            keys, values = found, pass_values
+        else:
+            sums = np.bincount(
+                np.concatenate([keys, found]),
+                weights=np.concatenate([values, pass_values]),
+                minlength=cells,
+            )
+            keys = np.flatnonzero(sums)
+            values = sums[keys]
+    # the marker's entries in these rows, spread over the same cells
+    start, stop = np.searchsorted(ctx.marker_keys, (lo * n, hi * n))
+    tag_cells = np.zeros(cells, dtype=np.int8)
+    tag_cells[ctx.marker_keys[start:stop] - lo * n] = ctx.marker_tags[start:stop]
+    return keys + lo * n, values, tag_cells[keys]
+
+
+def _sparse_candidates(ctx, lo, hi, with_keys=False):
+    """(keys, values, tags) of the candidates of rows [lo, hi), by
+    scipy's SpGEMM and one elementwise product with the CSR marker.
+
+    A chunk of a symmetric kind multiplies by the right factor's columns
+    y >= lo only. The keys are in row order, columns unsorted, and are
+    None unless ``with_keys``: the fold does not read them, and at this
+    backend's sizes forming them costs about a tenth of the chunk.
+    """
+    n = ctx.n
+    first = lo if ctx.unordered else 0
+    prod = None
+    for pass_index, (left, right) in enumerate(ctx.sparse_passes):
+        part = _rows(left, lo, hi) @ (right[:, first:] if first else right)
+        if first:
+            part = sp.csr_matrix((part.data, part.indices + first, part.indptr), shape=(hi - lo, n))
+        counts = np.diff(part.indptr)
+        part.data = ctx.weight(
+            pass_index, part.data, lambda a: np.repeat(a[lo:hi], counts), part.indices
+        )
+        prod = part if prod is None else prod + part
+    rows = np.repeat(np.arange(lo, hi), np.diff(prod.indptr))
+    values = prod.data
+    keep = prod.indices > rows if ctx.unordered else prod.indices != rows
+    # With entry p of the product stored as 16p + 1, the elementwise
+    # product with the marker rows intersects them row by row and
+    # yields (16p + 1) * tag at every tagged pair; a tag is below 16.
+    prod.data = np.arange(1, 16 * len(values), 16, dtype=np.int64)
+    hits = prod.multiply(_rows(ctx.marker, lo, hi)).data
+    hit_tags = hits % 16
+    tags = np.zeros(len(values), dtype=np.int8)
+    tags[hits // (16 * hit_tags)] = hit_tags
+    keys = (rows * n + prod.indices)[keep] if with_keys else None
+    return keys, values[keep], tags[keep]
 
 
 def _rows(matrix, lo, hi):
@@ -355,41 +476,32 @@ _TAG_COUNTS = np.array(
 )
 
 
-def _fold_chunk(ctx, lo, hi, marker, buckets, unordered=False):
+def _fold_chunk(ctx, lo, hi, dense, buckets):
     """Merge the candidates of rows [lo, hi) into ``buckets``.
 
-    ``marker`` is the run's marker from ``_held_out``. With
-    ``unordered`` (for a symmetric score) only the pairs y > x are
-    scored, and each value counts for (x, y) and for (y, x), each
-    direction by its own tag. Returns (merged buckets, explicit_count),
-    the count of explicitly-scored candidates (diagonal and training
-    edges excluded, zero-valued candidates included).
+    ``dense`` picks the backend that lists them. With ``ctx.unordered``
+    (a symmetric score) only the pairs y > x are scored, and each value
+    counts for (x, y) and for (y, x), each direction by its own tag.
+    Returns (merged buckets, explicit_count), the count of
+    explicitly-scored candidates (diagonal and training edges excluded,
+    zero-valued candidates included).
     """
-    prod = ctx.chunk_candidates(lo, hi, lo if unordered else 0)
-    values = prod.data
+    _, values, tags = (_dense_candidates if dense else _sparse_candidates)(ctx, lo, hi)
     if len(values) == 0:
         return buckets, 0
-    rows = np.repeat(np.arange(lo, hi), np.diff(prod.indptr))
-    keep = prod.indices > rows if unordered else prod.indices != rows
-    # With entry p of the product stored as 16p + 1, the elementwise
-    # product with the marker rows intersects them row by row and
-    # yields (16p + 1) * tag at every tagged pair; a tag is below 16.
-    prod.data = np.arange(1, 16 * len(values), 16, dtype=np.int64)
-    hits = prod.multiply(_rows(marker, lo, hi)).data
-    tags = hits % 16
-    at = hits // (16 * tags)
-    tagged = keep[at]  # a tagged pair on (unordered: below) the diagonal stays excluded
-    at, tags = at[tagged], tags[tagged]
-    keep[at] = False
-    counts = _TAG_COUNTS[int(unordered)][tags]
-    directions = 2 if unordered else 1
-    explicit_count = directions * int(np.count_nonzero(keep)) + int(counts.sum())
-    fp_values, fp_counts = np.unique(values[keep], return_counts=True)
+    tagged = np.flatnonzero(tags != 0)  # faster on bool than on int8
+    counts = _TAG_COUNTS[int(ctx.unordered)][tags[tagged]]
+    directions = 2 if ctx.unordered else 1
+    explicit_count = directions * (len(values) - len(tagged)) + int(counts.sum())
+    fp_values, fp_counts = np.unique(values, return_counts=True)
+    # the tagged pairs count by their tags, not as plain candidates
+    tagged_values = values[tagged]
+    fp_counts -= np.bincount(np.searchsorted(fp_values, tagged_values), minlength=len(fp_values))
     fp_counts *= directions
     tp, fp = counts.T
     # a chunk holds few tagged pairs: the merge counts them one by one
     scored = _scored(
-        np.concatenate([fp_values, values[at]]),
+        np.concatenate([fp_values, tagged_values]),
         np.concatenate([np.zeros_like(fp_counts), tp]),
         np.concatenate([fp_counts, fp]),
     )
@@ -417,9 +529,9 @@ def score_from_vertex(graph, n1, spec, test_edges):
     Ineligible vertices are skipped, producing an empty contribution.
     """
     graph._check_vertex(n1)
-    _, marker = _held_out(graph, test_edges)
-    ctx = _RunContext(graph, spec)
-    return _fold_chunk(ctx, n1, n1 + 1, marker, np.empty(0, dtype=BUCKET_DTYPE))
+    _, marker_keys, marker_tags = _held_out(graph, test_edges, _universe(graph).eligible_mask)
+    ctx = _RunContext(graph, spec, marker_keys, marker_tags, [(n1, n1 + 1)])
+    return _fold_chunk(ctx, n1, n1 + 1, ctx.dense[0], np.empty(0, dtype=BUCKET_DTYPE))
 
 
 def score_all(
@@ -449,12 +561,15 @@ def score_all(
     if not 1 <= chunk_size <= max(n, 1):
         raise ValidationError(f"chunk_size must be in [1, {max(n, 1)}], got {chunk_size}")
     unordered = spec.kind in UNDIRECTED_KINDS  # symmetric: score each pair once
-    test_keys, marker = _held_out(graph, test_edges, unordered)
+    universe = _universe(graph)
+    test_keys, marker_keys, marker_tags = _held_out(
+        graph, test_edges, universe.eligible_mask, unordered
+    )
     positives = len(test_keys)
-    negatives = _universe(graph).universe_size - positives
+    negatives = universe.universe_size - positives
 
-    ctx = _RunContext(graph, spec)
     chunk_bounds = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
+    ctx = _RunContext(graph, spec, marker_keys, marker_tags, chunk_bounds, unordered)
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), max(len(chunk_bounds), 1)))
@@ -467,7 +582,7 @@ def score_all(
                     return
                 next_chunk[0] += 1
             lo, hi = chunk_bounds[index]
-            local_hists[slot], _ = _fold_chunk(ctx, lo, hi, marker, local_hists[slot], unordered)
+            local_hists[slot], _ = _fold_chunk(ctx, lo, hi, ctx.dense[index], local_hists[slot])
             if max_buckets is not None and len(local_hists[slot]) > max_buckets:
                 raise MemoryGuardError(
                     f"distinct score values exceeded max_buckets={max_buckets}"

@@ -46,6 +46,24 @@ def _csr_arrays(keys, n):
     return indptr, keys % n
 
 
+def _scipy_csr(data, indptr, indices, n):
+    """An n x n scipy CSR matrix. Its index arrays are int32 when n and
+    the entry count fit, which spares scipy checking the contents of
+    int64 ones and downcasting them."""
+    if max(n, len(indices)) <= np.iinfo(np.int32).max:
+        indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _unique(keys):
+    """Sorted distinct int64 keys: a sort and a neighbour compare.
+    Plain ``np.unique`` on int64 takes a slower hash path in numpy 2.4."""
+    keys = np.sort(keys)
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
+
+
 class Graph:
     """Directed graph, frozen after construction.
 
@@ -111,7 +129,7 @@ class Graph:
         if self._und is None:
             n = self.vertex_count
             u, v = self.edges()
-            self._und = _csr_arrays(np.unique(np.concatenate([u * n + v, v * n + u])), n)
+            self._und = _csr_arrays(_unique(np.concatenate([u * n + v, v * n + u])), n)
             for a in self._und:
                 a.setflags(write=False)
         return self._und
@@ -150,28 +168,35 @@ class Graph:
 
     def out_csr(self):
         """Out-adjacency as a read-only scipy CSR matrix with unit weights."""
-        return self._csr("out", self._out_indptr, self._out_indices)
+        return self._csr("out")
 
     def in_csr(self):
         """In-adjacency as a read-only scipy CSR matrix with unit weights."""
-        return self._csr("in", self._in_indptr, self._in_indices)
+        return self._csr("in")
 
     def undirected_csr(self):
         """Union view as a read-only symmetric scipy CSR matrix with unit
         weights."""
-        return self._csr("undirected", *self._undirected_arrays())
+        return self._csr("undirected")
 
-    def _csr(self, name, indptr, indices):
+    def _adjacency(self, view):
+        """(indptr, indices) of the "out", "in" or "undirected" view:
+        read-only int64 arrays."""
+        if view == "out":
+            return self._out_indptr, self._out_indices
+        if view == "in":
+            return self._in_indptr, self._in_indices
+        return self._undirected_arrays()
+
+    def _csr(self, view):
         # built once per graph and shared by every caller, so frozen
-        matrix = self._csr_views.get(name)
+        matrix = self._csr_views.get(view)
         if matrix is None:
-            matrix = sp.csr_matrix(
-                (np.ones(len(indices)), indices, indptr),
-                shape=(self.vertex_count, self.vertex_count),
-            )
+            indptr, indices = self._adjacency(view)
+            matrix = _scipy_csr(np.ones(len(indices)), indptr, indices, self.vertex_count)
             for a in (matrix.data, matrix.indices, matrix.indptr):
                 a.setflags(write=False)
-            self._csr_views[name] = matrix
+            self._csr_views[view] = matrix
         return matrix
 
     def __eq__(self, other):
@@ -285,7 +310,7 @@ def load_edge_list(source, format="auto"):
     else:
         raw_u = np.fromiter(map(int, src_pairs), dtype=np.int64, count=len(src_pairs))
         raw_v = np.fromiter(map(int, dst_pairs), dtype=np.int64, count=len(dst_pairs))
-        ids = np.unique(np.concatenate([raw_u, raw_v]))
+        ids = _unique(np.concatenate([raw_u, raw_v]))
         u = np.searchsorted(ids, raw_u)
         v = np.searchsorted(ids, raw_v)
         # identity mapping needs no label table
@@ -296,7 +321,7 @@ def load_edge_list(source, format="auto"):
     loop_mask = u == v
     self_loops = int(loop_mask.sum())
     u, v = u[~loop_mask], v[~loop_mask]
-    keys = np.unique(u * n + v)
+    keys = _unique(u * n + v)
     duplicates = len(u) - len(keys)
     graph = Graph(n, keys // n, keys % n, vertex_labels=labels)
     report = LoadReport(

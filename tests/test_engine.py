@@ -2,6 +2,7 @@ import io
 import math
 import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hierlp import (
 )
 from hierlp import engine
 from hierlp.engine import _columns, _inv_log_weights, _log_of_degrees, _merge
-from hierlp.scores import ScoreKind, ScoreSpec, log_in_base
+from hierlp.scores import UNDIRECTED_KINDS, ScoreKind, ScoreSpec, log_in_base
 
 from conftest import erdos_renyi_digraph, graph_from_edges, preferential_attachment_digraph
 
@@ -438,3 +439,94 @@ class TestReciprocalPairs:
             tp, fp = expected.get(value, (0, 0))
             expected[value] = (tp + 1, fp) if (x, y) in test else (tp, fp + 1)
         assert buckets.tolist() == [(v, *expected[v]) for v in sorted(expected, reverse=True)]
+
+
+def _backend_graph(rng, n, pendants):
+    """A random digraph, degree-1 pendants on its hub, and a pair (a, b)
+    whose shared neighbours have the distinct undirected degrees 2, 3,
+    4 and 7: AA and RA sum them in ascending order, and the reverse
+    order gives other bits for 1/d, 1/ln d and 1/log2 d."""
+    g = erdos_renyi_digraph(rng, n)
+    u, v = [g.edges()[0].tolist()], [g.edges()[1].tolist()]
+    hub = int(np.argmax(g.out_degrees + g.in_degrees))
+    extra = list(range(n, n + pendants))
+    inward = (rng.random(pendants) < 0.5).tolist()
+    u.append([x if into else hub for x, into in zip(extra, inward)])
+    v.append([hub if into else x for x, into in zip(extra, inward)])
+    a, b = n + pendants, n + pendants + 1
+    zs = list(range(b + 1, b + 5))
+    leaves = iter(range(b + 5, b + 5 + 1 + 2 + 5))
+    for z, degree in zip(zs, (2, 3, 4, 7)):
+        u.append([a, z] + [z] * (degree - 2))
+        v.append([z, b] + [next(leaves) for _ in range(degree - 2)])
+    u, v = np.concatenate(u), np.concatenate(v)
+    return Graph(b + 5 + 8, u, v)
+
+
+class TestBackends:
+    """The dense accumulator and scipy's SpGEMM list the same
+    candidates of a chunk: keys, value bits and tags."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 20),
+        pendants=st.integers(0, 4),
+        kind=st.sampled_from(list(ScoreKind)),
+        base=st.sampled_from([math.e, 2.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_backends_agree(self, seed, n, pendants, kind, base, data):
+        rng = np.random.default_rng(seed)
+        train = _backend_graph(rng, n, pendants)
+        m = train.vertex_count
+        eligible = np.flatnonzero(train.out_degrees + train.in_degrees)
+        known = set(train.edge_keys().tolist())
+        test = [
+            (x, y) for x in eligible for y in eligible
+            if x != y and x * m + y not in known and rng.random() < 0.15
+        ]
+        unordered = kind in UNDIRECTED_KINDS and data.draw(st.booleans(), label="unordered")
+        _, keys, tags = engine._held_out(
+            train, np.array(test, dtype=np.int64).reshape(-1, 2),
+            engine._universe(train).eligible_mask, unordered,
+        )
+        lo = data.draw(st.integers(0, m - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, m), label="hi")
+        spec = ScoreSpec(kind, log_base=base)
+        chunks = [(lo, hi), (0, m)]
+        with mock.patch.object(engine, "DENSE_MAX_CELLS", -1):
+            ctx = engine._RunContext(train, spec, keys, tags, chunks, unordered)
+        assert not any(ctx.dense)
+        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
+        for lo, hi in chunks:
+            dense = engine._dense_candidates(ctx, lo, hi)
+            sparse = engine._sparse_candidates(ctx, lo, hi, with_keys=True)
+            order = np.argsort(sparse[0])
+            assert np.array_equal(dense[0], sparse[0][order])
+            assert dense[1].tobytes() == sparse[1][order].tobytes()
+            assert np.array_equal(dense[2], sparse[2][order])
+            dense_fold = engine._fold_chunk(ctx, lo, hi, True, empty)
+            sparse_fold = engine._fold_chunk(ctx, lo, hi, False, empty)
+            assert dense_fold[1] == sparse_fold[1]
+            assert np.array_equal(dense_fold[0], sparse_fold[0])
+
+    def test_selection_boundary(self):
+        """A chunk is dense up to DENSE_MAX_CELLS accumulator cells and
+        DENSE_MAX_PATHS 2-hop paths, and scipy's beyond either."""
+        spec = ScoreSpec(ScoreKind.DED)
+        # a directed cycle: one path per row, so only the cells bind
+        n = 512
+        ring = Graph(n, np.arange(n), (np.arange(n) + 1) % n)
+        rows = engine.DENSE_MAX_CELLS // n
+        _, keys, tags = engine._held_out(ring, NO_TEST, engine._universe(ring).eligible_mask)
+        ctx = engine._RunContext(ring, spec, keys, tags, [(0, rows), (rows, 2 * rows + 1)])
+        assert ctx.dense == [True, False]
+        # 0 -> 1 -> each leaf: row 0 has one path per leaf
+        for leaves, dense in ((engine.DENSE_MAX_PATHS, True), (engine.DENSE_MAX_PATHS + 1, False)):
+            star = Graph(leaves + 2, [0] + [1] * leaves, np.arange(1, leaves + 2))
+            _, keys, tags = engine._held_out(star, NO_TEST, engine._universe(star).eligible_mask)
+            ctx = engine._RunContext(star, spec, keys, tags, [(0, 1), (1, 2)])
+            assert ctx.dense == [dense, True]
+            # the scipy factors and the CSR marker exist only when used
+            assert (ctx.marker is None) == dense

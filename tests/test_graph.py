@@ -4,8 +4,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierlp import Graph, GraphParseError, load_edge_list, write_edge_list
+from hierlp.graph import _unique
 
 from conftest import erdos_renyi_digraph, graph_from_edges, text_stream
 
@@ -143,6 +146,22 @@ class TestInvariants:
         for array in (matrix.data, matrix.indices, matrix.indptr):
             with pytest.raises(ValueError):
                 array[0] = array[0]
+
+    @pytest.mark.parametrize("view", ["out", "in", "undirected"])
+    def test_csr_views_int32_and_equal_to_adjacency(self, view):
+        g = erdos_renyi_digraph(np.random.default_rng(15), 40)
+        matrix = g._csr(view)
+        indptr, indices = g._adjacency(view)
+        assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
+        assert indptr.dtype == indices.dtype == np.int64
+        assert np.array_equal(matrix.indptr, indptr)
+        assert np.array_equal(matrix.indices, indices)
+
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_sort_based_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        assert np.array_equal(_unique(keys), np.unique(keys))
 
     def test_neighbor_lists_sorted(self):
         rng = np.random.default_rng(14)
