@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _opened, _reprs
+from .graph import Graph, GraphParseError, _comment_spans, _integer_pairs, _opened, _reprs, _write_pairs
 from .scores import ScoreSpec
 
 
@@ -84,55 +84,95 @@ def save_split(split, sink):
         fh.write(f"# fraction {split.fraction!r}\n")
         fh.write(f"# vertices {split.train_graph.vertex_count}\n")
         fh.write(f"# test {len(split.test_edges)}\n")
-        for u, v in split.test_edges.tolist():
-            fh.write(f"{u} {v}\n")
+        _write_pairs(fh, split.test_edges)
         fh.write(f"# dropped {len(split.dropped_test_edges)}\n")
-        for u, v in split.dropped_test_edges.tolist():
-            fh.write(f"{u} {v}\n")
+        _write_pairs(fh, split.dropped_test_edges)
+
+
+#: split-file header keys: the type of their value, and whether it must be there
+_SPLIT_KEYS = {
+    "seed": (int, True),
+    "fraction": (float, True),
+    "vertices": (int, True),
+    "test": (int, False),
+    "dropped": (int, False),
+}
+
+
+def _split_header(line, line_number):
+    """(key, value) of a split-file header line "# key [value]". The value
+    is None when absent, and for a key not in ``_SPLIT_KEYS`` (the title
+    line). Refuses, naming the line, one of another shape or a value
+    that is missing or not a number."""
+    fields = line.split()
+    key = fields[1] if len(fields) > 1 else None
+    parse, required = _SPLIT_KEYS.get(key, (None, False))
+    try:
+        if fields[0] != "#" or key is None or (required and len(fields) < 3):
+            raise ValueError
+        return key, parse(fields[2]) if parse and len(fields) > 2 else None
+    except ValueError:
+        raise ValueError(f"malformed split file: line {line_number}: {line.strip()!r}") from None
 
 
 def load_split(graph, source):
-    """Rebuild an EdgeSplit against the original graph from a split file;
-    refuse a file written for a graph of another vertex count, one whose
-    section counts differ from the edges it lists, and one that lists an
-    edge twice."""
-    seed = 0
-    fraction = 0.0
+    """Rebuild an EdgeSplit against the original graph from a split file.
+
+    Header lines read "# key [value]"; the edges after "# test" and after
+    "# dropped" are read by the edge-list loader's integer-pair reader.
+    Refuse, naming the line, a malformed header or edge line; refuse a
+    file written for a graph of another vertex count, one whose section
+    counts differ from the edges it lists, and one that lists an edge
+    twice."""
+    with _opened(source) as fh:
+        text = fh.read()
+    header = {"seed": 0, "fraction": 0.0}
     pairs = {"test": [], "dropped": []}
     declared = {}
     section = None
-    with _opened(source) as fh:
-        for line in fh:
-            fields = line.split()
-            if not fields:
-                continue
-            if fields[0] == "#":
-                if fields[1] == "seed":
-                    seed = int(fields[2])
-                elif fields[1] == "fraction":
-                    fraction = float(fields[2])
-                elif fields[1] == "vertices" and int(fields[2]) != graph.vertex_count:
-                    raise ValueError(
-                        f"split file is for {fields[2]} vertices, "
-                        f"the graph has {graph.vertex_count}"
-                    )
-                elif fields[1] in pairs:
-                    section = fields[1]
-                    if len(fields) > 2:
-                        declared[section] = int(fields[2])
-                continue
-            if section is None:
-                raise ValueError("malformed split file: edges before a section header")
-            pairs[section].append((int(fields[0]), int(fields[1])))
-    for name, count in declared.items():
-        if count != len(pairs[name]):
+    bodies = []  # (section, the lines up to the next header, first line number)
+    previous = 0
+    line_number = 1
+    for start, end in _comment_spans(text):
+        bodies.append((section, text[previous:start], line_number))
+        line_number += text.count("\n", previous, start)
+        key, value = _split_header(text[start:end], line_number)
+        if key in pairs:
+            section = key
+            if value is not None:
+                declared[key] = value
+        elif key == "vertices" and value != graph.vertex_count:
             raise ValueError(
-                f"split file declares {count} {name} edges but lists {len(pairs[name])}"
+                f"split file is for {value} vertices, the graph has {graph.vertex_count}"
             )
-    test = np.array(pairs["test"], dtype=np.int64).reshape(-1, 2)
-    dropped = np.array(pairs["dropped"], dtype=np.int64).reshape(-1, 2)
-    removed = np.concatenate([test, dropped]) if len(dropped) else test
+        elif key in header:
+            header[key] = value
+        line_number += 1
+        previous = end
+    bodies.append((section, text[previous:], line_number))
+    for section, body, first_line in bodies:
+        if not body or body.isspace():
+            continue
+        if section is None:
+            raise ValueError("malformed split file: edges before a section header")
+        try:
+            pairs[section].append(_integer_pairs(body, first_line))
+        except GraphParseError as error:
+            raise ValueError(f"malformed split file: {error}") from None
+    test, dropped = (
+        np.concatenate([np.empty((0, 2), dtype=np.int64), *pairs[name]])
+        for name in ("test", "dropped")
+    )
+    for name, edges in (("test", test), ("dropped", dropped)):
+        if name in declared and declared[name] != len(edges):
+            raise ValueError(
+                f"split file declares {declared[name]} {name} edges but lists {len(edges)}"
+            )
+    removed = np.concatenate([test, dropped])
     n = graph.vertex_count
+    if len(removed) and removed.max() >= n:
+        # a key u*n+v of such an id would alias another edge's
+        raise ValueError("split file contains edges absent from the graph")
     removed_keys = np.sort(removed[:, 0] * n + removed[:, 1])
     twice = removed_keys[1:][removed_keys[1:] == removed_keys[:-1]]
     if len(twice):
@@ -142,7 +182,7 @@ def load_split(graph, source):
     if (~keep).sum() != len(removed):
         raise ValueError("split file contains edges absent from the graph")
     train_graph = Graph(n, u[keep], v[keep], vertex_labels=graph.vertex_labels)
-    return EdgeSplit(train_graph, test, dropped, seed=seed, fraction=fraction)
+    return EdgeSplit(train_graph, test, dropped, **header)
 
 
 def build_curves(histogram, spec=None, metadata=None):

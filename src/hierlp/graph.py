@@ -56,9 +56,10 @@ def _scipy_csr(data, indptr, indices, n):
 
 
 def _unique(keys):
-    """Sorted distinct int64 keys: a sort and a neighbour compare.
-    Plain ``np.unique`` on int64 takes a slower hash path in numpy 2.4."""
-    keys = np.sort(keys)
+    """Sorted distinct int64 keys of ``keys``, which it sorts in place: a
+    sort and a neighbour compare. Plain ``np.unique`` on int64 takes a
+    slower hash path in numpy 2.4."""
+    keys.sort()
     distinct = np.ones(len(keys), dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
     return keys[distinct]
@@ -97,7 +98,11 @@ class Graph:
         self.edge_count = len(edge_u)
         self.vertex_labels = list(vertex_labels) if vertex_labels is not None else None
         self._out_indptr, self._out_indices = _csr_arrays(keys, n)
-        self._in_indptr, self._in_indices = _csr_arrays(np.sort(edge_v * n + edge_u), n)
+        # the v*n+u keys, built in place: a paper-scale load peaks here
+        reverse = self._out_indices * n
+        reverse += keys // n
+        reverse.sort()
+        self._in_indptr, self._in_indices = _csr_arrays(reverse, n)
         self._und = None  # lazy union view, built once on demand
         self._csr_views = {}  # lazy scipy views, built once on demand
         for a in (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices):
@@ -127,9 +132,19 @@ class Graph:
 
     def _undirected_arrays(self):
         if self._und is None:
-            n = self.vertex_count
+            n, m = self.vertex_count, self.edge_count
             u, v = self.edges()
-            self._und = _csr_arrays(_unique(np.concatenate([u * n + v, v * n + u])), n)
+            # both directions' keys in one buffer, built in place and
+            # deduplicated before the CSR arrays: a paper-scale build
+            # peaks here
+            keys = np.empty(2 * m, dtype=np.int64)
+            np.multiply(u, n, out=keys[:m])
+            keys[:m] += v
+            np.multiply(v, n, out=keys[m:])
+            keys[m:] += u
+            del u, v
+            keys = _unique(keys)
+            self._und = _csr_arrays(keys, n)
             for a in self._und:
                 a.setflags(write=False)
         return self._und
@@ -249,90 +264,232 @@ def _reprs(column):
     return texts
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+#: every byte the fast path accepts outside comment lines
+_PLAIN_BYTES = b"0123456789 \t\r\n"
+#: id pairs formatted by one ``%`` in ``_write_pairs``
+_WRITE_BLOCK = 4096
+
+
+def _comment_spans(text):
+    """(start, end) of each line of ``text`` whose first character other
+    than a space or a tab is '#'; ``end`` is past the line's newline."""
+    spans = []
+    at = text.find("#")
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        end = text.find("\n", at) + 1 or len(text)
+        if not text[start:at].strip(" \t"):
+            spans.append((start, end))
+        at = text.find("#", end)
+    return spans
+
+
+def _plain_pairs(text):
+    """The fast path: the (E, 2) int64 array of ``text``'s id pairs,
+    parsed at once, when every line is blank or two decimal ids below
+    2^63 and some line is not blank; otherwise None. ``text`` holds no
+    comment line."""
+    if not text or not text.isascii() or text.isspace():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        pairs = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:  # lines of unequal width, an id past int64, a '\r' inside a line
+        return None
+    return pairs if pairs.shape[1] == 2 else None
+
+
+def _parse_lines(text, format, first_line=1):
+    """The line loop over ``text``: (source tokens, target tokens, comment
+    lines, whether every id is an integer in [0, 2^63)). The only parser
+    of token mode and the only one that names a malformed line: raises
+    GraphParseError with its number, counted from ``first_line``."""
+    sources, targets = [], []
+    comment_lines = 0
+    integer = format != "token"
+    # ``text`` had its stream's newlines translated when it was read; a
+    # StringIO breaks it at '\n' alone
+    for line_number, line in enumerate(io.StringIO(text), start=first_line):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            comment_lines += 1
+            continue
+        fields = stripped.split()
+        if len(fields) != 2:
+            raise GraphParseError(
+                f"expected 2 fields, got {len(fields)}: {stripped!r}", line_number
+            )
+        a, b = fields
+        if integer:
+            try:
+                if not (0 <= int(a) <= _INT64_MAX and 0 <= int(b) <= _INT64_MAX):
+                    raise ValueError
+            except ValueError:
+                if format == "integer":
+                    raise GraphParseError(
+                        f"non-numeric vertex id in integer mode: {stripped!r}",
+                        line_number,
+                    ) from None
+                integer = False
+        sources.append(a)
+        targets.append(b)
+    return sources, targets, comment_lines, integer
+
+
+def _ints(tokens):
+    return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+
+
+def _integer_pairs(text, first_line=1):
+    """(E, 2) int64 id pairs of ``text``, one pair per line, blank lines
+    skipped: the fast path when it applies, else the line loop, which
+    raises GraphParseError naming a malformed line (counted from
+    ``first_line``). The reader of both edge lists and split files."""
+    pairs = _plain_pairs(text)
+    if pairs is None:
+        sources, targets, _, _ = _parse_lines(text, "integer", first_line)
+        pairs = np.column_stack([_ints(sources), _ints(targets)])
+    return pairs
+
+
+def _dense_ids(pairs):
+    """Renumber the integer ids of the (E, 2) array ``pairs`` in place to
+    0..n-1 in ascending order, by the inverse of one sort: a counting
+    sort when the ids span fewer values than ``pairs`` holds (a webgraph
+    dump numbers its vertices nearly densely), else an argsort. Returns
+    the ids as labels, or None when they already were 0..n-1."""
+    flat = pairs.ravel()  # a view: both parsers return C-ordered arrays
+    low, high = int(flat.min()), int(flat.max())
+    if high - low < len(flat):
+        flat -= low
+        present = np.zeros(high - low + 1, dtype=bool)
+        present[flat] = True
+        ids = np.flatnonzero(present) + low
+        rank = np.cumsum(present) - 1
+        np.take(rank, flat, out=flat)
+    else:
+        order = np.argsort(flat)
+        ordered = flat[order]
+        distinct = np.ones(len(flat), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+        ids = ordered[distinct]
+        np.cumsum(distinct, out=ordered)
+        ordered -= 1
+        flat[order] = ordered
+        del order, ordered  # before the labels, at the peak of the load's memory
+    return None if np.array_equal(ids, np.arange(len(ids))) else ids.tolist()
+
+
+def _plain_edge_list(text):
+    """(integer id pairs, comment lines) of an edge list whose every line
+    is a comment, blank, or two decimal ids below 2^63, from the fast
+    path; None for any other text."""
+    spans = _comment_spans(text)
+    if spans:
+        starts = [start for start, _ in spans] + [len(text)]
+        ends = [0] + [end for _, end in spans]
+        text = "".join(text[a:b] for a, b in zip(ends, starts))
+    pairs = _plain_pairs(text)
+    return None if pairs is None else (pairs, len(spans))
+
+
+def _line_edge_list(text, format):
+    """(dense id pairs, labels, comment lines) of an edge list, from the
+    line loop."""
+    sources, targets, comment_lines, integer = _parse_lines(text, format)
+    if not sources:
+        raise GraphParseError("empty input: no edges found")
+    if integer:
+        pairs = np.column_stack([_ints(sources), _ints(targets)])
+        return pairs, _dense_ids(pairs), comment_lines
+    labels = sorted(set(sources) | set(targets))
+    rank = {t: i for i, t in enumerate(labels)}
+    pairs = np.column_stack([
+        np.fromiter(map(rank.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        for tokens in (sources, targets)
+    ])
+    return pairs, labels, comment_lines
+
+
+def _line_count(text):
+    # the last line may lack its newline
+    return text.count("\n") + (text[-1:] not in ("", "\n"))
+
+
+def _edge_list_graph(lines_total, pairs, labels, comment_lines):
+    """(Graph, LoadReport) of an edge list parsed into dense id pairs:
+    self loops and duplicate edges are dropped and counted."""
+    n = len(labels) if labels is not None else int(pairs.max()) + 1
+    keys = pairs[:, 0] * n
+    keys += pairs[:, 1]
+    loops = pairs[:, 0] == pairs[:, 1]
+    self_loops = int(loops.sum())
+    keys = _unique(keys[~loops])
+    graph = Graph(n, keys // n, keys % n, vertex_labels=labels)
+    report = LoadReport(
+        lines_total=lines_total,
+        comment_lines=comment_lines,
+        raw_edges=len(pairs),
+        self_loops_dropped=self_loops,
+        duplicate_edges_dropped=len(pairs) - self_loops - len(keys),
+        edges_retained=graph.edge_count,
+    )
+    return graph, report
+
+
 def load_edge_list(source, format="auto"):
     """Parse a whitespace-delimited edge list into a Graph.
 
-    Lines starting with '#' are comments; blank lines are skipped.
-    ``format`` is one of "auto", "integer", "token". Integer ids are
-    remapped to dense ids in ascending numeric order, tokens in ascending
-    lexicographic order. Duplicate edges and self loops are dropped
-    silently with counters (real webgraph dumps contain both).
+    Lines whose first non-blank character is '#' are comments; blank
+    lines are skipped; a line ends at '\\n' (a path is read with
+    universal newlines). ``format`` is one of "auto", "integer", "token".
+    Integer ids are remapped to dense ids in ascending numeric order,
+    tokens in ascending lexicographic order. Duplicate edges and self
+    loops are dropped silently with counters (real webgraph dumps contain
+    both).
+
+    The input is read at once. Unless ``format`` is "token", a fast path
+    parses it in one vectorised pass (``np.loadtxt``) when every line
+    that is not a comment is blank or two plain decimal ids below 2^63,
+    separated by spaces or tabs. Anything else (a sign, another
+    character, a line of one or three fields, a '#' after an id, a '\\r'
+    inside a line, an id past int64) goes to the line loop, which alone
+    reads token mode and names the line of an error. Both give the same
+    Graph, labels and counters; ``lines_total`` and ``comment_lines``
+    count the whole input exactly. An id from 2^63 up is not an integer
+    here: "auto" reads the file as tokens, "integer" refuses it.
 
     Returns (Graph, LoadReport). Raises GraphParseError with the line
     number on malformed input, and on empty input.
     """
     if format not in ("auto", "integer", "token"):
         raise ValueError(f"unknown edge-list format {format!r}")
-    src_pairs = []
-    dst_pairs = []
-    lines_total = 0
-    comment_lines = 0
-    integer_ok = True
     with _opened(source) as fh:
-        for line_number, line in enumerate(fh, start=1):
-            lines_total += 1
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                comment_lines += 1
-                continue
-            fields = stripped.split()
-            if len(fields) != 2:
-                raise GraphParseError(
-                    f"expected 2 fields, got {len(fields)}: {stripped!r}", line_number
-                )
-            a, b = fields
-            if format == "integer" or (format == "auto" and integer_ok):
-                try:
-                    ia, ib = int(a), int(b)
-                    if ia < 0 or ib < 0:
-                        raise ValueError
-                except ValueError:
-                    if format == "integer":
-                        raise GraphParseError(
-                            f"non-numeric vertex id in integer mode: {stripped!r}",
-                            line_number,
-                        ) from None
-                    integer_ok = False
-            src_pairs.append(a)
-            dst_pairs.append(b)
-
-    if not src_pairs:
-        raise GraphParseError("empty input: no edges found")
-
-    if format == "token" or (format == "auto" and not integer_ok):
-        tokens = sorted(set(src_pairs) | set(dst_pairs))
-        mapping = {t: i for i, t in enumerate(tokens)}
-        u = np.fromiter((mapping[t] for t in src_pairs), dtype=np.int64, count=len(src_pairs))
-        v = np.fromiter((mapping[t] for t in dst_pairs), dtype=np.int64, count=len(dst_pairs))
-        labels = tokens
+        text = fh.read()
+    lines_total = _line_count(text)
+    plain = None if format == "token" else _plain_edge_list(text)
+    if plain is None:
+        pairs, labels, comment_lines = _line_edge_list(text, format)
     else:
-        raw_u = np.fromiter(map(int, src_pairs), dtype=np.int64, count=len(src_pairs))
-        raw_v = np.fromiter(map(int, dst_pairs), dtype=np.int64, count=len(dst_pairs))
-        ids = _unique(np.concatenate([raw_u, raw_v]))
-        u = np.searchsorted(ids, raw_u)
-        v = np.searchsorted(ids, raw_v)
-        # identity mapping needs no label table
-        labels = None if np.array_equal(ids, np.arange(len(ids))) else [int(i) for i in ids]
+        del text  # the remap and the build are the peak of the load's memory
+        pairs, comment_lines = plain
+        labels = _dense_ids(pairs)
+    return _edge_list_graph(lines_total, pairs, labels, comment_lines)
 
-    n = len(labels) if labels is not None else (int(max(u.max(), v.max())) + 1 if len(u) else 0)
-    raw_edges = len(u)
-    loop_mask = u == v
-    self_loops = int(loop_mask.sum())
-    u, v = u[~loop_mask], v[~loop_mask]
-    keys = _unique(u * n + v)
-    duplicates = len(u) - len(keys)
-    graph = Graph(n, keys // n, keys % n, vertex_labels=labels)
-    report = LoadReport(
-        lines_total=lines_total,
-        comment_lines=comment_lines,
-        raw_edges=raw_edges,
-        self_loops_dropped=self_loops,
-        duplicate_edges_dropped=duplicates,
-        edges_retained=graph.edge_count,
-    )
-    return graph, report
+
+def _write_pairs(fh, pairs):
+    """Write (E, 2) integer pairs as "u v" lines, formatting blocks of
+    ``_WRITE_BLOCK`` pairs with one ``%`` each."""
+    flat = np.asarray(pairs, dtype=np.int64).ravel().tolist()
+    step = 2 * _WRITE_BLOCK
+    for at in range(0, len(flat), step):
+        block = flat[at:at + step]
+        fh.write("%d %d\n" * (len(block) // 2) % tuple(block))
 
 
 def write_edge_list(graph, sink):
@@ -340,7 +497,5 @@ def write_edge_list(graph, sink):
 
     Internal dense ids are used, so a reload yields an identical Graph.
     """
-    u, v = graph.edges()
     with _opened(sink, "w") as fh:
-        for a, b in zip(u.tolist(), v.tolist()):
-            fh.write(f"{a} {b}\n")
+        _write_pairs(fh, np.column_stack(graph.edges()))

@@ -18,6 +18,7 @@ from hierlp import (
 )
 from hierlp.engine import BUCKET_DTYPE
 from hierlp.evaluate import write_curve_csv
+from hierlp.graph import _WRITE_BLOCK
 from hierlp.oracle import naive_area_under_pr, naive_area_under_roc, naive_curves
 
 from conftest import erdos_renyi_digraph, graph_from_edges
@@ -106,6 +107,39 @@ class TestSplitEdges:
         g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         with pytest.raises(ValueError, match=r"lists edge \(0, 1\) twice"):
             load_split(g, io.StringIO(self.SPLIT_HEAD + body))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("# test 2\n0 1\n#\n1 2\n# dropped 0\n", "malformed split file: line 7: '#'"),
+            ("# test 2\n0 1\n1\n# dropped 0\n", "line 7: expected 2 fields, got 1: '1'"),
+            ("# test 2\n0 1\n0 1 7\n# dropped 0\n", "line 7: expected 2 fields, got 3: '0 1 7'"),
+            ("# test 1\n0 99999999999999999999\n# dropped 0\n", "malformed split file: line 6"),
+            ("# test 1\n0 1\n# seed\n# dropped 0\n", "malformed split file: line 7: '# seed'"),
+        ],
+    )
+    def test_malformed_line_refused_by_number(self, body, message):
+        g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError, match=message):
+            load_split(g, io.StringIO(self.SPLIT_HEAD + body))
+
+    def test_vertex_beyond_the_graph_refused(self):
+        # with n = 4, the key 0 * 4 + 6 of (0, 6) is that of the edge (1, 2)
+        g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError, match="absent from the graph"):
+            load_split(g, io.StringIO(self.SPLIT_HEAD + "# test 1\n0 6\n# dropped 0\n"))
+
+    def test_bytes_match_per_line_format(self):
+        g = erdos_renyi_digraph(np.random.default_rng(45), 5000, edge_factor=5)
+        split = split_edges(g, 0.5, seed=3)
+        assert len(split.test_edges) > 2 * _WRITE_BLOCK
+        buf = io.StringIO()
+        save_split(split, buf)
+        lines = ["# hierlp edge split", "# seed 3", "# fraction 0.5", "# vertices 5000"]
+        for name, edges in (("test", split.test_edges), ("dropped", split.dropped_test_edges)):
+            lines.append(f"# {name} {len(edges)}")
+            lines.extend(f"{u} {v}" for u, v in edges.tolist())
+        assert buf.getvalue() == "".join(line + "\n" for line in lines)
 
     @pytest.mark.parametrize(
         "body, message",

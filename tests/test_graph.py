@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierlp import Graph, GraphParseError, load_edge_list, write_edge_list
-from hierlp.graph import _unique
+from hierlp.graph import (
+    _WRITE_BLOCK,
+    _dense_ids,
+    _edge_list_graph,
+    _line_count,
+    _line_edge_list,
+    _opened,
+    _plain_edge_list,
+    _unique,
+)
 
 from conftest import erdos_renyi_digraph, graph_from_edges, text_stream
 
@@ -68,6 +77,117 @@ class TestLoadEdgeList:
         g, _ = load_edge_list(text_stream("10 20\n20 30\n"))
         assert g.vertex_count == 3
         assert g.vertex_labels == [10, 20, 30]
+
+    def test_id_past_int64_read_as_token_in_auto_mode(self):
+        g, _ = load_edge_list(text_stream("0 99999999999999999999\n"))
+        assert g.vertex_labels == ["0", "99999999999999999999"]
+
+    def test_id_past_int64_refused_in_integer_mode(self):
+        with pytest.raises(GraphParseError) as excinfo:
+            load_edge_list(text_stream("0 1\n0 9223372036854775808\n"), format="integer")
+        assert excinfo.value.line_number == 2
+
+    def test_largest_int64_id_is_an_integer(self):
+        g, _ = load_edge_list(text_stream("0 9223372036854775807\n"), format="integer")
+        assert g.vertex_labels == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize("format", ["auto", "integer"])
+    def test_bad_line_deep_in_a_clean_file_named(self, format):
+        lines = [f"{i} {i + 1}" for i in range(20000)]
+        lines[12344] = "7 8 9"
+        with pytest.raises(GraphParseError) as excinfo:
+            load_edge_list(text_stream("# header\n" + "\n".join(lines) + "\n"), format=format)
+        assert excinfo.value.line_number == 12346
+        assert "expected 2 fields, got 3" in str(excinfo.value)
+
+
+#: ids the fast path reads, and ids it must leave to the line loop
+PLAIN_IDS = st.integers(0, 30).map(str) | st.integers(0, 30).map("00{}".format) | st.just(
+    str(2**63 - 1)
+)
+OTHER_IDS = st.sampled_from(["+3", "-2", str(2**63), "99999999999999999999", "x7", "1_0"])
+ID_TEXTS = PLAIN_IDS.map(lambda t: (t, True)) | OTHER_IDS.map(lambda t: (t, False))
+BLANKS = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def edge_list_lines(draw):
+    """(line, whether the fast path reads it, whether it holds an edge)."""
+    kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank", "odd"]))
+    lead, trail = draw(BLANKS), draw(BLANKS)
+    if kind == "blank":
+        return lead, True, False
+    if kind == "comment":
+        return lead + "#" + draw(st.text(alphabet="ab #1\t", max_size=5)), True, False
+    if kind == "odd":
+        # one and three fields, '#' after an id, other blanks, a lone '\r'
+        odd = ["5", "0 1 2", "0 1#c", "0 1 # c", "\v# c", "0\v1", "0\xa01", "0\r1", "\r0 1", "0 1\r"]
+        return draw(st.sampled_from(odd)), False, True
+    (a, a_plain), (b, b_plain) = draw(ID_TEXTS), draw(ID_TEXTS)
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+    return lead + a + sep + b + trail, a_plain and b_plain, True
+
+
+def _outcome(load):
+    try:
+        graph, report = load()
+    except GraphParseError as error:
+        return "error", error.line_number, str(error)
+    return graph, graph.vertex_labels, report
+
+
+class TestFastPath:
+    @given(
+        lines=st.lists(edge_list_lines(), max_size=12),
+        endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=12, max_size=12),
+        final_newline=st.booleans(),
+        format=st.sampled_from(["auto", "integer", "token"]),
+        gz=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_line_loop(self, tmp_path_factory, lines, endings, final_newline, format, gz):
+        text = "".join(line + end for (line, _, _), end in zip(lines, endings))
+        if lines and not final_newline:
+            text = text.removesuffix(endings[len(lines) - 1])
+        if gz:
+            source = tmp_path_factory.getbasetemp() / "edges.txt.gz"
+            with gzip.open(source, "wt", newline="") as fh:
+                fh.write(text)
+            with _opened(source) as fh:
+                text = fh.read()  # the path's text, read with universal newlines
+        else:
+            source = io.StringIO(text)
+        fast = _outcome(lambda: load_edge_list(source, format))
+        by_line = _outcome(
+            lambda: _edge_list_graph(_line_count(text), *_line_edge_list(text, format))
+        )
+        assert fast == by_line
+        if all(plain for _, plain, _ in lines) and any(edge for _, _, edge in lines):
+            assert _plain_edge_list(text) is not None
+
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(0, 60) | st.integers(2**40, 2**40 + 30)
+                        | st.integers(0, 2**63 - 1)] * 2),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dense_ids_invert_one_sort(self, pairs):
+        pairs = np.array(pairs, dtype=np.int64)
+        ids, inverse = np.unique(pairs, return_inverse=True)
+        labels = _dense_ids(pairs)
+        assert np.array_equal(pairs.ravel(), inverse.ravel())
+        assert labels == (None if np.array_equal(ids, np.arange(len(ids))) else ids.tolist())
+
+    def test_counters_exact_with_comments_and_crlf(self):
+        text = "# a\r\n  # b\r\n\r\n0 1\r\n\t1 2\r\n1 1\r\n0 1"
+        assert _plain_edge_list(text) is not None
+        _, report = load_edge_list(text_stream(text))
+        assert (report.lines_total, report.comment_lines) == (7, 2)
+        assert (report.raw_edges, report.self_loops_dropped) == (4, 1)
+        assert (report.duplicate_edges_dropped, report.edges_retained) == (1, 2)
 
 
 class TestNeighbors:
@@ -210,6 +330,15 @@ class TestRoundTrip:
             write_edge_list(loaded, buf2)
             reloaded, _ = load_edge_list(io.StringIO(buf2.getvalue()))
             assert reloaded == loaded
+
+    @pytest.mark.parametrize("edges", [0, 1, _WRITE_BLOCK, _WRITE_BLOCK + 1, 2 * _WRITE_BLOCK + 3])
+    def test_bytes_match_per_line_format(self, edges):
+        i = np.arange(edges)
+        g = Graph(edges + 2, i + 1, np.where(i % 2, 0, edges + 1))
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        u, v = g.edges()
+        assert buf.getvalue() == "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
 
     def test_canonical_output_sorted(self, tmp_path):
         g = graph_from_edges([(2, 0), (0, 2), (0, 1)])
