@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from .engine import DEFAULT_CHUNK_SIZE, score_all
+from .engine import DEFAULT_CHUNK_SIZE, chunk_size_for, score_all
 from .evaluate import (
     build_curves,
     load_split,
@@ -96,6 +96,7 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
             err=True,
         )
         workers = threads if threads is not None else (os.cpu_count() or 1)
+        chunk_size = chunk_size_for(split.train_graph.vertex_count, chunk_size)
         for spec in specs:
             started = time.perf_counter()
             hist = score_all(
@@ -112,12 +113,9 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
             hist.dump(out / f"{stem}_histogram.txt")
             write_curve_csv(rep.pr_points, "recall,precision", out / f"{stem}_pr.csv")
             write_curve_csv(rep.roc_points, "fpr,tpr", out / f"{stem}_roc.csv")
-            effective_chunk = chunk_size if chunk_size is not None else min(
-                DEFAULT_CHUNK_SIZE, max(split.train_graph.vertex_count, 1)
-            )
             record = summary_record(
                 rep, seed=split.seed, fraction=split.fraction, wall_time=wall,
-                threads=workers, chunk_size=effective_chunk, graph_name=str(graph_path),
+                threads=workers, chunk_size=chunk_size, graph_name=str(graph_path),
             )
             write_summary(record, out / f"{stem}_summary.json")
             click.echo(

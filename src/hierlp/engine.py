@@ -7,11 +7,21 @@ per-worker threshold histogram. The (overwhelming) zero-score remainder
 of the candidate universe is accounted for analytically from the
 universe size.
 
-Exclusion and membership are structural. One marker per run tags the
-training and the test edges (for the symmetric kinds, both directions
-of a pair in one entry) as sorted keys u*n+v with a tag each; the sort
-that builds it is also the one check of the held-out pairs, for every
-entry point. The diagonal is never a candidate.
+Every score of one split shares a session, built from (training graph,
+test pairs). It checks the pairs once, in the sort that builds the
+marker: the training and the test edges as sorted keys u*n+v with a tag
+each, to which the first symmetric kind adds the reversed tags (both
+directions of a pair in one entry). It keeps that marker, the candidate
+universe, the degrees and their logs per log base, the AA and RA weights
+and the 2-hop path count of every row, each built when a call first
+asks for it: O(n + E + T) arrays, nothing chunk-sized. The graph caches
+the session of its last test set, keyed by the exact content of the
+pairs (shape and bytes), so ``score_all``, ``score_from_vertex`` and
+``universe_stats`` reuse it without a handle; any other test set, or
+the same array changed in place, builds a new one, and a failed check
+caches nothing. A session is thread-safe: each of its parts is built
+once, under its lock. Exclusion and membership are structural, and the
+diagonal is never a candidate.
 
 A chunk of rows [lo, hi) lists its candidates as (keys, values, tags)
 through one of two backends, chosen per chunk from what the code can
@@ -29,14 +39,15 @@ scipy's otherwise. Small graphs and small chunks take the first, the
   marker, a per-row sparse intersection that returns the position and
   the tag of every tagged pair. The CSR marker and the scipy factors
   are built once per call, before any worker starts, and only when
-  some chunk takes this backend.
+  some chunk takes this backend; the session never keeps them.
 
 Their bits agree: ``np.bincount`` and scipy's csr_matmat both add each
 pair's paths one by one from 0.0 in ascending z, both drop a zero sum,
 and the INF family's two weighted passes are added pass 0 first and a
 zero sum dropped, as scipy's csr_plus_csr does. The fold after either
-is one: the chunk's untagged candidates are counted per distinct value
-before the merge, its few tagged pairs go to the merge one by one.
+is one: the chunk's candidates are counted per distinct value, its few
+tagged pairs corrected at their values' places by their tags, and the
+result merged once.
 
 The undirected kinds (CN, AA, RA, Jaccard) are symmetric, so each
 unordered pair is scored once. A chunk of rows [lo, hi) keeps the pairs
@@ -44,8 +55,9 @@ y > x only (scipy's multiplies by the columns y >= lo of the right
 factor), and credits each value to (x, y) and to (y, x), each direction
 by its own tag. The bits cannot differ from scoring (y, x) itself: the
 product sums over the shared neighbours in ascending order either way,
-and Jaccard's du + dv commutes. ``score_from_vertex`` scores its whole
-row, y < x included, through the same fold.
+and Jaccard's du + dv commutes. ``score_from_vertex`` is a row query on
+the session: it scores its whole row, y < x included, by the dense
+backend and through the same fold, in O(n + paths of the row).
 
 Workers claim fixed-size chunks of source vertices dynamically, which
 absorbs the degree skew of webgraphs; the first worker to fail stops
@@ -59,6 +71,7 @@ merge sums the integer counts of exactly equal values.
 import os
 import re
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +89,16 @@ class ValidationError(ValueError):
 
 class MemoryGuardError(RuntimeError):
     """The distinct-score bucket count exceeded the configured cap."""
+
+
+def chunk_size_for(n, chunk_size=None):
+    """The chunk size ``score_all`` uses on ``n`` vertices: ``chunk_size``,
+    which must lie in [1, max(n, 1)], or min(DEFAULT_CHUNK_SIZE, max(n, 1))."""
+    if chunk_size is None:
+        return min(DEFAULT_CHUNK_SIZE, max(n, 1))
+    if not 1 <= chunk_size <= max(n, 1):
+        raise ValidationError(f"chunk_size must be in [1, {max(n, 1)}], got {chunk_size}")
+    return chunk_size
 
 
 @dataclass(frozen=True)
@@ -168,25 +191,25 @@ def _merge(parts):
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    merged = np.empty(len(starts), dtype=BUCKET_DTYPE)
-    merged["value"] = values[starts]
-    for index, name in ((1, "tp"), (2, "fp")):
-        counts = np.concatenate([part[index] for part in parts])[order]
-        merged[name] = np.add.reduceat(counts, starts, dtype=np.int64)
-    return merged
+    counts = [np.concatenate([part[index] for part in parts])[order] for index in (1, 2)]
+    return _buckets(values[starts], *(np.add.reduceat(c, starts, dtype=np.int64) for c in counts))
 
 
-def _held_out(graph, test_edges, eligible, unordered=False):
+def _buckets(values, tp, fp):
+    """A BUCKET_DTYPE array of the columns of distinct values, descending."""
+    buckets = np.empty(len(values), dtype=BUCKET_DTYPE)
+    buckets["value"], buckets["tp"], buckets["fp"] = values, tp, fp
+    return buckets
+
+
+def _held_out(graph, test_edges, eligible):
     """Check the held-out pairs and mark them beside the training edges.
 
     The pairs must lie in the candidate universe: no self-loop, both
     endpoints ``eligible`` (with a training edge), no training edge, no
     duplicate. Returns (test_keys, keys, tags): the pairs as sorted
-    u*n+v keys, and the marker as sorted unique keys with an int64 tag
+    u*n+v keys, and the marker as sorted unique keys with an int8 tag
     each, t(x, y) at every training edge (t = 1) and test edge (t = 2).
-    With ``unordered`` it holds t(x, y) + 3 t(y, x) at every pair of
-    which either direction is one, so each entry tags both directions
-    of its pair.
     """
     n = graph.vertex_count
     pairs = np.asarray(test_edges, dtype=np.int64)
@@ -200,36 +223,37 @@ def _held_out(graph, test_edges, eligible, unordered=False):
         raise ValidationError("self-loop test edge")
     if not np.all(eligible[u] & eligible[v]):
         raise ValidationError("test edge with an ineligible (disconnected) endpoint")
-    keys = [graph.edge_keys(), u * n + v]
-    counts = [graph.edge_count, len(u)]
-    if unordered:
-        keys += [graph.reverse_edge_keys(), v * n + u]
-        counts *= 2
-    keys = np.concatenate(keys)
-    tags = np.repeat(np.array([1, 2, 3, 6][: len(counts)]), counts)
+    keys = np.concatenate([graph.edge_keys(), u * n + v])
+    tags = np.repeat(np.array([1, 2], dtype=np.int8), [graph.edge_count, len(u)])
     # stable, so at each key a training edge precedes the test pairs
-    # equal to it, and both precede the reversed pairs
+    # equal to it
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     tags = tags[order]
-    test_keys = keys[tags == 2]
-    tied = keys[1:] == keys[:-1]
-    if tied.any():
-        # a key holds at most a training edge (1), test pairs (2), a
-        # reversed training edge (3) and reversed test pairs (6), in
-        # this order; of adjacent tags only (1, 2) multiply to 2 and
-        # (2, 2) to 4
-        neighbours = (tags[:-1] * tags[1:])[tied]
-        if np.any(neighbours == 2):
+    tied = (keys[1:] == keys[:-1]).nonzero()[0]
+    if len(tied):
+        # the training keys are distinct: a tie is (1, 2) or (2, 2)
+        if np.any(tags[tied] == 1):
             raise ValidationError("test edge present in the training graph")
-        if np.any(neighbours == 4):
-            raise ValidationError("duplicate test edges")
-        # the two directions of a pair: one entry with both tags
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = ~tied
-        starts = np.flatnonzero(first)
-        keys, tags = keys[starts], np.add.reduceat(tags, starts)
-    return test_keys, keys, tags
+        raise ValidationError("duplicate test edges")
+    return keys[tags == 2], keys, tags
+
+
+def _with_reversed(keys, tags, n):
+    """The marker of the symmetric kinds, from the sorted unique marker
+    ``keys`` and ``tags``: t(x, y) + 3 t(y, x) at every pair of which
+    either direction is marked, so each entry tags both directions."""
+    reverse = keys % n * n + keys // n
+    order = np.argsort(reverse)
+    keys = np.concatenate([keys, reverse[order]])
+    tags = np.concatenate([tags, 3 * tags[order]])
+    # two sorted runs of distinct keys: a key occurs at most twice
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(tags[order], starts)
 
 
 def universe_stats(graph, test_edges):
@@ -239,9 +263,7 @@ def universe_stats(graph, test_edges):
     graph; the universe is every ordered non-edge pair between them.
     ``test_edges`` are checked as ``score_all`` checks them.
     """
-    universe = _universe(graph)
-    _held_out(graph, test_edges, universe.eligible_mask)
-    return universe
+    return _split_session(graph, test_edges).universe
 
 
 def _universe(graph):
@@ -259,77 +281,154 @@ DENSE_MAX_CELLS = 1 << 15
 DENSE_MAX_PATHS = 1 << 13
 
 
-class _RunContext:
-    """Per-run immutable scoring state shared read-only by all workers.
+def _split_session(graph, test_edges):
+    """The session of (``graph``, ``test_edges``): the one the graph
+    caches when its test pairs have exactly this shape and these bytes,
+    else a new one, which replaces it once its check has passed."""
+    pairs = np.asarray(test_edges, dtype=np.int64)
+    key = (pairs.shape, pairs.tobytes())
+    cached = graph._session
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    session = _SplitSession(graph, pairs)
+    graph._session = (key, session)
+    return session
 
-    Built for a fixed list of chunks (lo, hi): ``dense[i]`` says which
-    backend chunk i takes, and the scipy factors and the CSR marker
-    exist only when some chunk takes scipy's.
+
+class _SplitSession:
+    """The split-level state every score of (training graph, test pairs)
+    shares: the checked pairs' count, the candidate universe, and arrays
+    built once each, when a call first asks for them. It keeps only
+    O(n + E + T) arrays; the graph holds it, so it holds the graph
+    weakly."""
+
+    def __init__(self, graph, pairs):
+        self._graph = weakref.ref(graph)
+        self.n = graph.vertex_count
+        self.universe = _universe(graph)
+        test_keys, *self._marker = _held_out(graph, pairs, self.universe.eligible_mask)
+        self.positives = len(test_keys)
+        self._reversed = False
+        self._built = {}
+        self._lock = threading.RLock()  # a part may build another
+
+    @property
+    def graph(self):
+        return self._graph()
+
+    def _memo(self, key, build):
+        value = self._built.get(key)
+        if value is None:
+            with self._lock:
+                value = self._built.get(key)
+                if value is None:
+                    value = self._built[key] = build()
+        return value
+
+    def marker(self, unordered):
+        """(keys, tags) of the marker. The first ``unordered`` (symmetric)
+        kind to ask replaces it by one with the reversed tags added; the
+        other kinds read both alike, as they count by t(x, y) = tag % 3.
+        One marker at a time is the least memory."""
+        if unordered and not self._reversed:
+            with self._lock:
+                if not self._reversed:
+                    self._marker = _with_reversed(*self._marker, self.n)
+                    self._reversed = True
+        return self._marker
+
+    def degrees(self, view):
+        """The float64 degrees of the "out", "in" or "undirected" view."""
+        return self._memo(view, lambda: np.diff(self.graph._adjacency(view)[0]).astype(np.float64))
+
+    def logs(self, view, base):
+        """The degrees' logs in ``base``, 0 at degree 0."""
+        return self._memo((view, base), lambda: _log_of_degrees(self.degrees(view), base))
+
+    def z_weight(self, kind, base):
+        """The AA or RA weight of each vertex, by its undirected degree."""
+
+        def build():
+            deg = self.degrees("undirected")
+            if kind is ScoreKind.RA:
+                return np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
+            return _inv_log_weights(deg, base)
+
+        return self._memo((kind, None if kind is ScoreKind.RA else base), build)
+
+    def paths(self, passes):
+        """paths[x]: the 2-hop paths of rows [0, x), summed over
+        ``passes``, each a (left, right) pair of views."""
+
+        def build():
+            paths = np.zeros(self.n + 1, dtype=np.int64)
+            for left, right in passes:
+                indptr, indices = self.graph._adjacency(left)
+                right_degrees = np.diff(self.graph._adjacency(right)[0])
+                ends = np.zeros(len(indices) + 1, dtype=np.int64)
+                np.cumsum(right_degrees[indices], out=ends[1:])
+                paths += ends[indptr]
+            return paths
+
+        return self._memo(passes, build)
+
+
+class _RunContext:
+    """Per-call scoring state shared read-only by all workers.
+
+    The split-level arrays come from the session. Built for a list of
+    chunks (lo, hi): ``dense[i]`` says which backend chunk i takes, and
+    the scipy factors and the CSR marker exist only when some chunk
+    takes scipy's. A row query passes no chunks and builds neither.
     """
 
-    def __init__(self, graph, spec, marker_keys, marker_tags, chunks, unordered=False):
-        self.graph = graph
+    def __init__(self, session, spec, chunks=(), unordered=False):
+        graph = self.graph = session.graph
         self.spec = spec
         self.n = graph.vertex_count
         self.unordered = unordered
-        self.marker_keys = marker_keys
-        self.marker_tags = marker_tags
+        self.marker_keys, self.marker_tags = session.marker(unordered)
         kind = spec.kind
         base = spec.log_base
         # each pass multiplies a left by a right adjacency view; the
         # right one is weighted by a per-vertex weight of its row z
-        weight = None
+        self.z_weight = None
         if kind in UNDIRECTED_KINDS:
-            deg = graph.undirected_degrees
-            if kind is ScoreKind.AA:
-                weight = _inv_log_weights(deg, base)
-            elif kind is ScoreKind.RA:
-                weight = np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
-            self.passes = [("undirected", "undirected")]
-            self.deg_float = deg.astype(np.float64)
+            if kind in (ScoreKind.AA, ScoreKind.RA):
+                self.z_weight = session.z_weight(kind, base)
+            self.passes = (("undirected", "undirected"),)
+            self.deg_float = session.degrees("undirected")
         else:
-            self.out_deg = graph.out_degrees.astype(np.float64)
-            self.in_deg = graph.in_degrees.astype(np.float64)
+            self.out_deg = session.degrees("out")
+            self.in_deg = session.degrees("in")
             if kind in (ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD):
-                self.log_out = _log_of_degrees(graph.out_degrees, base)
-                self.log_in = _log_of_degrees(graph.in_degrees, base)
+                self.log_out = session.logs("out", base)
+                self.log_in = session.logs("in", base)
             if kind is ScoreKind.DED:
-                self.passes = [("out", "out")]
+                self.passes = (("out", "out"),)
             elif kind is ScoreKind.IND:
-                self.passes = [("in", "out")]
+                self.passes = (("in", "out"),)
             else:
-                self.passes = [("out", "out"), ("in", "out")]
-        self.z_weight = weight
-        self.dense = self._dense_chunks(chunks)
+                self.passes = (("out", "out"), ("in", "out"))
+        self.dense = self._dense_chunks(session, chunks)
         self.sparse_passes = self.marker = None
         if not all(self.dense):
             self.sparse_passes = []
             for left, right in self.passes:
                 right = graph._csr(right)
-                if weight is not None:
-                    right = right.copy()
-                    right.data = np.repeat(weight, np.diff(right.indptr))
+                if self.z_weight is not None:  # new weights on the graph's index arrays
+                    data = np.repeat(self.z_weight, np.diff(right.indptr))
+                    right = sp.csr_matrix((data, right.indices, right.indptr), shape=right.shape)
                 self.sparse_passes.append((graph._csr(left), right))
-            self.marker = _scipy_csr(marker_tags, *_csr_arrays(marker_keys, self.n), self.n)
+            self.marker = _scipy_csr(self.marker_tags, *_csr_arrays(self.marker_keys, self.n), self.n)
 
-    def _dense_chunks(self, chunks):
+    def _dense_chunks(self, session, chunks):
         small = [(hi - lo) * self.n <= DENSE_MAX_CELLS for lo, hi in chunks]
         if not any(small):
             return small
-        # paths[x - first]: the 2-hop paths of rows [first, x), all
-        # passes, over the rows the small chunks span
-        first = min(lo for fits, (lo, _) in zip(small, chunks) if fits)
-        last = max(hi for fits, (_, hi) in zip(small, chunks) if fits)
-        paths = 0
-        for left, right in self.passes:
-            indptr, indices = self.graph._adjacency(left)
-            right_indptr = self.graph._adjacency(right)[0]
-            z = indices[indptr[first]:indptr[last]]
-            ends = np.zeros(len(z) + 1, dtype=np.int64)
-            np.cumsum(right_indptr[z + 1] - right_indptr[z], out=ends[1:])
-            paths = paths + ends[indptr[first:last + 1] - indptr[first]]
+        paths = session.paths(self.passes)
         return [
-            fits and int(paths[hi - first] - paths[lo - first]) <= DENSE_MAX_PATHS
+            fits and int(paths[hi] - paths[lo]) <= DENSE_MAX_PATHS
             for fits, (lo, hi) in zip(small, chunks)
         ]
 
@@ -428,8 +527,10 @@ def _sparse_candidates(ctx, lo, hi, with_keys=False):
         )
         prod = part if prod is None else prod + part
     rows = np.repeat(np.arange(lo, hi), np.diff(prod.indptr))
-    values = prod.data
     keep = prod.indices > rows if ctx.unordered else prod.indices != rows
+    keys = (rows * n + prod.indices)[keep] if with_keys else None
+    del rows  # not held through the multiply, the chunk's peak
+    values = prod.data
     # With entry p of the product stored as 16p + 1, the elementwise
     # product with the marker rows intersects them row by row and
     # yields (16p + 1) * tag at every tagged pair; a tag is below 16.
@@ -438,7 +539,6 @@ def _sparse_candidates(ctx, lo, hi, with_keys=False):
     hit_tags = hits % 16
     tags = np.zeros(len(values), dtype=np.int8)
     tags[hits // (16 * hit_tags)] = hit_tags
-    keys = (rows * n + prod.indices)[keep] if with_keys else None
     return keys, values[keep], tags[keep]
 
 
@@ -493,19 +593,19 @@ def _fold_chunk(ctx, lo, hi, dense, buckets):
     counts = _TAG_COUNTS[int(ctx.unordered)][tags[tagged]]
     directions = 2 if ctx.unordered else 1
     explicit_count = directions * (len(values) - len(tagged)) + int(counts.sum())
-    fp_values, fp_counts = np.unique(values, return_counts=True)
+    distinct, fp = np.unique(values, return_counts=True)
     # the tagged pairs count by their tags, not as plain candidates
-    tagged_values = values[tagged]
-    fp_counts -= np.bincount(np.searchsorted(fp_values, tagged_values), minlength=len(fp_values))
-    fp_counts *= directions
-    tp, fp = counts.T
-    # a chunk holds few tagged pairs: the merge counts them one by one
-    scored = _scored(
-        np.concatenate([fp_values, tagged_values]),
-        np.concatenate([np.zeros_like(fp_counts), tp]),
-        np.concatenate([fp_counts, fp]),
-    )
-    return _merge([_columns(buckets), scored]), explicit_count
+    at = np.searchsorted(distinct, values[tagged])
+    m = len(distinct)
+    fp -= np.bincount(at, minlength=m)
+    fp *= directions
+    # float sums of a chunk's few small counts: exact
+    tp = np.bincount(at, weights=counts[:, 0], minlength=m).astype(np.int64)
+    fp += np.bincount(at, weights=counts[:, 1], minlength=m).astype(np.int64)
+    values, tp, fp = _scored(distinct, tp, fp)
+    if len(buckets) == 0:
+        return _buckets(values[::-1], tp[::-1], fp[::-1]), explicit_count
+    return _merge([_columns(buckets), (values, tp, fp)]), explicit_count
 
 
 def _scored(values, tp, fp):
@@ -529,9 +629,8 @@ def score_from_vertex(graph, n1, spec, test_edges):
     Ineligible vertices are skipped, producing an empty contribution.
     """
     graph._check_vertex(n1)
-    _, marker_keys, marker_tags = _held_out(graph, test_edges, _universe(graph).eligible_mask)
-    ctx = _RunContext(graph, spec, marker_keys, marker_tags, [(n1, n1 + 1)])
-    return _fold_chunk(ctx, n1, n1 + 1, ctx.dense[0], np.empty(0, dtype=BUCKET_DTYPE))
+    ctx = _RunContext(_split_session(graph, test_edges), spec)
+    return _fold_chunk(ctx, n1, n1 + 1, True, np.empty(0, dtype=BUCKET_DTYPE))
 
 
 def score_all(
@@ -556,20 +655,14 @@ def score_all(
     others from claiming further chunks, and its error is re-raised.
     """
     n = graph.vertex_count
-    if chunk_size is None:
-        chunk_size = min(DEFAULT_CHUNK_SIZE, max(n, 1))
-    if not 1 <= chunk_size <= max(n, 1):
-        raise ValidationError(f"chunk_size must be in [1, {max(n, 1)}], got {chunk_size}")
-    unordered = spec.kind in UNDIRECTED_KINDS  # symmetric: score each pair once
-    universe = _universe(graph)
-    test_keys, marker_keys, marker_tags = _held_out(
-        graph, test_edges, universe.eligible_mask, unordered
-    )
-    positives = len(test_keys)
-    negatives = universe.universe_size - positives
+    chunk_size = chunk_size_for(n, chunk_size)
+    session = _split_session(graph, test_edges)
+    positives = session.positives
+    negatives = session.universe.universe_size - positives
 
     chunk_bounds = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
-    ctx = _RunContext(graph, spec, marker_keys, marker_tags, chunk_bounds, unordered)
+    unordered = spec.kind in UNDIRECTED_KINDS  # symmetric: score each pair once
+    ctx = _RunContext(session, spec, chunk_bounds, unordered)
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), max(len(chunk_bounds), 1)))

@@ -105,6 +105,7 @@ class Graph:
         self._in_indptr, self._in_indices = _csr_arrays(reverse, n)
         self._und = None  # lazy union view, built once on demand
         self._csr_views = {}  # lazy scipy views, built once on demand
+        self._session = None  # the engine's (key, session) of the last test set
         for a in (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices):
             a.setflags(write=False)
 
@@ -213,6 +214,10 @@ class Graph:
                 a.setflags(write=False)
             self._csr_views[view] = matrix
         return matrix
+
+    def __getstate__(self):
+        # the engine's cached session holds a lock and a weak reference
+        return {**self.__dict__, "_session": None}
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import pickle
 import threading
 from unittest import mock
 
@@ -487,16 +488,13 @@ class TestBackends:
             if x != y and x * m + y not in known and rng.random() < 0.15
         ]
         unordered = kind in UNDIRECTED_KINDS and data.draw(st.booleans(), label="unordered")
-        _, keys, tags = engine._held_out(
-            train, np.array(test, dtype=np.int64).reshape(-1, 2),
-            engine._universe(train).eligible_mask, unordered,
-        )
+        session = engine._split_session(train, np.array(test, dtype=np.int64).reshape(-1, 2))
         lo = data.draw(st.integers(0, m - 1), label="lo")
         hi = data.draw(st.integers(lo + 1, m), label="hi")
         spec = ScoreSpec(kind, log_base=base)
         chunks = [(lo, hi), (0, m)]
         with mock.patch.object(engine, "DENSE_MAX_CELLS", -1):
-            ctx = engine._RunContext(train, spec, keys, tags, chunks, unordered)
+            ctx = engine._RunContext(session, spec, chunks, unordered)
         assert not any(ctx.dense)
         empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
         for lo, hi in chunks:
@@ -519,14 +517,164 @@ class TestBackends:
         n = 512
         ring = Graph(n, np.arange(n), (np.arange(n) + 1) % n)
         rows = engine.DENSE_MAX_CELLS // n
-        _, keys, tags = engine._held_out(ring, NO_TEST, engine._universe(ring).eligible_mask)
-        ctx = engine._RunContext(ring, spec, keys, tags, [(0, rows), (rows, 2 * rows + 1)])
+        ctx = engine._RunContext(
+            engine._split_session(ring, NO_TEST), spec, [(0, rows), (rows, 2 * rows + 1)]
+        )
         assert ctx.dense == [True, False]
         # 0 -> 1 -> each leaf: row 0 has one path per leaf
         for leaves, dense in ((engine.DENSE_MAX_PATHS, True), (engine.DENSE_MAX_PATHS + 1, False)):
             star = Graph(leaves + 2, [0] + [1] * leaves, np.arange(1, leaves + 2))
-            _, keys, tags = engine._held_out(star, NO_TEST, engine._universe(star).eligible_mask)
-            ctx = engine._RunContext(star, spec, keys, tags, [(0, 1), (1, 2)])
+            ctx = engine._RunContext(engine._split_session(star, NO_TEST), spec, [(0, 1), (1, 2)])
             assert ctx.dense == [dense, True]
             # the scipy factors and the CSR marker exist only when used
             assert (ctx.marker is None) == dense
+
+
+def _split_of(seed, n):
+    from hierlp import split_edges
+
+    g = preferential_attachment_digraph(np.random.default_rng(seed), n, out_per_vertex=3)
+    split = split_edges(g, 0.1, seed=seed)
+    return split.train_graph, split.test_edges
+
+
+def _fresh(graph):
+    """An equal graph with no cached session."""
+    return Graph(graph.vertex_count, *graph.edges())
+
+
+class TestSplitSession:
+    """Every score of one split shares one session, cached on the graph
+    by the exact content of the test pairs."""
+
+    def _counting(self, monkeypatch, name):
+        calls = []
+        real = getattr(engine, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+        return calls
+
+    def test_one_check_and_sort_per_marker_flavour(self, monkeypatch):
+        train, test = _split_of(1, 300)
+        checks = self._counting(monkeypatch, "_held_out")
+        reversals = self._counting(monkeypatch, "_with_reversed")
+        for kind in ScoreKind:
+            # the first call takes scipy's backend, the second the dense one
+            score_all(train, ScoreSpec(kind), test, workers=2)
+            score_all(train, ScoreSpec(kind, log_base=2.0), test, workers=1, chunk_size=7)
+            score_from_vertex(train, 5, ScoreSpec(kind), test)
+        universe_stats(train, test)
+        assert len(checks) == 1 and len(reversals) == 1
+        assert pickle.loads(pickle.dumps(train)) == train  # the cache is not pickled
+        # only O(n + E + T) arrays stay: no scipy object, nothing chunk-sized
+        bound = 2 * (train.edge_count + len(test)) + train.vertex_count + 1
+        session = train._session[1]
+        for value in [*session._built.values(), tuple(session._marker)]:
+            for array in value if isinstance(value, tuple) else (value,):
+                assert isinstance(array, np.ndarray) and array.size <= bound
+
+    def test_changed_pairs_or_graph_miss(self):
+        train, test = _split_of(2, 120)
+        test = test.copy()
+        eligible = np.flatnonzero(train.out_degrees + train.in_degrees)
+        known = set(train.edge_keys().tolist()) | set((test[:, 0] * 120 + test[:, 1]).tolist())
+        a, b, c = [
+            (x, y) for x in eligible for y in eligible if x != y and x * 120 + y not in known
+        ][:3]
+        # the training graph plus the edge c
+        other = Graph(120, *(np.append(side, end) for side, end in zip(train.edges(), c)))
+        for index, kind in enumerate(ScoreKind):
+            spec = ScoreSpec(kind)
+            assert score_all(train, spec, test, workers=1) == score_all(_fresh(train), spec, test)
+            test[0] = (a, b)[index % 2]  # in place
+            assert score_all(train, spec, test, workers=1) == score_all(_fresh(train), spec, test)
+            assert score_all(other, spec, test, workers=1) == score_all(_fresh(other), spec, test)
+            row, count = score_from_vertex(other, int(test[0, 0]), spec, test)
+            fresh_row, fresh_count = score_from_vertex(_fresh(other), int(test[0, 0]), spec, test)
+            assert np.array_equal(row, fresh_row) and count == fresh_count
+
+    def test_invalid_pairs_raise_every_call_and_are_never_cached(self, monkeypatch):
+        train, test = _split_of(3, 80)
+        spec = ScoreSpec(ScoreKind.CN)
+        reference = score_all(train, spec, test, workers=1)
+        cached = train._session
+        checks = self._counting(monkeypatch, "_held_out")
+        invalid = np.vstack([test, test[:1]])  # a duplicate
+        calls = [
+            lambda: score_all(train, spec, invalid),
+            lambda: universe_stats(train, invalid),
+            lambda: score_from_vertex(train, 0, spec, invalid),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="duplicate"):
+                call()
+            assert train._session is cached
+        assert len(checks) == 3
+        assert score_all(train, spec, test, workers=1) == reference
+        assert len(checks) == 3
+
+    def test_threads_with_different_test_sets(self):
+        import sys
+
+        train, test_a = _split_of(4, 150)
+        test_b = np.array(_sample_non_edges(np.random.default_rng(4), train, 25)).T
+        kinds = [ScoreKind.CN, ScoreKind.AA, ScoreKind.INF_LOG_KD, ScoreKind.JACCARD]
+        serial = {
+            (name, kind): score_all(_fresh(train), ScoreSpec(kind), test, workers=1)
+            for name, test in (("a", test_a), ("b", test_b))
+            for kind in kinds
+        }
+        failures = []
+
+        def hammer(name, test):
+            try:
+                for round_ in range(15):
+                    for kind in kinds:
+                        hist = score_all(train, ScoreSpec(kind), test, workers=1 + round_ % 2)
+                        if hist != serial[(name, kind)]:
+                            failures.append((name, kind, round_))
+            except Exception as exc:  # reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=("a", test_a)),
+                threading.Thread(target=hammer, args=("b", test_b)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        kind=st.sampled_from(list(ScoreKind)),
+        base=st.sampled_from([math.e, 2.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_add_up_to_score_all(self, seed, n, kind, base):
+        from hierlp import split_edges
+
+        g = erdos_renyi_digraph(np.random.default_rng(seed), n)
+        if g.edge_count >= 10:
+            split = split_edges(g, 0.1, seed=seed)
+            train, test = split.train_graph, split.test_edges
+        else:
+            train, test = g, NO_TEST
+        spec = ScoreSpec(kind, log_base=base)
+        rows = [score_from_vertex(train, x, spec, test)[0] for x in range(n)]
+        merged = _merge([_columns(b) for b in rows])
+        hist = score_all(train, spec, test, workers=1)
+        assert np.array_equal(merged, hist.buckets)
+        assert (int(merged["tp"].sum()), int(merged["fp"].sum())) == hist.explicit_totals()
