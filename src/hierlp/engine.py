@@ -8,20 +8,21 @@ of the candidate universe is accounted for analytically from the
 universe size.
 
 Every score of one split shares a session, built from (training graph,
-test pairs). It checks the pairs once, in the sort that builds the
-marker: the training and the test edges as sorted keys u*n+v with a tag
-each, to which the first symmetric kind adds the reversed tags (both
-directions of a pair in one entry). It keeps that marker, the candidate
-universe, the degrees and their logs per log base, the AA and RA weights
-and the 2-hop path count of every row, each built when a call first
-asks for it: O(n + E + T) arrays, nothing chunk-sized. The graph caches
-the session of its last test set, keyed by the exact content of the
-pairs (shape and bytes), so ``score_all``, ``score_from_vertex`` and
-``universe_stats`` reuse it without a handle; any other test set, or
-the same array changed in place, builds a new one, and a failed check
-caches nothing. A session is thread-safe: each of its parts is built
-once, under its lock. Exclusion and membership are structural, and the
-diagonal is never a candidate.
+test pairs). On creation it checks the pairs, in the one sort that
+builds the marker: the training and the test edges, each in both
+directions, as sorted keys u*n+v with one tag per pair that holds both
+directions. It keeps that marker and the candidate universe, and builds
+the degrees and their logs per log base, the AA and RA weights and the
+2-hop path count of every row when a call first asks for them: O(n + E
++ T) arrays, nothing chunk-sized. The graph caches the session of its
+last test set, keyed by the exact content of the pairs (shape and
+bytes), so ``score_all``, ``score_from_vertex`` and ``universe_stats``
+reuse it without a handle; finding it copies and compares the pairs'
+bytes, O(T) per call. Any other test set, or the same array changed in
+place, builds a new one, and a failed check caches nothing. A session
+is thread-safe: each of its lazy parts is built once, under its lock.
+Exclusion and membership are structural, and the diagonal is never a
+candidate.
 
 A chunk of rows [lo, hi) lists its candidates as (keys, values, tags)
 through one of two backends, chosen per chunk from what the code can
@@ -57,7 +58,10 @@ by its own tag. The bits cannot differ from scoring (y, x) itself: the
 product sums over the shared neighbours in ascending order either way,
 and Jaccard's du + dv commutes. ``score_from_vertex`` is a row query on
 the session: it scores its whole row, y < x included, by the dense
-backend and through the same fold, in O(n + paths of the row).
+backend and through the same fold, in O(n + T + paths of the row).
+The backend bounds do not apply to it: scipy's factors would be built
+for its one row, and on hub rows of 3-6 10^4 paths the dense backend
+took a fifth of the time scipy's did.
 
 Workers claim fixed-size chunks of source vertices dynamically, which
 absorbs the degree skew of webgraphs; the first worker to fail stops
@@ -207,9 +211,12 @@ def _held_out(graph, test_edges, eligible):
 
     The pairs must lie in the candidate universe: no self-loop, both
     endpoints ``eligible`` (with a training edge), no training edge, no
-    duplicate. Returns (test_keys, keys, tags): the pairs as sorted
-    u*n+v keys, and the marker as sorted unique keys with an int8 tag
-    each, t(x, y) at every training edge (t = 1) and test edge (t = 2).
+    duplicate. Returns (positives, keys, tags): the count of pairs, and
+    the marker as sorted unique u*n+v keys with an int8 tag each,
+    t(x, y) + 3 t(y, x) at every pair of which either direction is a
+    training edge (t = 1) or a test edge (t = 2). Each entry tags both
+    directions of its pair, as the symmetric kinds read it; the directed
+    kinds read t(x, y) = tag % 3.
     """
     n = graph.vertex_count
     pairs = np.asarray(test_edges, dtype=np.int64)
@@ -223,37 +230,30 @@ def _held_out(graph, test_edges, eligible):
         raise ValidationError("self-loop test edge")
     if not np.all(eligible[u] & eligible[v]):
         raise ValidationError("test edge with an ineligible (disconnected) endpoint")
-    keys = np.concatenate([graph.edge_keys(), u * n + v])
-    tags = np.repeat(np.array([1, 2], dtype=np.int8), [graph.edge_count, len(u)])
+    keys = np.concatenate([graph.edge_keys(), u * n + v, graph.reverse_edge_keys(), v * n + u])
+    tags = np.repeat(np.array([1, 2, 3, 6], dtype=np.int8), [graph.edge_count, len(u)] * 2)
     # stable, so at each key a training edge precedes the test pairs
-    # equal to it
+    # equal to it, and both precede the reversed pairs
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     tags = tags[order]
-    tied = (keys[1:] == keys[:-1]).nonzero()[0]
-    if len(tied):
-        # the training keys are distinct: a tie is (1, 2) or (2, 2)
-        if np.any(tags[tied] == 1):
+    tied = keys[1:] == keys[:-1]
+    if tied.any():
+        # a key holds at most a training edge (1), test pairs (2), a
+        # reversed training edge (3) and reversed test pairs (6), in
+        # this order; of adjacent tags only (1, 2) multiply to 2 and
+        # (2, 2) to 4
+        neighbours = (tags[:-1] * tags[1:])[tied]
+        if np.any(neighbours == 2):
             raise ValidationError("test edge present in the training graph")
-        raise ValidationError("duplicate test edges")
-    return keys[tags == 2], keys, tags
-
-
-def _with_reversed(keys, tags, n):
-    """The marker of the symmetric kinds, from the sorted unique marker
-    ``keys`` and ``tags``: t(x, y) + 3 t(y, x) at every pair of which
-    either direction is marked, so each entry tags both directions."""
-    reverse = keys % n * n + keys // n
-    order = np.argsort(reverse)
-    keys = np.concatenate([keys, reverse[order]])
-    tags = np.concatenate([tags, 3 * tags[order]])
-    # two sorted runs of distinct keys: a key occurs at most twice
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    return keys[starts], np.add.reduceat(tags[order], starts)
+        if np.any(neighbours == 4):
+            raise ValidationError("duplicate test edges")
+        # the two directions of a pair: one entry with both tags
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = ~tied
+        starts = np.flatnonzero(first)
+        keys, tags = keys[starts], np.add.reduceat(tags, starts, dtype=np.int8)
+    return len(pairs), keys, tags
 
 
 def universe_stats(graph, test_edges):
@@ -284,7 +284,8 @@ DENSE_MAX_PATHS = 1 << 13
 def _split_session(graph, test_edges):
     """The session of (``graph``, ``test_edges``): the one the graph
     caches when its test pairs have exactly this shape and these bytes,
-    else a new one, which replaces it once its check has passed."""
+    else a new one, which replaces it once its check has passed. The
+    key copies the pairs' bytes: O(T) per call, a hit included."""
     pairs = np.asarray(test_edges, dtype=np.int64)
     key = (pairs.shape, pairs.tobytes())
     cached = graph._session
@@ -297,18 +298,18 @@ def _split_session(graph, test_edges):
 
 class _SplitSession:
     """The split-level state every score of (training graph, test pairs)
-    shares: the checked pairs' count, the candidate universe, and arrays
-    built once each, when a call first asks for them. It keeps only
-    O(n + E + T) arrays; the graph holds it, so it holds the graph
-    weakly."""
+    shares: the checked pairs' count, the candidate universe, the marker
+    (``_held_out``), and arrays built once each, when a call first asks
+    for them. It keeps only O(n + E + T) arrays; the graph holds it, so
+    it holds the graph weakly."""
 
     def __init__(self, graph, pairs):
         self._graph = weakref.ref(graph)
         self.n = graph.vertex_count
         self.universe = _universe(graph)
-        test_keys, *self._marker = _held_out(graph, pairs, self.universe.eligible_mask)
-        self.positives = len(test_keys)
-        self._reversed = False
+        self.positives, self.marker_keys, self.marker_tags = _held_out(
+            graph, pairs, self.universe.eligible_mask
+        )
         self._built = {}
         self._lock = threading.RLock()  # a part may build another
 
@@ -324,18 +325,6 @@ class _SplitSession:
                 if value is None:
                     value = self._built[key] = build()
         return value
-
-    def marker(self, unordered):
-        """(keys, tags) of the marker. The first ``unordered`` (symmetric)
-        kind to ask replaces it by one with the reversed tags added; the
-        other kinds read both alike, as they count by t(x, y) = tag % 3.
-        One marker at a time is the least memory."""
-        if unordered and not self._reversed:
-            with self._lock:
-                if not self._reversed:
-                    self._marker = _with_reversed(*self._marker, self.n)
-                    self._reversed = True
-        return self._marker
 
     def degrees(self, view):
         """The float64 degrees of the "out", "in" or "undirected" view."""
@@ -387,7 +376,7 @@ class _RunContext:
         self.spec = spec
         self.n = graph.vertex_count
         self.unordered = unordered
-        self.marker_keys, self.marker_tags = session.marker(unordered)
+        self.marker_keys, self.marker_tags = session.marker_keys, session.marker_tags
         kind = spec.kind
         base = spec.log_base
         # each pass multiplies a left by a right adjacency view; the
@@ -630,6 +619,7 @@ def score_from_vertex(graph, n1, spec, test_edges):
     """
     graph._check_vertex(n1)
     ctx = _RunContext(_split_session(graph, test_edges), spec)
+    # dense at any path count: scipy's factors would serve one row
     return _fold_chunk(ctx, n1, n1 + 1, True, np.empty(0, dtype=BUCKET_DTYPE))
 
 

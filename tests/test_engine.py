@@ -558,22 +558,21 @@ class TestSplitSession:
         monkeypatch.setattr(engine, name, counted)
         return calls
 
-    def test_one_check_and_sort_per_marker_flavour(self, monkeypatch):
+    def test_one_check_and_sort_per_split(self, monkeypatch):
         train, test = _split_of(1, 300)
         checks = self._counting(monkeypatch, "_held_out")
-        reversals = self._counting(monkeypatch, "_with_reversed")
         for kind in ScoreKind:
             # the first call takes scipy's backend, the second the dense one
             score_all(train, ScoreSpec(kind), test, workers=2)
             score_all(train, ScoreSpec(kind, log_base=2.0), test, workers=1, chunk_size=7)
             score_from_vertex(train, 5, ScoreSpec(kind), test)
         universe_stats(train, test)
-        assert len(checks) == 1 and len(reversals) == 1
+        assert len(checks) == 1
         assert pickle.loads(pickle.dumps(train)) == train  # the cache is not pickled
         # only O(n + E + T) arrays stay: no scipy object, nothing chunk-sized
         bound = 2 * (train.edge_count + len(test)) + train.vertex_count + 1
         session = train._session[1]
-        for value in [*session._built.values(), tuple(session._marker)]:
+        for value in [*session._built.values(), (session.marker_keys, session.marker_tags)]:
             for array in value if isinstance(value, tuple) else (value,):
                 assert isinstance(array, np.ndarray) and array.size <= bound
 
