@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from .engine import DEFAULT_CHUNK_SIZE, chunk_size_for, score_all
+from .engine import DEFAULT_CHUNK_SIZE, MemoryGuardError, chunk_size_for, score_all
 from .evaluate import (
     build_curves,
     load_split,
@@ -47,12 +47,16 @@ def main():
 @click.option("--seed", default=0, show_default=True)
 @click.option("--split-file", type=click.Path(dir_okay=False), default=None,
               help="Reuse a persisted split so every score sees the same test set.")
-@click.option("--threads", default=None, type=int, help="Worker count; default: all cores.")
+@click.option("--threads", default=None, type=click.IntRange(min=1),
+              help="Worker count; default: all cores.")
 @click.option("--chunk-size", default=None, type=int,
               help=f"Chunk of source vertices per work unit; default "
                    f"min({DEFAULT_CHUNK_SIZE}, vertex count).")
-@click.option("--max-buckets", default=None, type=int,
-              help="Hard cap on distinct score values; exceeding it aborts the run.")
+@click.option("--max-buckets", default=None, type=click.IntRange(min=0),
+              help="Hard cap on distinct score values; exceeding it aborts the run. "
+                   "It is checked on each worker's histogram after every chunk and on "
+                   "the merged result, so a run holds at most threads x cap buckets; "
+                   "whether it aborts does not depend on --threads or --chunk-size.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
         split_file, threads, chunk_size, max_buckets, out_dir):
@@ -122,7 +126,7 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
                 f"{spec.token()}: AUPR={rep.aupr:.5f} AUROC={rep.auroc:.5f} "
                 f"P={rep.positives_total} Neg={rep.negatives_total} wall={wall:.2f}s"
             )
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryGuardError) as exc:
         raise click.ClickException(str(exc)) from exc
 
 

@@ -42,10 +42,14 @@ scipy's otherwise. Small graphs and small chunks take the first, the
   are built once per call, before any worker starts, and only when
   some chunk takes this backend; the session never keeps them.
 
-Their bits agree: ``np.bincount`` and scipy's csr_matmat both add each
-pair's paths one by one from 0.0 in ascending z, both drop a zero sum,
-and the INF family's two weighted passes are added pass 0 first and a
-zero sum dropped, as scipy's csr_plus_csr does. The fold after either
+Each kind multiplies the adjacency views its row of ``_PASSES`` names,
+one (left, right) pair per directed pass, and each pass is weighted by
+its left view: divided by that view's degrees, times their logs for
+the log-weighted kinds, times k on INF_LOG_KD's "out" pass. Their bits
+agree: ``np.bincount`` and scipy's csr_matmat both add each pair's
+paths one by one from 0.0 in ascending z, both drop a zero sum, and the
+INF family's two weighted passes are added "out" pass first and a zero
+sum dropped, as scipy's csr_plus_csr does. The fold after either
 is one: the chunk's candidates are counted per distinct value, its few
 tagged pairs corrected at their values' places by their tags, and the
 result merged once.
@@ -63,26 +67,30 @@ The backend bounds do not apply to it: scipy's factors would be built
 for its one row, and on hub rows of 3-6 10^4 paths the dense backend
 took a fifth of the time scipy's did.
 
-Workers claim fixed-size chunks of source vertices dynamically, which
-absorbs the degree skew of webgraphs; the first worker to fail stops
-the others from claiming more. A histogram holds the distinct nonzero
-score values, descending, with int64 (tp, fp) counts; one merge builds
-every histogram. The result is bit identical for any worker count and
-chunk size: every chunk's values depend only on its own rows, and the
-merge sums the integer counts of exactly equal values.
+Workers claim fixed-size chunks of source vertices dynamically from one
+shared iterator, which absorbs the degree skew of webgraphs. Each runs
+one loop, inline for one worker and on a ``ThreadPoolExecutor`` for
+more, folds its chunks into its own histogram and returns it; the first
+worker to fail stops the others from claiming more. A histogram holds
+the distinct nonzero score values, descending, with int64 (tp, fp)
+counts; one merge builds every histogram. The result is bit identical
+for any worker count and chunk size: every chunk's values depend only
+on its own rows, and the merge sums the integer counts of exactly equal
+values.
 """
 
 import os
 import re
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import _csr_arrays, _opened, _reprs, _scipy_csr
-from .scores import UNDIRECTED_KINDS, ScoreKind, log_in_base
+from .scores import INF_FAMILY, UNDIRECTED_KINDS, ScoreKind, log_in_base
 
 DEFAULT_CHUNK_SIZE = 1000
 
@@ -362,6 +370,16 @@ class _SplitSession:
         return self._memo(passes, build)
 
 
+#: The (left, right) adjacency views each kind multiplies, one pair per
+#: directed pass. The INF family adds its two passes in this order.
+_PASSES = {
+    **dict.fromkeys(UNDIRECTED_KINDS, (("undirected", "undirected"),)),
+    ScoreKind.DED: (("out", "out"),),
+    ScoreKind.IND: (("in", "out"),),
+    **dict.fromkeys(INF_FAMILY, (("out", "out"), ("in", "out"))),
+}
+
+
 class _RunContext:
     """Per-call scoring state shared read-only by all workers.
 
@@ -373,33 +391,17 @@ class _RunContext:
 
     def __init__(self, session, spec, chunks=(), unordered=False):
         graph = self.graph = session.graph
+        self.session = session
         self.spec = spec
         self.n = graph.vertex_count
         self.unordered = unordered
         self.marker_keys, self.marker_tags = session.marker_keys, session.marker_tags
-        kind = spec.kind
-        base = spec.log_base
-        # each pass multiplies a left by a right adjacency view; the
-        # right one is weighted by a per-vertex weight of its row z
+        self.passes = _PASSES[spec.kind]
+        # AA and RA weight the right view by a per-vertex weight of its row z
         self.z_weight = None
-        if kind in UNDIRECTED_KINDS:
-            if kind in (ScoreKind.AA, ScoreKind.RA):
-                self.z_weight = session.z_weight(kind, base)
-            self.passes = (("undirected", "undirected"),)
-            self.deg_float = session.degrees("undirected")
-        else:
-            self.out_deg = session.degrees("out")
-            self.in_deg = session.degrees("in")
-            if kind in (ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD):
-                self.log_out = session.logs("out", base)
-                self.log_in = session.logs("in", base)
-            if kind is ScoreKind.DED:
-                self.passes = (("out", "out"),)
-            elif kind is ScoreKind.IND:
-                self.passes = (("in", "out"),)
-            else:
-                self.passes = (("out", "out"), ("in", "out"))
-        self.dense = self._dense_chunks(session, chunks)
+        if spec.kind in (ScoreKind.AA, ScoreKind.RA):
+            self.z_weight = session.z_weight(spec.kind, spec.log_base)
+        self.dense = self._dense_chunks(chunks)
         self.sparse_passes = self.marker = None
         if not all(self.dense):
             self.sparse_passes = []
@@ -408,36 +410,34 @@ class _RunContext:
                 if self.z_weight is not None:  # new weights on the graph's index arrays
                     data = np.repeat(self.z_weight, np.diff(right.indptr))
                     right = sp.csr_matrix((data, right.indices, right.indptr), shape=right.shape)
-                self.sparse_passes.append((graph._csr(left), right))
+                self.sparse_passes.append((left, graph._csr(left), right))
             self.marker = _scipy_csr(self.marker_tags, *_csr_arrays(self.marker_keys, self.n), self.n)
 
-    def _dense_chunks(self, session, chunks):
+    def _dense_chunks(self, chunks):
         small = [(hi - lo) * self.n <= DENSE_MAX_CELLS for lo, hi in chunks]
         if not any(small):
             return small
-        paths = session.paths(self.passes)
+        paths = self.session.paths(self.passes)
         return [
             fits and int(paths[hi] - paths[lo]) <= DENSE_MAX_PATHS
             for fits, (lo, hi) in zip(small, chunks)
         ]
 
-    def weight(self, pass_index, data, at_rows, cols):
-        """Per-entry value transform of pass ``pass_index``'s sums
-        ``data`` at columns ``cols``; ``at_rows(a)`` is the per-vertex
-        array ``a`` at each entry's row. Arithmetic mirrors scores.py
-        exactly."""
+    def weight(self, left, data, at_rows, cols):
+        """Per-entry value transform of the sums ``data`` at columns
+        ``cols`` of the pass whose left view is ``left``; ``at_rows(a)``
+        is the per-vertex array ``a`` at each entry's row. Arithmetic
+        mirrors scores.py exactly."""
         kind = self.spec.kind
         if kind in (ScoreKind.CN, ScoreKind.AA, ScoreKind.RA):
             return data
+        degrees = self.session.degrees(left)
         if kind is ScoreKind.JACCARD:
-            du = at_rows(self.deg_float)
-            dv = self.deg_float[cols]
-            return data / (du + dv - data)
-        out = pass_index == 0 and kind is not ScoreKind.IND
-        values = data / at_rows(self.out_deg if out else self.in_deg)
+            return data / (at_rows(degrees) + degrees[cols] - data)
+        values = data / at_rows(degrees)
         if kind in (ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD):
-            values = values * at_rows(self.log_out if out else self.log_in)
-        if kind is ScoreKind.INF_LOG_KD and pass_index == 0:
+            values = values * at_rows(self.session.logs(left, self.spec.log_base))
+        if kind is ScoreKind.INF_LOG_KD and left == "out":
             values = values * self.spec.k
         return values
 
@@ -457,7 +457,7 @@ def _dense_candidates(ctx, lo, hi):
     cells = (hi - lo) * n
     x = np.arange(lo, hi)
     keys = values = None
-    for pass_index, (left, right) in enumerate(ctx.passes):
+    for left, right in ctx.passes:
         indptr, indices = ctx.graph._adjacency(left)
         right_indptr, right_indices = ctx.graph._adjacency(right)
         z = indices[indptr[lo]:indptr[hi]]
@@ -476,7 +476,7 @@ def _dense_candidates(ctx, lo, hi):
             w = np.repeat(ctx.z_weight[z], counts)[keep]
             sums = np.bincount(cell, weights=w, minlength=cells)
         found = np.flatnonzero(sums)
-        pass_values = ctx.weight(pass_index, sums[found], lambda a: a[lo + found // n], found % n)
+        pass_values = ctx.weight(left, sums[found], lambda a: a[lo + found // n], found % n)
         if keys is None:
             keys, values = found, pass_values
         else:
@@ -506,14 +506,12 @@ def _sparse_candidates(ctx, lo, hi, with_keys=False):
     n = ctx.n
     first = lo if ctx.unordered else 0
     prod = None
-    for pass_index, (left, right) in enumerate(ctx.sparse_passes):
-        part = _rows(left, lo, hi) @ (right[:, first:] if first else right)
+    for view, left, right in ctx.sparse_passes:
+        part = left[lo:hi] @ (right[:, first:] if first else right)
         if first:
             part = sp.csr_matrix((part.data, part.indices + first, part.indptr), shape=(hi - lo, n))
         counts = np.diff(part.indptr)
-        part.data = ctx.weight(
-            pass_index, part.data, lambda a: np.repeat(a[lo:hi], counts), part.indices
-        )
+        part.data = ctx.weight(view, part.data, lambda a: np.repeat(a[lo:hi], counts), part.indices)
         prod = part if prod is None else prod + part
     rows = np.repeat(np.arange(lo, hi), np.diff(prod.indptr))
     keep = prod.indices > rows if ctx.unordered else prod.indices != rows
@@ -524,17 +522,11 @@ def _sparse_candidates(ctx, lo, hi, with_keys=False):
     # product with the marker rows intersects them row by row and
     # yields (16p + 1) * tag at every tagged pair; a tag is below 16.
     prod.data = np.arange(1, 16 * len(values), 16, dtype=np.int64)
-    hits = prod.multiply(_rows(ctx.marker, lo, hi)).data
+    hits = prod.multiply(ctx.marker[lo:hi]).data
     hit_tags = hits % 16
     tags = np.zeros(len(values), dtype=np.int8)
     tags[hits // (16 * hit_tags)] = hit_tags
     return keys, values[keep], tags[keep]
-
-
-def _rows(matrix, lo, hi):
-    """Rows [lo, hi) of a CSR matrix that is only read; the matrix
-    itself when that is all of it, which saves a copy per small graph."""
-    return matrix if hi - lo == matrix.shape[0] else matrix[lo:hi]
 
 
 def _log_of_degrees(degrees, base):
@@ -638,10 +630,13 @@ def score_all(
     endpoints eligible; anything else raises ValidationError. The
     result is bit identical regardless of ``workers`` and
     ``chunk_size``. ``max_buckets`` is a hard memory guardrail on the
-    distinct-score count: exceeding it raises, never bins silently. It
-    is checked on each worker's histogram after every chunk and on the
-    merged result, so the workers together may hold up to
-    ``workers * max_buckets`` buckets. A worker that raises stops the
+    distinct-score count: exceeding it raises MemoryGuardError, never
+    bins silently. It is checked on each worker's histogram after every
+    chunk and on the merged result, so a run holds at most ``workers *
+    max_buckets`` buckets between chunks. Whether a run raises does not
+    depend on ``workers`` or ``chunk_size``: a worker's histogram holds a
+    subset of the merged result's values, so the run raises exactly when
+    the merged result exceeds the cap. A worker that raises stops the
     others from claiming further chunks, and its error is re-raised.
     """
     n = graph.vertex_count
@@ -657,51 +652,40 @@ def score_all(
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), max(len(chunk_bounds), 1)))
 
-    def run_worker(slot):
-        while True:
-            with claim_lock:
-                index = next_chunk[0]
-                if stop.is_set() or index >= len(chunk_bounds):
-                    return
-                next_chunk[0] += 1
-            lo, hi = chunk_bounds[index]
-            local_hists[slot], _ = _fold_chunk(ctx, lo, hi, ctx.dense[index], local_hists[slot])
-            if max_buckets is not None and len(local_hists[slot]) > max_buckets:
-                raise MemoryGuardError(
-                    f"distinct score values exceeded max_buckets={max_buckets}"
-                )
+    def capped(buckets):
+        if max_buckets is not None and len(buckets) > max_buckets:
+            raise MemoryGuardError(f"distinct score values exceeded max_buckets={max_buckets}")
+        return buckets
 
+    claims = iter(zip(chunk_bounds, ctx.dense))
     claim_lock = threading.Lock()
     stop = threading.Event()  # set by the first failing worker
-    next_chunk = [0]
-    local_hists = [np.empty(0, dtype=BUCKET_DTYPE) for _ in range(workers)]
+
+    def run_worker():
+        buckets = np.empty(0, dtype=BUCKET_DTYPE)
+        try:
+            while True:
+                with claim_lock:
+                    claim = None if stop.is_set() else next(claims, None)
+                if claim is None:
+                    return buckets
+                (lo, hi), dense = claim
+                buckets = capped(_fold_chunk(ctx, lo, hi, dense, buckets)[0])
+        except BaseException:
+            stop.set()
+            raise
+
     if workers == 1:
-        run_worker(0)
+        hists = [run_worker()]
     else:
-        errors = []
-
-        def guarded(slot):
+        with ThreadPoolExecutor(workers) as pool:
             try:
-                run_worker(slot)
-            except BaseException as exc:  # propagate to the caller
-                errors.append(exc)
-                stop.set()
-
-        threads = [
-            threading.Thread(target=guarded, args=(slot,), daemon=True)
-            for slot in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-
+                futures = [pool.submit(run_worker) for _ in range(workers)]
+                hists = [future.result() for future in futures]
+            finally:
+                stop.set()  # an interrupted caller stops the workers too
     # a single worker's histogram is merged already
-    buckets = local_hists[0] if workers == 1 else _merge([_columns(b) for b in local_hists])
-    if max_buckets is not None and len(buckets) > max_buckets:
-        raise MemoryGuardError(f"distinct score values exceeded max_buckets={max_buckets}")
+    buckets = capped(hists[0] if workers == 1 else _merge([_columns(b) for b in hists]))
     explicit_tp = int(buckets["tp"].sum())
     explicit_fp = int(buckets["fp"].sum())
     hist = ThresholdHistogram(

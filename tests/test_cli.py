@@ -90,6 +90,26 @@ class TestRun:
         assert "inf_log_kd_*" in result.output
         assert not out.exists()
 
+    def test_bucket_cap_is_a_clean_error(self, graph_file, tmp_path):
+        result = CliRunner().invoke(main, [
+            "run", "--graph", str(graph_file), "--score", "aa",
+            "--max-buckets", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: distinct score values exceeded max_buckets=1" in result.output
+
+    @pytest.mark.parametrize("option, value", [("--threads", "0"), ("--max-buckets", "-1")])
+    def test_out_of_range_engine_options_refused(self, graph_file, tmp_path, option, value):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "run", "--graph", str(graph_file), "--score", "cn",
+            option, value, "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert not out.exists()
+
     def test_four_headline_scores_one_invocation(self, graph_file, tmp_path):
         out = tmp_path / "all"
         result = run_cli([

@@ -144,6 +144,20 @@ class TestScoreAllValidation:
         with pytest.raises(MemoryGuardError):
             score_all(g, ScoreSpec(ScoreKind.AA), NO_TEST, workers=1, max_buckets=1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_memory_guardrail_independent_of_workers_and_chunks(self, workers, chunk_size):
+        g = erdos_renyi_digraph(np.random.default_rng(5), 60)
+        distinct = len(score_all(g, ScoreSpec(ScoreKind.AA), NO_TEST, workers=1).buckets)
+        assert distinct > 1
+        chunk_size = chunk_size or g.vertex_count
+        hist = score_all(g, ScoreSpec(ScoreKind.AA), NO_TEST, workers=workers,
+                         chunk_size=chunk_size, max_buckets=distinct)
+        assert len(hist.buckets) == distinct
+        with pytest.raises(MemoryGuardError, match=f"max_buckets={distinct - 1}"):
+            score_all(g, ScoreSpec(ScoreKind.AA), NO_TEST, workers=workers,
+                      chunk_size=chunk_size, max_buckets=distinct - 1)
+
     def test_failing_worker_stops_the_run(self, monkeypatch):
         g = erdos_renyi_digraph(np.random.default_rng(3), 300)
         real_fold = engine._fold_chunk
@@ -163,6 +177,29 @@ class TestScoreAllValidation:
             score_all(g, ScoreSpec(ScoreKind.CN), NO_TEST, workers=2, chunk_size=1)
         # 300 chunks; the other worker stops at its next claim
         assert len(folded) < 75
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        g = erdos_renyi_digraph(np.random.default_rng(3), 300)
+        before = threading.active_count()
+        score_all(g, ScoreSpec(ScoreKind.CN), NO_TEST, workers=2, chunk_size=1)
+        assert threading.active_count() == before
+
+        real_fold = engine._fold_chunk
+        folded = []
+        lock = threading.Lock()
+
+        def fail_first(ctx, lo, *rest):
+            with lock:
+                folded.append(lo)
+                first = len(folded) == 1
+            if first:
+                raise ValidationError("first chunk fails")
+            return real_fold(ctx, lo, *rest)
+
+        monkeypatch.setattr(engine, "_fold_chunk", fail_first)
+        with pytest.raises(ValidationError, match="first chunk fails"):
+            score_all(g, ScoreSpec(ScoreKind.CN), NO_TEST, workers=2, chunk_size=1)
+        assert threading.active_count() == before
 
 
 class TestDegreeLogs:
