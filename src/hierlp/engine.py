@@ -7,22 +7,22 @@ per-worker threshold histogram. The (overwhelming) zero-score remainder
 of the candidate universe is accounted for analytically from the
 universe size.
 
-Every score of one split shares a session, built from (training graph,
-test pairs). On creation it checks the pairs, in the one sort that
-builds the marker: the training and the test edges, each in both
-directions, as sorted keys u*n+v with one tag per pair that holds both
-directions. It keeps that marker and the candidate universe, and builds
-the degrees and their logs per log base, the AA and RA weights and the
-2-hop path count of every row when a call first asks for them: O(n + E
-+ T) arrays, nothing chunk-sized. The graph caches the session of its
-last test set, keyed by the exact content of the pairs (shape and
+Every score reads two kinds of state. What depends on the training
+graph alone is built on first use, once per graph, through the graph's
+memo (``Graph._memo``): the candidate universe, the degrees and their
+logs per log base, the AA and RA weights, the 2-hop path count of every
+row, the undirected view and the unit-weight scipy views. These are
+O(n + E) arrays and nothing chunk-sized, and a new test set keeps them.
+What depends on the test pairs is the marker. ``_marker`` checks the
+pairs in the one sort that builds it: the training and the test edges,
+each in both directions, as sorted keys u*n+v with one tag per pair
+that holds both directions. The graph keeps the marker of its last test
+set in one slot, keyed by the exact content of the pairs (shape and
 bytes), so ``score_all``, ``score_from_vertex`` and ``universe_stats``
 reuse it without a handle; finding it copies and compares the pairs'
 bytes, O(T) per call. Any other test set, or the same array changed in
-place, builds a new one, and a failed check caches nothing. A session
-is thread-safe: each of its lazy parts is built once, under its lock.
-Exclusion and membership are structural, and the diagonal is never a
-candidate.
+place, is checked anew, and a failed check caches nothing. Exclusion
+and membership are structural, and the diagonal is never a candidate.
 
 A chunk of rows [lo, hi) lists its candidates as (keys, values, tags)
 through one of two backends, chosen per chunk from what the code can
@@ -40,7 +40,7 @@ scipy's otherwise. Small graphs and small chunks take the first, the
   marker, a per-row sparse intersection that returns the position and
   the tag of every tagged pair. The CSR marker and the scipy factors
   are built once per call, before any worker starts, and only when
-  some chunk takes this backend; the session never keeps them.
+  some chunk takes this backend; no call keeps them for the next.
 
 Each kind multiplies the adjacency views its row of ``_PASSES`` names,
 one (left, right) pair per directed pass, and each pass is weighted by
@@ -60,12 +60,12 @@ y > x only (scipy's multiplies by the columns y >= lo of the right
 factor), and credits each value to (x, y) and to (y, x), each direction
 by its own tag. The bits cannot differ from scoring (y, x) itself: the
 product sums over the shared neighbours in ascending order either way,
-and Jaccard's du + dv commutes. ``score_from_vertex`` is a row query on
-the session: it scores its whole row, y < x included, by the dense
-backend and through the same fold, in O(n + T + paths of the row).
-The backend bounds do not apply to it: scipy's factors would be built
-for its one row, and on hub rows of 3-6 10^4 paths the dense backend
-took a fifth of the time scipy's did.
+and Jaccard's du + dv commutes. ``score_from_vertex`` is a row query: it
+scores its whole row, y < x included, by the dense backend and through
+the same fold, in O(n + T + paths of the row). The backend bounds do
+not apply to it: scipy's factors would be built for its one row, and on
+hub rows of 3-6 10^4 paths the dense backend took a fifth of the time
+scipy's did.
 
 Workers claim fixed-size chunks of source vertices dynamically from one
 shared iterator, which absorbs the degree skew of webgraphs. Each runs
@@ -82,7 +82,6 @@ values.
 import os
 import re
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -214,20 +213,20 @@ def _buckets(values, tp, fp):
     return buckets
 
 
-def _held_out(graph, test_edges, eligible):
+def _held_out(graph, pairs, eligible):
     """Check the held-out pairs and mark them beside the training edges.
 
-    The pairs must lie in the candidate universe: no self-loop, both
-    endpoints ``eligible`` (with a training edge), no training edge, no
-    duplicate. Returns (positives, keys, tags): the count of pairs, and
-    the marker as sorted unique u*n+v keys with an int8 tag each,
-    t(x, y) + 3 t(y, x) at every pair of which either direction is a
-    training edge (t = 1) or a test edge (t = 2). Each entry tags both
-    directions of its pair, as the symmetric kinds read it; the directed
-    kinds read t(x, y) = tag % 3.
+    ``pairs`` is an int64 array of (u, v) pairs, which must lie in the
+    candidate universe: no self-loop, both endpoints ``eligible`` (with
+    a training edge), no training edge, no duplicate. Returns
+    (positives, keys, tags): the count of pairs, and the marker as
+    sorted unique u*n+v keys with an int8 tag each, t(x, y) + 3 t(y, x)
+    at every pair of which either direction is a training edge (t = 1)
+    or a test edge (t = 2). Each entry tags both directions of its pair,
+    as the symmetric kinds read it; the directed kinds read t(x, y) =
+    tag % 3.
     """
     n = graph.vertex_count
-    pairs = np.asarray(test_edges, dtype=np.int64)
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValidationError("edge set must be an array of (u, v) pairs")
     pairs = pairs.reshape(-1, 2)
@@ -264,6 +263,25 @@ def _held_out(graph, test_edges, eligible):
     return len(pairs), keys, tags
 
 
+def _marker(graph, test_edges):
+    """(positives, marker keys, marker tags) of ``test_edges`` on
+    ``graph``, as ``_held_out`` returns them: the graph's split slot
+    when its test pairs had exactly this shape and these bytes, else a
+    new check, which fills the slot once it has passed. The key copies
+    the pairs' bytes: O(T) per call, a hit included."""
+    pairs = np.asarray(test_edges)
+    if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
+        raise ValidationError(f"test edges must be integer vertex ids, got {pairs.dtype}")
+    pairs = pairs.astype(np.int64, copy=False)
+    key = (pairs.shape, pairs.tobytes())
+    cached = graph._split
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    marker = _held_out(graph, pairs, _universe(graph).eligible_mask)
+    graph._split = (key, marker)
+    return marker
+
+
 def universe_stats(graph, test_edges):
     """Eligible vertices and exact candidate-universe size.
 
@@ -271,14 +289,19 @@ def universe_stats(graph, test_edges):
     graph; the universe is every ordered non-edge pair between them.
     ``test_edges`` are checked as ``score_all`` checks them.
     """
-    return _split_session(graph, test_edges).universe
+    _marker(graph, test_edges)
+    return _universe(graph)
 
 
 def _universe(graph):
-    eligible = (graph.out_degrees + graph.in_degrees) > 0
-    m = int(eligible.sum())
-    universe = m * (m - 1) - graph.edge_count
-    return CandidateUniverse(eligible_mask=eligible, eligible_count=m, universe_size=universe)
+    def build():
+        eligible = (graph.out_degrees + graph.in_degrees) > 0
+        eligible.setflags(write=False)  # every later check of the graph reads it
+        m = int(eligible.sum())
+        universe = m * (m - 1) - graph.edge_count
+        return CandidateUniverse(eligible_mask=eligible, eligible_count=m, universe_size=universe)
+
+    return graph._memo("universe", build)
 
 
 #: A chunk takes the dense backend when its accumulator, (hi - lo) * n
@@ -289,85 +312,43 @@ DENSE_MAX_CELLS = 1 << 15
 DENSE_MAX_PATHS = 1 << 13
 
 
-def _split_session(graph, test_edges):
-    """The session of (``graph``, ``test_edges``): the one the graph
-    caches when its test pairs have exactly this shape and these bytes,
-    else a new one, which replaces it once its check has passed. The
-    key copies the pairs' bytes: O(T) per call, a hit included."""
-    pairs = np.asarray(test_edges, dtype=np.int64)
-    key = (pairs.shape, pairs.tobytes())
-    cached = graph._session
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    session = _SplitSession(graph, pairs)
-    graph._session = (key, session)
-    return session
+def _degrees(graph, view):
+    """The float64 degrees of the "out", "in" or "undirected" view."""
+    return graph._memo(("degrees", view), lambda: np.diff(graph._adjacency(view)[0]).astype(np.float64))
 
 
-class _SplitSession:
-    """The split-level state every score of (training graph, test pairs)
-    shares: the checked pairs' count, the candidate universe, the marker
-    (``_held_out``), and arrays built once each, when a call first asks
-    for them. It keeps only O(n + E + T) arrays; the graph holds it, so
-    it holds the graph weakly."""
+def _logs(graph, view, base):
+    """The degrees' logs in ``base``, 0 at degree 0."""
+    return graph._memo(("logs", view, base), lambda: _log_of_degrees(_degrees(graph, view), base))
 
-    def __init__(self, graph, pairs):
-        self._graph = weakref.ref(graph)
-        self.n = graph.vertex_count
-        self.universe = _universe(graph)
-        self.positives, self.marker_keys, self.marker_tags = _held_out(
-            graph, pairs, self.universe.eligible_mask
-        )
-        self._built = {}
-        self._lock = threading.RLock()  # a part may build another
 
-    @property
-    def graph(self):
-        return self._graph()
+def _z_weight(graph, kind, base):
+    """The AA or RA weight of each vertex, by its undirected degree."""
 
-    def _memo(self, key, build):
-        value = self._built.get(key)
-        if value is None:
-            with self._lock:
-                value = self._built.get(key)
-                if value is None:
-                    value = self._built[key] = build()
-        return value
+    def build():
+        deg = _degrees(graph, "undirected")
+        if kind is ScoreKind.RA:
+            return np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
+        return _inv_log_weights(deg, base)
 
-    def degrees(self, view):
-        """The float64 degrees of the "out", "in" or "undirected" view."""
-        return self._memo(view, lambda: np.diff(self.graph._adjacency(view)[0]).astype(np.float64))
+    return graph._memo(("z_weight", kind, None if kind is ScoreKind.RA else base), build)
 
-    def logs(self, view, base):
-        """The degrees' logs in ``base``, 0 at degree 0."""
-        return self._memo((view, base), lambda: _log_of_degrees(self.degrees(view), base))
 
-    def z_weight(self, kind, base):
-        """The AA or RA weight of each vertex, by its undirected degree."""
+def _paths(graph, passes):
+    """paths[x]: the 2-hop paths of rows [0, x), summed over ``passes``,
+    each a (left, right) pair of views."""
 
-        def build():
-            deg = self.degrees("undirected")
-            if kind is ScoreKind.RA:
-                return np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
-            return _inv_log_weights(deg, base)
+    def build():
+        paths = np.zeros(graph.vertex_count + 1, dtype=np.int64)
+        for left, right in passes:
+            indptr, indices = graph._adjacency(left)
+            right_degrees = np.diff(graph._adjacency(right)[0])
+            ends = np.zeros(len(indices) + 1, dtype=np.int64)
+            np.cumsum(right_degrees[indices], out=ends[1:])
+            paths += ends[indptr]
+        return paths
 
-        return self._memo((kind, None if kind is ScoreKind.RA else base), build)
-
-    def paths(self, passes):
-        """paths[x]: the 2-hop paths of rows [0, x), summed over
-        ``passes``, each a (left, right) pair of views."""
-
-        def build():
-            paths = np.zeros(self.n + 1, dtype=np.int64)
-            for left, right in passes:
-                indptr, indices = self.graph._adjacency(left)
-                right_degrees = np.diff(self.graph._adjacency(right)[0])
-                ends = np.zeros(len(indices) + 1, dtype=np.int64)
-                np.cumsum(right_degrees[indices], out=ends[1:])
-                paths += ends[indptr]
-            return paths
-
-        return self._memo(passes, build)
+    return graph._memo(("paths", passes), build)
 
 
 #: The (left, right) adjacency views each kind multiplies, one pair per
@@ -383,24 +364,24 @@ _PASSES = {
 class _RunContext:
     """Per-call scoring state shared read-only by all workers.
 
-    The split-level arrays come from the session. Built for a list of
-    chunks (lo, hi): ``dense[i]`` says which backend chunk i takes, and
-    the scipy factors and the CSR marker exist only when some chunk
-    takes scipy's. A row query passes no chunks and builds neither.
+    The graph-level arrays come from the graph's memo, the marker from
+    ``_marker``. Built for a list of chunks (lo, hi): ``dense[i]`` says
+    which backend chunk i takes, and the scipy factors and the CSR
+    marker exist only when some chunk takes scipy's. A row query passes
+    no chunks and builds neither.
     """
 
-    def __init__(self, session, spec, chunks=(), unordered=False):
-        graph = self.graph = session.graph
-        self.session = session
+    def __init__(self, graph, marker, spec, chunks=(), unordered=False):
+        self.graph = graph
         self.spec = spec
         self.n = graph.vertex_count
         self.unordered = unordered
-        self.marker_keys, self.marker_tags = session.marker_keys, session.marker_tags
+        _, self.marker_keys, self.marker_tags = marker
         self.passes = _PASSES[spec.kind]
         # AA and RA weight the right view by a per-vertex weight of its row z
         self.z_weight = None
         if spec.kind in (ScoreKind.AA, ScoreKind.RA):
-            self.z_weight = session.z_weight(spec.kind, spec.log_base)
+            self.z_weight = _z_weight(graph, spec.kind, spec.log_base)
         self.dense = self._dense_chunks(chunks)
         self.sparse_passes = self.marker = None
         if not all(self.dense):
@@ -417,7 +398,7 @@ class _RunContext:
         small = [(hi - lo) * self.n <= DENSE_MAX_CELLS for lo, hi in chunks]
         if not any(small):
             return small
-        paths = self.session.paths(self.passes)
+        paths = _paths(self.graph, self.passes)
         return [
             fits and int(paths[hi] - paths[lo]) <= DENSE_MAX_PATHS
             for fits, (lo, hi) in zip(small, chunks)
@@ -431,12 +412,12 @@ class _RunContext:
         kind = self.spec.kind
         if kind in (ScoreKind.CN, ScoreKind.AA, ScoreKind.RA):
             return data
-        degrees = self.session.degrees(left)
+        degrees = _degrees(self.graph, left)
         if kind is ScoreKind.JACCARD:
             return data / (at_rows(degrees) + degrees[cols] - data)
         values = data / at_rows(degrees)
         if kind in (ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD):
-            values = values * at_rows(self.session.logs(left, self.spec.log_base))
+            values = values * at_rows(_logs(self.graph, left, self.spec.log_base))
         if kind is ScoreKind.INF_LOG_KD and left == "out":
             values = values * self.spec.k
         return values
@@ -610,7 +591,7 @@ def score_from_vertex(graph, n1, spec, test_edges):
     Ineligible vertices are skipped, producing an empty contribution.
     """
     graph._check_vertex(n1)
-    ctx = _RunContext(_split_session(graph, test_edges), spec)
+    ctx = _RunContext(graph, _marker(graph, test_edges), spec)
     # dense at any path count: scipy's factors would serve one row
     return _fold_chunk(ctx, n1, n1 + 1, True, np.empty(0, dtype=BUCKET_DTYPE))
 
@@ -641,13 +622,13 @@ def score_all(
     """
     n = graph.vertex_count
     chunk_size = chunk_size_for(n, chunk_size)
-    session = _split_session(graph, test_edges)
-    positives = session.positives
-    negatives = session.universe.universe_size - positives
+    marker = _marker(graph, test_edges)
+    positives = marker[0]
+    negatives = _universe(graph).universe_size - positives
 
     chunk_bounds = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
     unordered = spec.kind in UNDIRECTED_KINDS  # symmetric: score each pair once
-    ctx = _RunContext(session, spec, chunk_bounds, unordered)
+    ctx = _RunContext(graph, marker, spec, chunk_bounds, unordered)
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), max(len(chunk_bounds), 1)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import _universe
 from .graph import Graph, GraphParseError, _comment_spans, _integer_pairs, _opened, _reprs, _write_pairs
 from .scores import ScoreSpec
 
@@ -62,7 +63,8 @@ def split_edges(graph, fraction=0.10, seed=0):
     train_graph = Graph(
         graph.vertex_count, u[~picked], v[~picked], vertex_labels=graph.vertex_labels
     )
-    connected = (train_graph.out_degrees + train_graph.in_degrees) > 0
+    # the engine's eligibility rule; the first score reuses what it builds
+    connected = _universe(train_graph).eligible_mask
     test_u, test_v = u[picked], v[picked]
     ok = connected[test_u] & connected[test_v]
     test = np.column_stack([test_u[ok], test_v[ok]])

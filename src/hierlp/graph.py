@@ -11,6 +11,7 @@ import contextlib
 import gzip
 import io
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +66,21 @@ def _unique(keys):
     return keys[distinct]
 
 
+#: Guards every graph's memo. A value is built once per graph, rarely,
+#: and its build may ask the memo for another.
+_MEMO_LOCK = threading.RLock()
+
+
 class Graph:
     """Directed graph, frozen after construction.
 
     Invariants enforced here: no self loops, no duplicate edges, neighbor
     lists sorted ascending, in/out adjacency mirror each other.
     Construction is single-threaded; afterwards the graph is read-only
-    and safe to share between any number of concurrent readers.
+    and safe to share between any number of concurrent readers. Every
+    value derived from the graph alone (the undirected view, the scipy
+    views, the engine's degrees, weights and path counts) is built on
+    first use, once, through ``_memo``.
     """
 
     def __init__(self, vertex_count, edge_u, edge_v, vertex_labels=None):
@@ -103,9 +112,8 @@ class Graph:
         reverse += keys // n
         reverse.sort()
         self._in_indptr, self._in_indices = _csr_arrays(reverse, n)
-        self._und = None  # lazy union view, built once on demand
-        self._csr_views = {}  # lazy scipy views, built once on demand
-        self._session = None  # the engine's (key, session) of the last test set
+        self._derived = {}  # key -> value built by _memo
+        self._split = None  # the engine's (key, checked marker) of the last test set
         for a in (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices):
             a.setflags(write=False)
 
@@ -128,27 +136,38 @@ class Graph:
     def undirected_neighbors(self, x):
         """Sorted deduplicated union of out- and in-neighbors of x."""
         self._check_vertex(x)
-        indptr, indices = self._undirected_arrays()
+        indptr, indices = self._adjacency("undirected")
         return indices[indptr[x]:indptr[x + 1]]
 
+    def _memo(self, key, build):
+        """The value under ``key``, built by ``build()`` on the first call
+        of any thread and kept: a lookup, then a second one under the
+        lock before building."""
+        value = self._derived.get(key)
+        if value is None:
+            with _MEMO_LOCK:
+                value = self._derived.get(key)
+                if value is None:
+                    value = self._derived[key] = build()
+        return value
+
     def _undirected_arrays(self):
-        if self._und is None:
-            n, m = self.vertex_count, self.edge_count
-            u, v = self.edges()
-            # both directions' keys in one buffer, built in place and
-            # deduplicated before the CSR arrays: a paper-scale build
-            # peaks here
-            keys = np.empty(2 * m, dtype=np.int64)
-            np.multiply(u, n, out=keys[:m])
-            keys[:m] += v
-            np.multiply(v, n, out=keys[m:])
-            keys[m:] += u
-            del u, v
-            keys = _unique(keys)
-            self._und = _csr_arrays(keys, n)
-            for a in self._und:
-                a.setflags(write=False)
-        return self._und
+        n, m = self.vertex_count, self.edge_count
+        u, v = self.edges()
+        # both directions' keys in one buffer, built in place and
+        # deduplicated before the CSR arrays: a paper-scale build peaks
+        # here
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(u, n, out=keys[:m])
+        keys[:m] += v
+        np.multiply(v, n, out=keys[m:])
+        keys[m:] += u
+        del u, v
+        keys = _unique(keys)
+        arrays = _csr_arrays(keys, n)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     # -- degrees -----------------------------------------------------------
 
@@ -162,7 +181,7 @@ class Graph:
 
     @property
     def undirected_degrees(self):
-        indptr = self._undirected_arrays()[0]
+        indptr = self._adjacency("undirected")[0]
         return indptr[1:] - indptr[:-1]
 
     # -- whole-graph views ---------------------------------------------------
@@ -202,22 +221,22 @@ class Graph:
             return self._out_indptr, self._out_indices
         if view == "in":
             return self._in_indptr, self._in_indices
-        return self._undirected_arrays()
+        return self._memo("undirected", self._undirected_arrays)
 
     def _csr(self, view):
-        # built once per graph and shared by every caller, so frozen
-        matrix = self._csr_views.get(view)
-        if matrix is None:
+        def build():
             indptr, indices = self._adjacency(view)
             matrix = _scipy_csr(np.ones(len(indices)), indptr, indices, self.vertex_count)
             for a in (matrix.data, matrix.indices, matrix.indptr):
                 a.setflags(write=False)
-            self._csr_views[view] = matrix
-        return matrix
+            return matrix
+
+        # shared by every caller, so frozen
+        return self._memo(("csr", view), build)
 
     def __getstate__(self):
-        # the engine's cached session holds a lock and a weak reference
-        return {**self.__dict__, "_session": None}
+        # derived values are rebuilt on demand: a pickle holds the edges alone
+        return {**self.__dict__, "_derived": {}, "_split": None}
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

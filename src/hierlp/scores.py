@@ -58,10 +58,10 @@ class ScoreSpec:
     def __post_init__(self):
         if not isinstance(self.kind, ScoreKind):
             object.__setattr__(self, "kind", ScoreKind(self.kind))
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if not self.log_base > 1:
-            raise ValueError(f"log_base must be > 1, got {self.log_base}")
+        if not (self.k > 0 and math.isfinite(self.k)):
+            raise ValueError(f"k must be positive and finite, got {self.k}")
+        if not (self.log_base > 1 and math.isfinite(self.log_base)):
+            raise ValueError(f"log_base must be finite and > 1, got {self.log_base}")
 
     def token(self):
         """Canonical serialized form, e.g. "cn" or "inf_log_kd(k=2)"."""

@@ -90,6 +90,18 @@ class TestRun:
         assert "inf_log_kd_*" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--score", "cn", "--score", "inf_log_kd(k=inf)"],
+        ["--score", "inf_log_kd", "--k", "inf"],
+        ["--score", "cn", "--log-base", "inf"],
+    ])
+    def test_infinite_parameter_writes_nothing(self, graph_file, tmp_path, args):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "--graph", str(graph_file), *args, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "finite" in result.output
+        assert not out.exists()
+
     def test_bucket_cap_is_a_clean_error(self, graph_file, tmp_path):
         result = CliRunner().invoke(main, [
             "run", "--graph", str(graph_file), "--score", "aa",
@@ -178,3 +190,25 @@ class TestCompare:
         ])
         assert result.exit_code == 0
         assert "cn" in result.output and "ra" in result.output
+
+    def test_compare_names_a_file_that_is_no_summary(self, graph_file, tmp_path):
+        out = tmp_path / "cmp"
+        run_cli(["run", "--graph", str(graph_file), "--score", "cn",
+                 "--score", "ra", "--seed", "4", "--out", str(out)])
+        # what `hierlp compare out/*` matches: the split, histograms and CSVs too
+        paths = sorted(out.iterdir())
+        result = CliRunner().invoke(main, ["compare", *map(str, paths)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{paths[0]} is not a run summary" in result.output
+
+    def test_compare_names_a_summary_without_seed(self, tmp_path):
+        base = {"score": "cn", "aupr": 0.1, "auroc": 0.5,
+                "seed": 1, "fraction": 0.1, "positives": 10, "negatives": 100}
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(base))
+        bad.write_text(json.dumps({k: v for k, v in base.items() if k != "seed"}))
+        result = CliRunner().invoke(main, ["compare", str(good), str(bad)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{bad} is not a run summary: no seed" in result.output

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,13 @@ class TestUniverseStats:
         uni = universe_stats(g, NO_TEST)
         assert uni.eligible_count == 2
         assert not uni.eligible_mask[2]
+
+    def test_eligible_mask_read_only(self, four_cycle):
+        # shared by every later check of the graph, whatever its test set
+        mask = universe_stats(four_cycle, NO_TEST).eligible_mask
+        with pytest.raises(ValueError):
+            mask[0] = False
+        assert score_all(four_cycle, ScoreSpec(ScoreKind.DED), [(0, 2)]).positives_total == 1
 
     def test_test_edge_in_training_graph_rejected(self):
         g = graph_from_edges([(0, 1), (1, 2)])
@@ -119,7 +127,12 @@ class TestScoreAllValidation:
 
     @pytest.mark.parametrize(
         "test_edges, message",
-        [([(0, 0)], "self-loop"), ([(0, 2), (1, 3), (0, 2)], "duplicate")],
+        [
+            ([(0, 0)], "self-loop"),
+            ([(0, 2), (1, 3), (0, 2)], "duplicate"),
+            # truncated, (0.5, 2.5) would be the valid pair (0, 2)
+            (np.array([[0.5, 2.5]]), "integer"),
+        ],
     )
     def test_pair_outside_universe(self, four_cycle, test_edges, message):
         with pytest.raises(ValidationError, match=message):
@@ -525,13 +538,13 @@ class TestBackends:
             if x != y and x * m + y not in known and rng.random() < 0.15
         ]
         unordered = kind in UNDIRECTED_KINDS and data.draw(st.booleans(), label="unordered")
-        session = engine._split_session(train, np.array(test, dtype=np.int64).reshape(-1, 2))
+        marker = engine._marker(train, np.array(test, dtype=np.int64).reshape(-1, 2))
         lo = data.draw(st.integers(0, m - 1), label="lo")
         hi = data.draw(st.integers(lo + 1, m), label="hi")
         spec = ScoreSpec(kind, log_base=base)
         chunks = [(lo, hi), (0, m)]
         with mock.patch.object(engine, "DENSE_MAX_CELLS", -1):
-            ctx = engine._RunContext(session, spec, chunks, unordered)
+            ctx = engine._RunContext(train, marker, spec, chunks, unordered)
         assert not any(ctx.dense)
         empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
         for lo, hi in chunks:
@@ -555,13 +568,13 @@ class TestBackends:
         ring = Graph(n, np.arange(n), (np.arange(n) + 1) % n)
         rows = engine.DENSE_MAX_CELLS // n
         ctx = engine._RunContext(
-            engine._split_session(ring, NO_TEST), spec, [(0, rows), (rows, 2 * rows + 1)]
+            ring, engine._marker(ring, NO_TEST), spec, [(0, rows), (rows, 2 * rows + 1)]
         )
         assert ctx.dense == [True, False]
         # 0 -> 1 -> each leaf: row 0 has one path per leaf
         for leaves, dense in ((engine.DENSE_MAX_PATHS, True), (engine.DENSE_MAX_PATHS + 1, False)):
             star = Graph(leaves + 2, [0] + [1] * leaves, np.arange(1, leaves + 2))
-            ctx = engine._RunContext(engine._split_session(star, NO_TEST), spec, [(0, 1), (1, 2)])
+            ctx = engine._RunContext(star, engine._marker(star, NO_TEST), spec, [(0, 1), (1, 2)])
             assert ctx.dense == [dense, True]
             # the scipy factors and the CSR marker exist only when used
             assert (ctx.marker is None) == dense
@@ -576,28 +589,31 @@ def _split_of(seed, n):
 
 
 def _fresh(graph):
-    """An equal graph with no cached session."""
+    """An equal graph with nothing derived or cached."""
     return Graph(graph.vertex_count, *graph.edges())
 
 
+def _counting(monkeypatch, name):
+    """Record every later call of ``engine.<name>`` in the returned list."""
+    calls = []
+    real = getattr(engine, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
 class TestSplitSession:
-    """Every score of one split shares one session, cached on the graph
-    by the exact content of the test pairs."""
-
-    def _counting(self, monkeypatch, name):
-        calls = []
-        real = getattr(engine, name)
-
-        def counted(*args):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(engine, name, counted)
-        return calls
+    """Every score of one split checks its test pairs once: the graph
+    keeps the checked marker of its last test set, keyed by the exact
+    content of the pairs."""
 
     def test_one_check_and_sort_per_split(self, monkeypatch):
         train, test = _split_of(1, 300)
-        checks = self._counting(monkeypatch, "_held_out")
+        checks = _counting(monkeypatch, "_held_out")
         for kind in ScoreKind:
             # the first call takes scipy's backend, the second the dense one
             score_all(train, ScoreSpec(kind), test, workers=2)
@@ -605,11 +621,20 @@ class TestSplitSession:
             score_from_vertex(train, 5, ScoreSpec(kind), test)
         universe_stats(train, test)
         assert len(checks) == 1
-        assert pickle.loads(pickle.dumps(train)) == train  # the cache is not pickled
-        # only O(n + E + T) arrays stay: no scipy object, nothing chunk-sized
+        copy = pickle.loads(pickle.dumps(train))
+        assert copy == train and copy._derived == {} and copy._split is None
+        # only O(n + E + T) arrays and the unit-weight CSR views stay,
+        # nothing chunk-sized
         bound = 2 * (train.edge_count + len(test)) + train.vertex_count + 1
-        session = train._session[1]
-        for value in [*session._built.values(), (session.marker_keys, session.marker_tags)]:
+        kept = [train._split[1][1:]]
+        for value in train._derived.values():
+            if isinstance(value, engine.CandidateUniverse):
+                value = value.eligible_mask
+            elif sp.issparse(value):
+                assert np.all(value.data == 1.0)
+                value = (value.data, value.indices, value.indptr)
+            kept.append(value)
+        for value in kept:
             for array in value if isinstance(value, tuple) else (value,):
                 assert isinstance(array, np.ndarray) and array.size <= bound
 
@@ -637,8 +662,8 @@ class TestSplitSession:
         train, test = _split_of(3, 80)
         spec = ScoreSpec(ScoreKind.CN)
         reference = score_all(train, spec, test, workers=1)
-        cached = train._session
-        checks = self._counting(monkeypatch, "_held_out")
+        cached = train._split
+        checks = _counting(monkeypatch, "_held_out")
         invalid = np.vstack([test, test[:1]])  # a duplicate
         calls = [
             lambda: score_all(train, spec, invalid),
@@ -648,7 +673,7 @@ class TestSplitSession:
         for call in calls:
             with pytest.raises(ValidationError, match="duplicate"):
                 call()
-            assert train._session is cached
+            assert train._split is cached
         assert len(checks) == 3
         assert score_all(train, spec, test, workers=1) == reference
         assert len(checks) == 3
@@ -714,3 +739,54 @@ class TestSplitSession:
         hist = score_all(train, spec, test, workers=1)
         assert np.array_equal(merged, hist.buckets)
         assert (int(merged["tp"].sum()), int(merged["fp"].sum())) == hist.explicit_totals()
+
+
+class TestMemo:
+    """Every value derived from the graph alone is built once per graph,
+    whatever the test set, and by one thread."""
+
+    def test_new_test_set_keeps_the_graph_arrays(self, monkeypatch):
+        train, test_a = _split_of(5, 200)
+        test_b = test_a[1:]
+        checks = _counting(monkeypatch, "_held_out")
+        weights = _counting(monkeypatch, "_inv_log_weights")
+        builds = []
+        real = Graph._undirected_arrays
+        monkeypatch.setattr(Graph, "_undirected_arrays", lambda g: builds.append(g) or real(g))
+        for test in (test_a, test_b):
+            for kind in UNDIRECTED_KINDS:
+                score_all(train, ScoreSpec(kind), test, workers=1)
+        assert len(checks) == 2
+        assert builds == [train]
+        assert len(weights) == 1  # AA's weights
+
+    @pytest.mark.parametrize(
+        "first_call",
+        [lambda graph: graph.undirected_csr(), lambda graph: engine._degrees(graph, "in")],
+        ids=["undirected_csr", "degrees"],
+    )
+    def test_first_builds_race_to_one_object(self, first_call):
+        """Two threads' first calls on a fresh graph get one object."""
+        import sys
+
+        g = preferential_attachment_digraph(np.random.default_rng(6), 20000, out_per_vertex=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                graph = _fresh(g)
+                start = threading.Barrier(2)
+                got = [None, None]
+
+                def first(index):
+                    start.wait()
+                    got[index] = first_call(graph)
+
+                threads = [threading.Thread(target=first, args=(i,)) for i in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert got[0] is not None and got[0] is got[1]
+        finally:
+            sys.setswitchinterval(interval)

@@ -178,6 +178,16 @@ class TestScoreSpec:
         with pytest.raises(ValueError):
             ScoreSpec(ScoreKind.CN, log_base=1.0)
 
+    @pytest.mark.parametrize("field", ["k", "log_base"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ScoreSpec(ScoreKind.INF_LOG_KD, **{field: value})
+
+    def test_infinite_k_token_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            ScoreSpec.parse("inf_log_kd(k=inf)")
+
     def test_k_between_one_and_three_representable(self):
         for k in (1.0, 1.5, 2.0, 2.5, 3.0):
             assert ScoreSpec(ScoreKind.INF_LOG_KD, k=k).k == k
