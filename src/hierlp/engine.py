@@ -11,8 +11,9 @@ Every score reads two kinds of state. What depends on the training
 graph alone is built on first use, once per graph, through the graph's
 memo (``Graph._memo``): the candidate universe, the degrees and their
 logs per log base, the AA and RA weights, the 2-hop path count of every
-row, the undirected view and the unit-weight scipy views. These are
-O(n + E) arrays and nothing chunk-sized, and a new test set keeps them.
+row, the undirected view, the unit-weight scipy views and the views'
+sorted keys. These are O(n + E) arrays and nothing chunk-sized, and a
+new test set keeps them.
 What depends on the test pairs is the marker. ``_marker`` checks the
 pairs in the one sort that builds it: the training and the test edges,
 each in both directions, as sorted keys u*n+v with one tag per pair
@@ -24,23 +25,20 @@ bytes, O(T) per call. Any other test set, or the same array changed in
 place, is checked anew, and a failed check caches nothing. Exclusion
 and membership are structural, and the diagonal is never a candidate.
 
-A chunk of rows [lo, hi) lists its candidates as (keys, values, tags)
-through one of two backends, chosen per chunk from what the code can
-observe: the dense one when its accumulator of (hi - lo) * n cells and
-its 2-hop path count are both small (DENSE_MAX_CELLS, DENSE_MAX_PATHS),
-scipy's otherwise. Small graphs and small chunks take the first, the
-1000-row chunks of large graphs the second.
+A chunk of rows [lo, hi) lists its candidates' values through one of
+two backends, chosen per chunk from what the code can observe: the
+dense one when its accumulator of (hi - lo) * n cells and its 2-hop
+path count are both small (DENSE_MAX_CELLS, DENSE_MAX_PATHS), scipy's
+otherwise. Small graphs and small chunks take the first, the 1000-row
+chunks of large graphs the second.
 
 - Dense: every path (x, z, y) is listed with numpy in x, z, y order and
   summed per pair by ``np.bincount`` into a dense accumulator, the one
-  of Gustavson's row-wise SpGEMM; the marker's entries in the chunk are
-  spread over the same cells for the tags. It builds no scipy object.
-- Sparse: scipy's SpGEMM, then one elementwise product of the chunk's
-  product (its entries numbered) with the rows of a CSR copy of the
-  marker, a per-row sparse intersection that returns the position and
-  the tag of every tagged pair. The CSR marker and the scipy factors
-  are built once per call, before any worker starts, and only when
-  some chunk takes this backend; no call keeps them for the next.
+  of Gustavson's row-wise SpGEMM. It builds no scipy object.
+- Sparse: scipy's SpGEMM, whose values are taken as they come. The
+  scipy factors are built once per call, before any worker starts, and
+  only when some chunk takes this backend; no call keeps them for the
+  next.
 
 Each kind multiplies the adjacency views its row of ``_PASSES`` names,
 one (left, right) pair per directed pass, and each pass is weighted by
@@ -49,22 +47,36 @@ the log-weighted kinds, times k on INF_LOG_KD's "out" pass. Their bits
 agree: ``np.bincount`` and scipy's csr_matmat both add each pair's
 paths one by one from 0.0 in ascending z, both drop a zero sum, and the
 INF family's two weighted passes are added "out" pass first and a zero
-sum dropped, as scipy's csr_plus_csr does. The fold after either
-is one: the chunk's candidates are counted per distinct value, its few
-tagged pairs corrected at their values' places by their tags, and the
-result merged once.
+sum dropped, as scipy's csr_plus_csr does.
+
+The fold after either backend is one. Every value counts as a plain
+candidate, and the chunk's few tagged pairs are then moved to their
+tags' counts at their values' places: the marker's pairs in the rows,
+and for a directed kind the diagonal (x, x), which counts as a training
+edge would. The dense backend reads their values from its own sorted
+cells. The sparse one scores them directly, the masked product of Azad,
+Buluç and Gilbert: per pass it lists z over the shorter of left(x) and
+the right view's column y, finds each z in the other by
+``np.searchsorted`` in that view's sorted keys (memoised per graph), and
+sums each pair's terms by ``np.bincount``, z ascending from 0.0, so the
+bits are the product's. A pair with no path is in no bucket, and a
+direct value found nowhere among the chunk's distinct values is a bit
+mismatch and raises ValidationError.
 
 The undirected kinds (CN, AA, RA, Jaccard) are symmetric, so each
 unordered pair is scored once. A chunk of rows [lo, hi) keeps the pairs
-y > x only (scipy's multiplies by the columns y >= lo of the right
-factor), and credits each value to (x, y) and to (y, x), each direction
-by its own tag. The bits cannot differ from scoring (y, x) itself: the
-product sums over the shared neighbours in ascending order either way,
-and Jaccard's du + dv commutes. ``score_from_vertex`` is a row query: it
-scores its whole row, y < x included, by the dense backend and through
-the same fold, in O(n + T + paths of the row). The backend bounds do
-not apply to it: scipy's factors would be built for its one row, and on
-hub rows of 3-6 10^4 paths the dense backend took a fifth of the time
+y > x only, and credits each value to (x, y) and to (y, x), each
+direction by its own tag. scipy's backend multiplies by the right
+factor's columns [hi, n), every pair of which has y > x, and by the
+square block [lo, hi), the only part that needs a mask. The bits cannot
+differ from scoring (y, x) itself: the product sums over the shared
+neighbours in ascending order either way, and Jaccard's du + dv
+commutes. ``score_from_vertex`` is a row query: it scores its whole row,
+y < x included, by the dense backend and through the same fold, in
+O(n + T + paths of the row): the accumulator has n cells, and finding
+the split's marker copies the test pairs. The backend bounds do not
+apply to it: scipy's factors would be built for its one row, and on hub
+rows of 3-6 10^4 paths the dense backend took a fifth of the time
 scipy's did.
 
 Workers claim fixed-size chunks of source vertices dynamically from one
@@ -88,7 +100,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _csr_arrays, _opened, _reprs, _scipy_csr
+from .graph import _opened, _reprs
 from .scores import INF_FAMILY, UNDIRECTED_KINDS, ScoreKind, log_in_base
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -351,6 +363,20 @@ def _paths(graph, passes):
     return graph._memo(("paths", passes), build)
 
 
+def _keys(graph, view):
+    """The sorted row*n+col keys of the "out", "in" or "undirected" view,
+    then n*n, so that a search for any pair's key lands in the array."""
+
+    def build():
+        n = graph.vertex_count
+        indptr, indices = graph._adjacency(view)
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+        keys += indices
+        return np.append(keys, n * n)
+
+    return graph._memo(("keys", view), build)
+
+
 #: The (left, right) adjacency views each kind multiplies, one pair per
 #: directed pass. The INF family adds its two passes in this order.
 _PASSES = {
@@ -360,15 +386,18 @@ _PASSES = {
     **dict.fromkeys(INF_FAMILY, (("out", "out"), ("in", "out"))),
 }
 
+#: The view whose row y is column y of a right view.
+_TRANSPOSED = {"out": "in", "undirected": "undirected"}
+
 
 class _RunContext:
     """Per-call scoring state shared read-only by all workers.
 
     The graph-level arrays come from the graph's memo, the marker from
     ``_marker``. Built for a list of chunks (lo, hi): ``dense[i]`` says
-    which backend chunk i takes, and the scipy factors and the CSR
-    marker exist only when some chunk takes scipy's. A row query passes
-    no chunks and builds neither.
+    which backend chunk i takes, and the scipy factors exist only when
+    some chunk takes scipy's. A row query passes no chunks and builds
+    none.
     """
 
     def __init__(self, graph, marker, spec, chunks=(), unordered=False):
@@ -383,7 +412,7 @@ class _RunContext:
         if spec.kind in (ScoreKind.AA, ScoreKind.RA):
             self.z_weight = _z_weight(graph, spec.kind, spec.log_base)
         self.dense = self._dense_chunks(chunks)
-        self.sparse_passes = self.marker = None
+        self.sparse_passes = None
         if not all(self.dense):
             self.sparse_passes = []
             for left, right in self.passes:
@@ -392,7 +421,6 @@ class _RunContext:
                     data = np.repeat(self.z_weight, np.diff(right.indptr))
                     right = sp.csr_matrix((data, right.indices, right.indptr), shape=right.shape)
                 self.sparse_passes.append((left, graph._csr(left), right))
-            self.marker = _scipy_csr(self.marker_tags, *_csr_arrays(self.marker_keys, self.n), self.n)
 
     def _dense_chunks(self, chunks):
         small = [(hi - lo) * self.n <= DENSE_MAX_CELLS for lo, hi in chunks]
@@ -404,17 +432,17 @@ class _RunContext:
             for fits, (lo, hi) in zip(small, chunks)
         ]
 
-    def weight(self, left, data, at_rows, cols):
-        """Per-entry value transform of the sums ``data`` at columns
-        ``cols`` of the pass whose left view is ``left``; ``at_rows(a)``
-        is the per-vertex array ``a`` at each entry's row. Arithmetic
+    def weight(self, left, data, at_rows, at_cols):
+        """Per-entry value transform of the sums ``data`` of the pass whose
+        left view is ``left``; ``at_rows(a)`` and ``at_cols(a)`` are the
+        per-vertex array ``a`` at each entry's row and column. Arithmetic
         mirrors scores.py exactly."""
         kind = self.spec.kind
         if kind in (ScoreKind.CN, ScoreKind.AA, ScoreKind.RA):
             return data
         degrees = _degrees(self.graph, left)
         if kind is ScoreKind.JACCARD:
-            return data / (at_rows(degrees) + degrees[cols] - data)
+            return data / (at_rows(degrees) + at_cols(degrees) - data)
         values = data / at_rows(degrees)
         if kind in (ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD):
             values = values * at_rows(_logs(self.graph, left, self.spec.log_base))
@@ -422,92 +450,149 @@ class _RunContext:
             values = values * self.spec.k
         return values
 
+    def tagged_pairs(self, lo, hi):
+        """(keys, tags) of the pairs of rows [lo, hi) that count by a tag:
+        the marker's pairs in key order, y > x only for a symmetric
+        score, then for a directed one the diagonal (x, x), tagged as a
+        training edge."""
+        n = self.n
+        start, stop = np.searchsorted(self.marker_keys, (lo * n, hi * n))
+        keys = self.marker_keys[start:stop]
+        tags = self.marker_tags[start:stop]
+        if self.unordered:
+            upper = keys % n > keys // n
+            return keys[upper], tags[upper]
+        diagonal = np.arange(lo, hi) * (n + 1)
+        return np.concatenate([keys, diagonal]), np.concatenate([tags, np.ones(hi - lo, dtype=np.int8)])
+
+
+def _expand(indptr, indices, rows):
+    """(counts, entries): the entry count of each of ``rows`` of a CSR
+    view, and their entries, row after row, each row's ascending."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    # entry i of the listing belongs to row r at starts[r] + i - (entries before r)
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return counts, indices[np.arange(len(offsets)) + offsets]
+
 
 def _dense_candidates(ctx, lo, hi):
-    """(keys, values, tags) of the candidates of rows [lo, hi), by a
-    dense accumulator of (hi - lo) * n cells.
+    """(values, fixed values, fixed tags) of the candidates of rows
+    [lo, hi), by a dense accumulator of (hi - lo) * n cells; the fixed
+    values are those of ``ctx.tagged_pairs``, read from the sorted cells.
 
     Every 2-hop path (x, z, y) is listed in x, z, y order and its pair
     summed by ``np.bincount``, which adds in array order: each pair's
     sum adds its z ascending from 0.0, as scipy's csr_matmat does, and
     a zero sum is no candidate, as in scipy's product. The INF family
-    adds its two weighted passes, pass 0 first, and again drops a zero
-    sum, as scipy's csr_plus_csr does.
+    adds its two weighted passes into one accumulator, pass 0 first, and
+    again drops a zero sum, as scipy's csr_plus_csr does.
     """
     n = ctx.n
     cells = (hi - lo) * n
-    x = np.arange(lo, hi)
-    keys = values = None
+    total = np.zeros(cells) if len(ctx.passes) > 1 else None
     for left, right in ctx.passes:
         indptr, indices = ctx.graph._adjacency(left)
-        right_indptr, right_indices = ctx.graph._adjacency(right)
         z = indices[indptr[lo]:indptr[hi]]
-        xs = np.repeat(x, indptr[lo + 1:hi + 1] - indptr[lo:hi])
-        starts = right_indptr[z]
-        counts = right_indptr[z + 1] - starts
+        xs = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
         # y runs over row z of the right factor, for each (x, z)
-        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        ys = right_indices[np.arange(len(offsets)) + offsets]
+        counts, ys = _expand(*ctx.graph._adjacency(right), z)
         xs = np.repeat(xs, counts)
-        keep = ys > xs if ctx.unordered else ys != xs
-        cell = ((xs - lo) * n + ys)[keep]
-        if ctx.z_weight is None:
-            sums = np.bincount(cell, minlength=cells).astype(np.float64)
-        else:
-            w = np.repeat(ctx.z_weight[z], counts)[keep]
-            sums = np.bincount(cell, weights=w, minlength=cells)
-        found = np.flatnonzero(sums)
-        pass_values = ctx.weight(left, sums[found], lambda a: a[lo + found // n], found % n)
-        if keys is None:
-            keys, values = found, pass_values
-        else:
-            sums = np.bincount(
-                np.concatenate([keys, found]),
-                weights=np.concatenate([values, pass_values]),
-                minlength=cells,
-            )
-            keys = np.flatnonzero(sums)
-            values = sums[keys]
-    # the marker's entries in these rows, spread over the same cells
-    start, stop = np.searchsorted(ctx.marker_keys, (lo * n, hi * n))
-    tag_cells = np.zeros(cells, dtype=np.int8)
-    tag_cells[ctx.marker_keys[start:stop] - lo * n] = ctx.marker_tags[start:stop]
-    return keys + lo * n, values, tag_cells[keys]
+        cell = (xs - lo) * n + ys
+        w = None if ctx.z_weight is None else np.repeat(ctx.z_weight[z], counts)
+        if ctx.unordered:
+            keep = ys > xs
+            cell = cell[keep]
+            w = None if w is None else w[keep]
+        sums = np.bincount(cell, weights=w, minlength=cells).astype(np.float64, copy=False)
+        keys = np.flatnonzero(sums)
+        values = ctx.weight(left, sums[keys], lambda a: a[lo + keys // n], lambda a: a[keys % n])
+        if total is not None:
+            total[keys] += values
+    if total is not None:
+        keys = np.flatnonzero(total)
+        values = total[keys]
+    tagged, tags = ctx.tagged_pairs(lo, hi)
+    wanted = tagged - lo * n
+    at = np.searchsorted(keys, wanted)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == wanted[hit]
+    return values, values[at[hit]], tags[hit]
 
 
-def _sparse_candidates(ctx, lo, hi, with_keys=False):
-    """(keys, values, tags) of the candidates of rows [lo, hi), by
-    scipy's SpGEMM and one elementwise product with the CSR marker.
+def _sparse_candidates(ctx, lo, hi):
+    """(values, fixed values, fixed tags) of the candidates of rows
+    [lo, hi), by scipy's SpGEMM; the fixed values are those of
+    ``ctx.tagged_pairs``, scored by ``_direct``.
 
     A chunk of a symmetric kind multiplies by the right factor's columns
-    y >= lo only. The keys are in row order, columns unsorted, and are
-    None unless ``with_keys``: the fold does not read them, and at this
-    backend's sizes forming them costs about a tenth of the chunk.
+    [hi, n), which it keeps whole, and [lo, hi), which it masks to y > x.
     """
-    n = ctx.n
-    first = lo if ctx.unordered else 0
-    prod = None
-    for view, left, right in ctx.sparse_passes:
-        part = left[lo:hi] @ (right[:, first:] if first else right)
-        if first:
-            part = sp.csr_matrix((part.data, part.indices + first, part.indptr), shape=(hi - lo, n))
-        counts = np.diff(part.indptr)
-        part.data = ctx.weight(view, part.data, lambda a: np.repeat(a[lo:hi], counts), part.indices)
-        prod = part if prod is None else prod + part
-    rows = np.repeat(np.arange(lo, hi), np.diff(prod.indptr))
-    keep = prod.indices > rows if ctx.unordered else prod.indices != rows
-    keys = (rows * n + prod.indices)[keep] if with_keys else None
-    del rows  # not held through the multiply, the chunk's peak
-    values = prod.data
-    # With entry p of the product stored as 16p + 1, the elementwise
-    # product with the marker rows intersects them row by row and
-    # yields (16p + 1) * tag at every tagged pair; a tag is below 16.
-    prod.data = np.arange(1, 16 * len(values), 16, dtype=np.int64)
-    hits = prod.multiply(ctx.marker[lo:hi]).data
-    hit_tags = hits % 16
-    tags = np.zeros(len(values), dtype=np.int8)
-    tags[hits // (16 * hit_tags)] = hit_tags
-    return keys, values[keep], tags[keep]
+    if ctx.unordered:
+        (view, left, right), = ctx.sparse_passes
+        rows = left[lo:hi]
+        rest = _weighted(ctx, view, rows @ right[:, hi:], lo, hi, hi)
+        block = rows @ right[:, lo:hi]
+        x = np.repeat(np.arange(hi - lo, dtype=block.indices.dtype), np.diff(block.indptr))
+        upper = block.indices > x
+        values = np.concatenate([_weighted(ctx, view, block, lo, hi, lo)[upper], rest])
+    else:
+        prod = None
+        for view, left, right in ctx.sparse_passes:
+            part = left[lo:hi] @ right
+            part.data = _weighted(ctx, view, part, lo, hi)
+            prod = part if prod is None else prod + part
+        values = prod.data
+    keys, tags = ctx.tagged_pairs(lo, hi)
+    direct = _direct(ctx, *np.divmod(keys, ctx.n))
+    found = direct != 0.0
+    return values, direct[found], tags[found]
+
+
+def _weighted(ctx, view, part, lo, hi, first=0):
+    """The weighted values of ``part``, the product of rows [lo, hi) of a
+    pass with left view ``view`` by the right factor's columns from
+    ``first``."""
+    counts = np.diff(part.indptr)
+    return ctx.weight(
+        view, part.data, lambda a: np.repeat(a[lo:hi], counts), lambda a: a[first:][part.indices]
+    )
+
+
+def _direct(ctx, x, y):
+    """The product's values at the pairs (x, y), 0.0 where it has none.
+
+    Each pass sums its paths x -> z -> y: it lists z over the shorter of
+    left(x) and the right view's column y (row y of its transpose) and
+    finds each z in the other by ``np.searchsorted`` in that view's
+    sorted keys, so a pair's searches ascend within one row. It adds
+    each pair's terms by ``np.bincount`` in array order, z ascending
+    from 0.0. Only nonzero sums are weighted, and the passes are added
+    in their order, as the product adds them.
+    """
+    graph, n = ctx.graph, ctx.n
+    values = np.zeros(len(x))
+    for left, right in ctx.passes:
+        column = _TRANSPOSED[right]
+        shorter = _degrees(graph, left)[x] <= _degrees(graph, column)[y]
+        pairs, zs = [], []
+        for picked, view, ends, other, others in (
+            (np.flatnonzero(shorter), left, x, column, y),
+            (np.flatnonzero(~shorter), column, y, left, x),
+        ):
+            counts, z = _expand(*graph._adjacency(view), ends[picked])
+            pair = np.repeat(picked, counts)
+            wanted = others[pair] * n + z
+            keys = _keys(graph, other)
+            hit = keys[np.searchsorted(keys, wanted)] == wanted
+            pairs.append(pair[hit])
+            zs.append(z[hit])
+        pair, z = np.concatenate(pairs), np.concatenate(zs)
+        w = None if ctx.z_weight is None else ctx.z_weight[z]
+        sums = np.bincount(pair, weights=w, minlength=len(x)).astype(np.float64, copy=False)
+        found = np.flatnonzero(sums)
+        values[found] += ctx.weight(left, sums[found], lambda a: a[x[found]], lambda a: a[y[found]])
+    return values
 
 
 def _log_of_degrees(degrees, base):
@@ -546,19 +631,21 @@ def _fold_chunk(ctx, lo, hi, dense, buckets):
     counts for (x, y) and for (y, x), each direction by its own tag.
     Returns (merged buckets, explicit_count), the count of
     explicitly-scored candidates (diagonal and training edges excluded,
-    zero-valued candidates included).
+    zero-valued candidates included). Raises ValidationError when a
+    tagged pair's value is not bit for bit among the chunk's values.
     """
-    _, values, tags = (_dense_candidates if dense else _sparse_candidates)(ctx, lo, hi)
-    if len(values) == 0:
+    values, fixed, tags = (_dense_candidates if dense else _sparse_candidates)(ctx, lo, hi)
+    if len(values) == len(fixed) == 0:
         return buckets, 0
-    tagged = np.flatnonzero(tags != 0)  # faster on bool than on int8
-    counts = _TAG_COUNTS[int(ctx.unordered)][tags[tagged]]
+    counts = _TAG_COUNTS[int(ctx.unordered)][tags]
     directions = 2 if ctx.unordered else 1
-    explicit_count = directions * (len(values) - len(tagged)) + int(counts.sum())
+    explicit_count = directions * (len(values) - len(fixed)) + int(counts.sum())
     distinct, fp = np.unique(values, return_counts=True)
     # the tagged pairs count by their tags, not as plain candidates
-    at = np.searchsorted(distinct, values[tagged])
+    at = np.searchsorted(distinct, fixed)
     m = len(distinct)
+    if np.any(at == m) or np.any(distinct[at].view(np.int64) != fixed.view(np.int64)):
+        raise ValidationError("a tagged pair's direct value differs from the product's bits")
     fp -= np.bincount(at, minlength=m)
     fp *= directions
     # float sums of a chunk's few small counts: exact

@@ -515,8 +515,9 @@ def _backend_graph(rng, n, pendants):
 
 
 class TestBackends:
-    """The dense accumulator and scipy's SpGEMM list the same
-    candidates of a chunk: keys, value bits and tags."""
+    """The dense accumulator and scipy's SpGEMM list the same candidate
+    values of a chunk, bit for bit, and the same tagged pairs' values
+    and tags, the sparse backend's scored directly."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -549,11 +550,11 @@ class TestBackends:
         empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
         for lo, hi in chunks:
             dense = engine._dense_candidates(ctx, lo, hi)
-            sparse = engine._sparse_candidates(ctx, lo, hi, with_keys=True)
-            order = np.argsort(sparse[0])
-            assert np.array_equal(dense[0], sparse[0][order])
-            assert dense[1].tobytes() == sparse[1][order].tobytes()
-            assert np.array_equal(dense[2], sparse[2][order])
+            sparse = engine._sparse_candidates(ctx, lo, hi)
+            # the values in any order; the tagged pairs in the same order
+            assert np.sort(dense[0]).tobytes() == np.sort(sparse[0]).tobytes()
+            assert dense[1].tobytes() == sparse[1].tobytes()
+            assert np.array_equal(dense[2], sparse[2])
             dense_fold = engine._fold_chunk(ctx, lo, hi, True, empty)
             sparse_fold = engine._fold_chunk(ctx, lo, hi, False, empty)
             assert dense_fold[1] == sparse_fold[1]
@@ -576,8 +577,62 @@ class TestBackends:
             star = Graph(leaves + 2, [0] + [1] * leaves, np.arange(1, leaves + 2))
             ctx = engine._RunContext(star, engine._marker(star, NO_TEST), spec, [(0, 1), (1, 2)])
             assert ctx.dense == [dense, True]
-            # the scipy factors and the CSR marker exist only when used
-            assert (ctx.marker is None) == dense
+            # the scipy factors exist only when used
+            assert (ctx.sparse_passes is None) == dense
+
+    def test_diagonal_counts_as_a_training_edge(self):
+        """Row 0 of DED reaches itself (0 -> 1 -> 0) and the training
+        edge 0 -> 2 (0 -> 1 -> 2), each at 1/2: both backends list the
+        two values and fix both pairs, the marker's first, so that no
+        candidate of the row counts."""
+        g = graph_from_edges([(0, 1), (1, 0), (1, 2), (0, 2)])
+        with mock.patch.object(engine, "DENSE_MAX_CELLS", -1):
+            ctx = engine._RunContext(g, engine._marker(g, NO_TEST), ScoreSpec(ScoreKind.DED), [(0, 1)])
+        for backend in (engine._dense_candidates, engine._sparse_candidates):
+            values, fixed, tags = backend(ctx, 0, 1)
+            assert values.tolist() == [0.5, 0.5]
+            assert fixed.tolist() == [0.5, 0.5] and tags.tolist() == [1, 1]
+        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
+        for dense in (True, False):
+            buckets, count = engine._fold_chunk(ctx, 0, 1, dense, empty)
+            assert len(buckets) == 0 and count == 0
+
+    def test_direct_value_one_ulp_off_raises(self, monkeypatch):
+        """A tagged pair's direct value must be one of the product's values
+        bit for bit; one ulp off is a mismatch, not a new bucket."""
+        real = engine._direct
+
+        def off(ctx, x, y):
+            values = real(ctx, x, y)
+            return np.where(values != 0.0, np.nextafter(values, np.inf), 0.0)
+
+        train, test = _split_of(3, 80)
+        spec = ScoreSpec(ScoreKind.CN)
+        reference = score_all(train, spec, test, workers=1)
+        monkeypatch.setattr(engine, "DENSE_MAX_CELLS", -1)
+        assert score_all(train, spec, test, workers=1) == reference
+        monkeypatch.setattr(engine, "_direct", off)
+        with pytest.raises(ValidationError, match="direct value"):
+            score_all(train, spec, test, workers=1)
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_reciprocal_digraph_matches_oracle(self, kind, monkeypatch):
+        """Forced onto scipy's backend, a digraph of 2-cycles and a hub:
+        every directed kind meets its diagonal (x, x) in the product and
+        fixes it as a training edge, on chunk borders and across them."""
+        n = 24
+        cycles = [(x, x + 1) for x in range(1, n - 1, 2)] + [(x + 1, x) for x in range(1, n - 1, 2)]
+        hub = [(0, x) for x in range(1, n, 3)] + [(x, 0) for x in range(2, n, 4)]
+        chain = [(x, x + 2) for x in range(1, n - 2, 5)]
+        g = graph_from_edges(cycles + hub + chain)
+        test = [(3, 0), (0, 2), (5, 1), (1, 6), (7, 9), (12, 3)]
+        monkeypatch.setattr(engine, "DENSE_MAX_CELLS", -1)
+        for base in (math.e, 2.0):
+            spec = ScoreSpec(kind, log_base=base)
+            expected = oracle_score_all(g, spec, test).histogram
+            for workers in (1, 2):
+                for chunk in (1, 7, g.vertex_count):
+                    assert score_all(g, spec, test, workers=workers, chunk_size=chunk) == expected
 
 
 def _split_of(seed, n):
