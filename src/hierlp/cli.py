@@ -1,11 +1,14 @@
 """Batch front end: load -> split -> score -> evaluate -> report.
 
 Every run is a pure function of (graph file, configuration): rerunning
-with the same seed produces byte-identical curve CSVs. Flags can also
+with the same seed produces byte-identical curve CSVs. A run removes the
+manifest of ``--out`` before it writes anything and writes a new one
+last, so a directory without a manifest is incomplete. Flags can also
 be set through environment variables prefixed HIERLP_RUN_ /
 HIERLP_COMPARE_ (click's auto envvar mapping).
 """
 
+import hashlib
 import json
 import math
 import os
@@ -29,6 +32,9 @@ from .graph import load_edge_list
 from .scores import ScoreSpec
 
 CONTEXT_SETTINGS = {"auto_envvar_prefix": "HIERLP"}
+
+#: written last into ``--out`` by a run that completed
+MANIFEST = "manifest.json"
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -79,6 +85,8 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
                 f"({', '.join(f'{stem}_*' for stem in stems)}); use separate --out directories"
             )
         out.mkdir(parents=True, exist_ok=True)
+        (out / MANIFEST).unlink(missing_ok=True)
+        written = []  # every artifact of the run, for the manifest
         graph, report = load_edge_list(graph_path, format=fmt)
         click.echo(
             f"loaded {graph.vertex_count} vertices, {graph.edge_count} edges "
@@ -93,6 +101,7 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
             split = split_edges(graph, fraction=split_fraction, seed=seed)
             target = Path(split_file) if split_file else out / "split.txt"
             save_split(split, target)
+            written.append(target)
             click.echo(f"wrote split to {target}", err=True)
         click.echo(
             f"split: {len(split.test_edges)} test edges, "
@@ -113,19 +122,28 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
             )
             wall = time.perf_counter() - started
             rep = build_curves(hist, spec=spec, metadata={"seed": split.seed})
-            stem = spec.kind.value
-            hist.dump(out / f"{stem}_histogram.txt")
-            write_curve_csv(rep.pr_points, "recall,precision", out / f"{stem}_pr.csv")
-            write_curve_csv(rep.roc_points, "fpr,tpr", out / f"{stem}_roc.csv")
+            histogram, pr, roc, summary = (
+                out / f"{spec.kind.value}_{name}"
+                for name in ("histogram.txt", "pr.csv", "roc.csv", "summary.json")
+            )
+            hist.dump(histogram)
+            write_curve_csv(rep.pr_points, "recall,precision", pr)
+            write_curve_csv(rep.roc_points, "fpr,tpr", roc)
             record = summary_record(
                 rep, seed=split.seed, fraction=split.fraction, wall_time=wall,
                 threads=workers, chunk_size=chunk_size, graph_name=str(graph_path),
             )
-            write_summary(record, out / f"{stem}_summary.json")
+            write_summary(record, summary)
+            written += [histogram, pr, roc, summary]
             click.echo(
                 f"{spec.token()}: AUPR={rep.aupr:.5f} AUROC={rep.auroc:.5f} "
                 f"P={rep.positives_total} Neg={rep.negatives_total} wall={wall:.2f}s"
             )
+        digests = {
+            os.path.relpath(path, out): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in written
+        }
+        write_summary({"artifacts": digests}, out / MANIFEST)
     except (ValueError, OSError, MemoryGuardError) as exc:
         raise click.ClickException(str(exc)) from exc
 

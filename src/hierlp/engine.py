@@ -9,11 +9,12 @@ universe size.
 
 Every score reads two kinds of state. What depends on the training
 graph alone is built on first use, once per graph, through the graph's
-memo (``Graph._memo``): the candidate universe, the degrees and their
-logs per log base, the AA and RA weights, the 2-hop path count of every
-row, the undirected view, the unit-weight scipy views and the views'
-sorted keys. These are O(n + E) arrays and nothing chunk-sized, and a
-new test set keeps them.
+memo (``Graph._memo``): the "in" and "undirected" views' sorted keys
+and every view's CSR arrays (``Graph._keys``, ``Graph._adjacency``),
+the unit-weight scipy views, the candidate universe, the degrees and
+their logs per log base, the AA and RA weights, and the 2-hop path
+count of every row. These are O(n + E) arrays and nothing chunk-sized,
+and a new test set keeps them.
 What depends on the test pairs is the marker. ``_marker`` checks the
 pairs in the one sort that builds it: the training and the test edges,
 each in both directions, as sorted keys u*n+v with one tag per pair
@@ -57,7 +58,7 @@ edge would. The dense backend reads their values from its own sorted
 cells. The sparse one scores them directly, the masked product of Azad,
 Buluç and Gilbert: per pass it lists z over the shorter of left(x) and
 the right view's column y, finds each z in the other by
-``np.searchsorted`` in that view's sorted keys (memoised per graph), and
+``np.searchsorted`` in that view's sorted keys (``Graph._keys``), and
 sums each pair's terms by ``np.bincount``, z ascending from 0.0, so the
 bits are the product's. A pair with no path is in no bucket, and a
 direct value found nowhere among the chunk's distinct values is a bit
@@ -363,20 +364,6 @@ def _paths(graph, passes):
     return graph._memo(("paths", passes), build)
 
 
-def _keys(graph, view):
-    """The sorted row*n+col keys of the "out", "in" or "undirected" view,
-    then n*n, so that a search for any pair's key lands in the array."""
-
-    def build():
-        n = graph.vertex_count
-        indptr, indices = graph._adjacency(view)
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
-        keys += indices
-        return np.append(keys, n * n)
-
-    return graph._memo(("keys", view), build)
-
-
 #: The (left, right) adjacency views each kind multiplies, one pair per
 #: directed pass. The INF family adds its two passes in this order.
 _PASSES = {
@@ -583,8 +570,9 @@ def _direct(ctx, x, y):
             counts, z = _expand(*graph._adjacency(view), ends[picked])
             pair = np.repeat(picked, counts)
             wanted = others[pair] * n + z
-            keys = _keys(graph, other)
-            hit = keys[np.searchsorted(keys, wanted)] == wanted
+            keys = graph._keys(other)
+            # a key past the view's last one is found nowhere
+            hit = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
             pairs.append(pair[hit])
             zs.append(z[hit])
         pair, z = np.concatenate(pairs), np.concatenate(zs)

@@ -179,11 +179,10 @@ def load_split(graph, source):
     twice = removed_keys[1:][removed_keys[1:] == removed_keys[:-1]]
     if len(twice):
         raise ValueError(f"split file lists edge ({twice[0] // n}, {twice[0] % n}) twice")
-    u, v = graph.edges()
-    keep = ~np.isin(u * n + v, removed_keys)
-    if (~keep).sum() != len(removed):
+    kept = graph.edge_keys()[~np.isin(graph.edge_keys(), removed_keys)]
+    if graph.edge_count - len(kept) != len(removed):
         raise ValueError("split file contains edges absent from the graph")
-    train_graph = Graph(n, u[keep], v[keep], vertex_labels=graph.vertex_labels)
+    train_graph = Graph(n, *np.divmod(kept, n), vertex_labels=graph.vertex_labels)
     return EdgeSplit(train_graph, test, dropped, **header)
 
 

@@ -1,8 +1,10 @@
-"""Immutable directed graph with sorted adjacency in both directions.
+"""Immutable directed graph stored as its sorted edge keys.
 
 Vertices are dense internal ids 0..n-1. External ids from an edge-list
-file are remapped on load and kept in ``vertex_labels``. Adjacency is
-stored CSR-style (offset array + flat neighbor array) so neighbor
+file are remapped on load and kept in ``vertex_labels``. A graph stores
+its edges alone, as sorted unique u*n+v keys. The "in" and "undirected"
+views' keys and every view's CSR arrays (offset array + flat neighbor
+array) are derived from them on first use and kept, so neighbor
 iteration is a contiguous slice and set intersections can run as linear
 merges.
 """
@@ -74,13 +76,14 @@ _MEMO_LOCK = threading.RLock()
 class Graph:
     """Directed graph, frozen after construction.
 
-    Invariants enforced here: no self loops, no duplicate edges, neighbor
-    lists sorted ascending, in/out adjacency mirror each other.
-    Construction is single-threaded; afterwards the graph is read-only
-    and safe to share between any number of concurrent readers. Every
-    value derived from the graph alone (the undirected view, the scipy
-    views, the engine's degrees, weights and path counts) is built on
-    first use, once, through ``_memo``.
+    The graph is its edges as sorted unique u*n+v keys (n = vertex_count):
+    no self loops, no duplicate edges. Every other view is derived from
+    them on first use, once, through ``_memo``: the sorted keys of the
+    "in" and "undirected" views (``_keys``), each view's CSR arrays
+    (``_adjacency``), the scipy views, and the engine's degrees, weights
+    and path counts. Construction is single-threaded; afterwards the
+    graph is read-only and safe to share between any number of
+    concurrent readers.
     """
 
     def __init__(self, vertex_count, edge_u, edge_v, vertex_labels=None):
@@ -106,16 +109,10 @@ class Graph:
         self.vertex_count = n
         self.edge_count = len(edge_u)
         self.vertex_labels = list(vertex_labels) if vertex_labels is not None else None
-        self._out_indptr, self._out_indices = _csr_arrays(keys, n)
-        # the v*n+u keys, built in place: a paper-scale load peaks here
-        reverse = self._out_indices * n
-        reverse += keys // n
-        reverse.sort()
-        self._in_indptr, self._in_indices = _csr_arrays(reverse, n)
+        keys.setflags(write=False)
+        self._out_keys = keys
         self._derived = {}  # key -> value built by _memo
         self._split = None  # the engine's (key, checked marker) of the last test set
-        for a in (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices):
-            a.setflags(write=False)
 
     # -- neighbor access ---------------------------------------------------
 
@@ -123,21 +120,22 @@ class Graph:
         if not 0 <= x < self.vertex_count:
             raise IndexError(f"vertex id {x} out of range [0, {self.vertex_count})")
 
+    def _neighbors(self, view, x):
+        self._check_vertex(x)
+        indptr, indices = self._adjacency(view)
+        return indices[indptr[x]:indptr[x + 1]]
+
     def out_neighbors(self, x):
         """Sorted out-neighbors of x (targets of edges x->y)."""
-        self._check_vertex(x)
-        return self._out_indices[self._out_indptr[x]:self._out_indptr[x + 1]]
+        return self._neighbors("out", x)
 
     def in_neighbors(self, x):
         """Sorted in-neighbors of x (sources of edges y->x)."""
-        self._check_vertex(x)
-        return self._in_indices[self._in_indptr[x]:self._in_indptr[x + 1]]
+        return self._neighbors("in", x)
 
     def undirected_neighbors(self, x):
         """Sorted deduplicated union of out- and in-neighbors of x."""
-        self._check_vertex(x)
-        indptr, indices = self._adjacency("undirected")
-        return indices[indptr[x]:indptr[x + 1]]
+        return self._neighbors("undirected", x)
 
     def _memo(self, key, build):
         """The value under ``key``, built by ``build()`` on the first call
@@ -151,55 +149,35 @@ class Graph:
                     value = self._derived[key] = build()
         return value
 
-    def _undirected_arrays(self):
-        n, m = self.vertex_count, self.edge_count
-        u, v = self.edges()
-        # both directions' keys in one buffer, built in place and
-        # deduplicated before the CSR arrays: a paper-scale build peaks
-        # here
-        keys = np.empty(2 * m, dtype=np.int64)
-        np.multiply(u, n, out=keys[:m])
-        keys[:m] += v
-        np.multiply(v, n, out=keys[m:])
-        keys[m:] += u
-        del u, v
-        keys = _unique(keys)
-        arrays = _csr_arrays(keys, n)
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
-
     # -- degrees -----------------------------------------------------------
 
     @property
     def out_degrees(self):
-        return self._out_indptr[1:] - self._out_indptr[:-1]
+        return np.diff(self._adjacency("out")[0])
 
     @property
     def in_degrees(self):
-        return self._in_indptr[1:] - self._in_indptr[:-1]
+        return np.diff(self._adjacency("in")[0])
 
     @property
     def undirected_degrees(self):
-        indptr = self._adjacency("undirected")[0]
-        return indptr[1:] - indptr[:-1]
+        return np.diff(self._adjacency("undirected")[0])
 
     # -- whole-graph views ---------------------------------------------------
 
     def edges(self):
         """All edges as (u, v) arrays in canonical (u, v) order."""
-        u = np.repeat(np.arange(self.vertex_count, dtype=np.int64), self.out_degrees)
-        return u, self._out_indices.copy()
+        return np.divmod(self._out_keys, self.vertex_count)
 
     def edge_keys(self):
-        """Edges encoded as sorted u*n+v keys (n = vertex_count)."""
-        u, v = self.edges()
-        return u * self.vertex_count + v
+        """Edges encoded as sorted u*n+v keys (n = vertex_count): the
+        graph's own array, shared and read-only."""
+        return self._out_keys
 
     def reverse_edge_keys(self):
-        """Edges encoded as sorted v*n+u keys, head first."""
-        v = np.repeat(np.arange(self.vertex_count, dtype=np.int64), self.in_degrees)
-        return v * self.vertex_count + self._in_indices
+        """Edges encoded as sorted v*n+u keys, head first: shared and
+        read-only, as ``edge_keys``."""
+        return self._keys("in")
 
     def out_csr(self):
         """Out-adjacency as a read-only scipy CSR matrix with unit weights."""
@@ -214,14 +192,38 @@ class Graph:
         weights."""
         return self._csr("undirected")
 
+    def _keys(self, view):
+        """The sorted unique row*n+col keys of the "out", "in" or
+        "undirected" view: a read-only int64 array, shared."""
+        if view == "out":
+            return self._out_keys
+
+        def build():
+            n, out = self.vertex_count, self._out_keys
+            if view == "in":
+                # v*n+u of every edge u->v, built in place
+                keys = out % n
+                keys *= n
+                keys += out // n
+                keys.sort()
+            else:
+                keys = _unique(np.concatenate([out, self._keys("in")]))
+            keys.setflags(write=False)
+            return keys
+
+        return self._memo(("keys", view), build)
+
     def _adjacency(self, view):
         """(indptr, indices) of the "out", "in" or "undirected" view:
-        read-only int64 arrays."""
-        if view == "out":
-            return self._out_indptr, self._out_indices
-        if view == "in":
-            return self._in_indptr, self._in_indices
-        return self._memo("undirected", self._undirected_arrays)
+        read-only int64 arrays, shared."""
+
+        def build():
+            arrays = _csr_arrays(self._keys(view), self.vertex_count)
+            for a in arrays:
+                a.setflags(write=False)
+            return arrays
+
+        return self._memo(("adjacency", view), build)
 
     def _csr(self, view):
         def build():
@@ -235,17 +237,18 @@ class Graph:
         return self._memo(("csr", view), build)
 
     def __getstate__(self):
-        # derived values are rebuilt on demand: a pickle holds the edges alone
+        # derived values are rebuilt on demand: a pickle holds the keys alone
         return {**self.__dict__, "_derived": {}, "_split": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._out_keys.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.vertex_count == other.vertex_count
-            and self.edge_count == other.edge_count
-            and np.array_equal(self._out_indptr, other._out_indptr)
-            and np.array_equal(self._out_indices, other._out_indices)
+        return self.vertex_count == other.vertex_count and np.array_equal(
+            self._out_keys, other._out_keys
         )
 
     def __repr__(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -103,13 +104,39 @@ class TestRun:
         assert not out.exists()
 
     def test_bucket_cap_is_a_clean_error(self, graph_file, tmp_path):
+        out = tmp_path / "out"
         result = CliRunner().invoke(main, [
             "run", "--graph", str(graph_file), "--score", "aa",
-            "--max-buckets", "1", "--out", str(tmp_path / "out"),
+            "--max-buckets", "1", "--out", str(out),
         ])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "Error: distinct score values exceeded max_buckets=1" in result.output
+        # the split is written, and nothing marks the directory complete
+        assert (out / "split.txt").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_manifest_lists_every_artifact_with_its_digest(self, graph_file, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli([
+            "run", "--graph", str(graph_file), "--score", "cn",
+            "--score", "inf_log_kd", "--seed", "4", "--out", str(out),
+        ])
+        assert result.exit_code == 0
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert sorted(artifacts) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert len(artifacts) == 9
+        for name, digest in artifacts.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_failed_rerun_removes_the_manifest(self, graph_file, tmp_path):
+        out = tmp_path / "out"
+        args = ["run", "--graph", str(graph_file), "--score", "aa", "--out", str(out)]
+        assert run_cli(args).exit_code == 0
+        assert (out / "manifest.json").exists()
+        result = CliRunner().invoke(main, [*args, "--max-buckets", "1"])
+        assert result.exit_code == 1
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("option, value", [("--threads", "0"), ("--max-buckets", "-1")])
     def test_out_of_range_engine_options_refused(self, graph_file, tmp_path, option, value):

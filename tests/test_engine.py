@@ -634,6 +634,21 @@ class TestBackends:
                 for chunk in (1, 7, g.vertex_count):
                     assert score_all(g, spec, test, workers=workers, chunk_size=chunk) == expected
 
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_search_past_the_last_key(self, kind, monkeypatch):
+        """Forced onto scipy's backend, a tagged pair at the highest
+        vertex id searches a view for a key past all of its keys: the
+        diagonal (3, 3) of a directed kind finds 3*4+2 nowhere in the "in"
+        keys [1, 11, 12], and the training edge (2, 3) of a symmetric one
+        finds 3*4+3 nowhere in the "undirected" keys, which end at 3*4+2."""
+        g = graph_from_edges([(0, 3), (3, 2), (1, 0)])
+        test = [(2, 0)]
+        monkeypatch.setattr(engine, "DENSE_MAX_CELLS", -1)
+        spec = ScoreSpec(kind)
+        expected = oracle_score_all(g, spec, test).histogram
+        for chunk in (1, g.vertex_count):
+            assert score_all(g, spec, test, workers=1, chunk_size=chunk) == expected
+
 
 def _split_of(seed, n):
     from hierlp import split_edges
@@ -805,14 +820,17 @@ class TestMemo:
         test_b = test_a[1:]
         checks = _counting(monkeypatch, "_held_out")
         weights = _counting(monkeypatch, "_inv_log_weights")
-        builds = []
-        real = Graph._undirected_arrays
-        monkeypatch.setattr(Graph, "_undirected_arrays", lambda g: builds.append(g) or real(g))
+        builds = []  # (graph, memo key) of every value the memo builds
+        real = Graph._memo
+        monkeypatch.setattr(
+            Graph, "_memo", lambda g, key, build: real(g, key, lambda: builds.append((g, key)) or build())
+        )
         for test in (test_a, test_b):
             for kind in UNDIRECTED_KINDS:
                 score_all(train, ScoreSpec(kind), test, workers=1)
         assert len(checks) == 2
-        assert builds == [train]
+        undirected = [g for g, key in builds if key == ("keys", "undirected")]
+        assert len(undirected) == 1 and undirected[0] is train
         assert len(weights) == 1  # AA's weights
 
     @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 import gc
 import gzip
 import io
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlp import Graph, GraphParseError, load_edge_list, write_edge_list
+from hierlp import Graph, GraphParseError, load_edge_list, score_all, split_edges, write_edge_list
 from hierlp.graph import (
     _WRITE_BLOCK,
     _dense_ids,
@@ -18,6 +19,7 @@ from hierlp.graph import (
     _plain_edge_list,
     _unique,
 )
+from hierlp.scores import ScoreKind, ScoreSpec
 
 from conftest import erdos_renyi_digraph, graph_from_edges, text_stream
 
@@ -214,6 +216,67 @@ class TestNeighbors:
             g.out_neighbors(2)
         with pytest.raises(IndexError):
             g.in_neighbors(-1)
+
+
+class TestRepresentation:
+    """A graph stores its counts, labels and sorted edge keys alone; the
+    other views are derived from the keys on first use."""
+
+    STORED = {"vertex_count", "edge_count", "vertex_labels", "_out_keys", "_derived", "_split"}
+
+    def assert_bare(self, g):
+        assert set(vars(g)) == self.STORED
+        assert g._derived == {} and g._split is None
+        arrays = [value for value in vars(g).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is g.edge_keys()
+
+    def test_new_and_loaded_graphs_hold_their_keys_alone(self):
+        g = Graph(4, [2, 0, 3], [1, 3, 0], vertex_labels=list("abcd"))
+        self.assert_bare(g)
+        assert (g.vertex_count, g.edge_count, g.vertex_labels) == (4, 3, list("abcd"))
+        assert g.edge_keys().tolist() == [3, 9, 12]
+        loaded, _ = load_edge_list(text_stream("b a\nb c\nc a\n"))
+        self.assert_bare(loaded)
+        assert loaded.vertex_labels == ["a", "b", "c"]
+        assert loaded.edge_keys().tolist() == [3, 5, 6]
+
+    def test_views_derived_from_the_keys(self):
+        g = graph_from_edges([(0, 1), (1, 0), (2, 0)])
+        assert g.reverse_edge_keys().tolist() == [1, 2, 3]
+        assert g._keys("undirected").tolist() == [1, 2, 3, 6]
+        for view, indptr, indices in (("out", [0, 1, 2, 3], [1, 0, 0]), ("in", [0, 2, 3, 3], [1, 2, 0])):
+            assert g._adjacency(view)[0].tolist() == indptr
+            assert g._adjacency(view)[1].tolist() == indices
+        empty = Graph(0, [], [])
+        self.assert_bare(empty)
+        for view in ("out", "in", "undirected"):
+            indptr, indices = empty._adjacency(view)
+            assert indptr.tolist() == [0] and len(indices) == 0
+
+    def test_keys_shared_and_read_only(self):
+        g = graph_from_edges([(0, 1), (2, 0)])
+        for keys in (g.edge_keys, g.reverse_edge_keys):
+            assert keys() is keys()
+            with pytest.raises(ValueError):
+                keys()[0] = 0
+
+    def test_split_derives_no_view_of_the_full_graph(self):
+        g = erdos_renyi_digraph(np.random.default_rng(31), 200)
+        split_edges(g, 0.1, seed=1)
+        views = {key[1] for key in g._derived if isinstance(key, tuple)}
+        assert not views & {"in", "undirected"}
+
+    def test_pickle_carries_no_derived_array(self):
+        g = erdos_renyi_digraph(np.random.default_rng(32), 60)
+        split = split_edges(g, 0.1, seed=2)
+        train = split.train_graph
+        score_all(train, ScoreSpec(ScoreKind.INF_LOG_KD), split.test_edges, workers=1)
+        train.undirected_csr()
+        assert train._derived and train._split is not None
+        copy = pickle.loads(pickle.dumps(train))
+        assert copy == train
+        self.assert_bare(copy)
+        assert not copy.edge_keys().flags.writeable
 
 
 class TestInvariants:
