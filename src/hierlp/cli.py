@@ -55,7 +55,7 @@ def main():
               help="Reuse a persisted split so every score sees the same test set.")
 @click.option("--threads", default=None, type=click.IntRange(min=1),
               help="Worker count; default: all cores.")
-@click.option("--chunk-size", default=None, type=int,
+@click.option("--chunk-size", default=None, type=click.IntRange(min=1),
               help=f"Chunk of source vertices per work unit; default "
                    f"min({DEFAULT_CHUNK_SIZE}, vertex count).")
 @click.option("--max-buckets", default=None, type=click.IntRange(min=0),
@@ -73,7 +73,8 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
         specs = []
         for token in score_tokens:
             spec = ScoreSpec.parse(token, log_base=base)
-            if spec.kind.value == "inf_log_kd" and "k=" not in token:
+            # a k in the token, in any case, wins over --k, as parse reads it
+            if spec.kind.value == "inf_log_kd" and "k=" not in token.lower():
                 spec = ScoreSpec(spec.kind, k=k, log_base=base)
             specs.append(spec)
         # artifacts are named by score kind alone, so two runs of one
@@ -94,6 +95,7 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
             f"{report.self_loops_dropped} self-loops)",
             err=True,
         )
+        chunk_size = chunk_size_for(graph.vertex_count, chunk_size)  # before the split is written
         if split_file and Path(split_file).exists():
             split = load_split(graph, split_file)
             click.echo(f"reusing split from {split_file}", err=True)
@@ -109,7 +111,6 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
             err=True,
         )
         workers = threads if threads is not None else (os.cpu_count() or 1)
-        chunk_size = chunk_size_for(split.train_graph.vertex_count, chunk_size)
         for spec in specs:
             started = time.perf_counter()
             hist = score_all(

@@ -12,9 +12,8 @@ graph alone is built on first use, once per graph, through the graph's
 memo (``Graph._memo``): the "in" and "undirected" views' sorted keys
 and every view's CSR arrays (``Graph._keys``, ``Graph._adjacency``),
 the unit-weight scipy views, the candidate universe, the degrees and
-their logs per log base, the AA and RA weights, and the 2-hop path
-count of every row. These are O(n + E) arrays and nothing chunk-sized,
-and a new test set keeps them.
+their logs per log base, and the AA and RA weights. These are O(n + E)
+arrays and nothing chunk-sized, and a new test set keeps them.
 What depends on the test pairs is the marker. ``_marker`` checks the
 pairs in the one sort that builds it: the training and the test edges,
 each in both directions, as sorted keys u*n+v with one tag per pair
@@ -27,18 +26,18 @@ place, is checked anew, and a failed check caches nothing. Exclusion
 and membership are structural, and the diagonal is never a candidate.
 
 A chunk of rows [lo, hi) lists its candidates' values through one of
-two backends, chosen per chunk from what the code can observe: the
-dense one when its accumulator of (hi - lo) * n cells and its 2-hop
-path count are both small (DENSE_MAX_CELLS, DENSE_MAX_PATHS), scipy's
-otherwise. Small graphs and small chunks take the first, the 1000-row
-chunks of large graphs the second.
+two backends, chosen once per call by the size of the dense one's
+accumulator alone: the dense backend when a whole chunk's accumulator,
+chunk_size * n cells, is at most DENSE_MAX_CELLS, scipy's otherwise.
+Small graphs and small chunks take the first, the 1000-row chunks of
+large graphs the second.
 
 - Dense: every path (x, z, y) is listed with numpy in x, z, y order and
   summed per pair by ``np.bincount`` into a dense accumulator, the one
   of Gustavson's row-wise SpGEMM. It builds no scipy object.
 - Sparse: scipy's SpGEMM, whose values are taken as they come. The
   scipy factors are built once per call, before any worker starts, and
-  only when some chunk takes this backend; no call keeps them for the
+  only when the call takes this backend; no call keeps them for the
   next.
 
 Each kind multiplies the adjacency views its row of ``_PASSES`` names,
@@ -75,8 +74,8 @@ neighbours in ascending order either way, and Jaccard's du + dv
 commutes. ``score_from_vertex`` is a row query: it scores its whole row,
 y < x included, by the dense backend and through the same fold, in
 O(n + T + paths of the row): the accumulator has n cells, and finding
-the split's marker copies the test pairs. The backend bounds do not
-apply to it: scipy's factors would be built for its one row, and on hub
+the split's marker copies the test pairs. It takes the dense backend
+at any n: scipy's factors would be built for its one row, and on hub
 rows of 3-6 10^4 paths the dense backend took a fifth of the time
 scipy's did.
 
@@ -317,12 +316,12 @@ def _universe(graph):
     return graph._memo("universe", build)
 
 
-#: A chunk takes the dense backend when its accumulator, (hi - lo) * n
-#: cells, and its 2-hop path count are both at most these. On Zipf
-#: digraphs of 40-10^4 vertices a whole fold took 0.25-0.8 of scipy's
-#: time below them, and up to 1.2-20 times it above (INF the worst).
+#: A call takes the dense backend when a whole chunk's accumulator,
+#: chunk_size * n cells, is at most this, at any path count. Below it a
+#: whole fold took 0.25-0.8 of scipy's time on Zipf digraphs of 40-10^4
+#: vertices, and a whole score_all 0.1-0.7 of it on dense digraphs of
+#: 60-180 vertices whose one chunk holds 10^4-10^6 paths.
 DENSE_MAX_CELLS = 1 << 15
-DENSE_MAX_PATHS = 1 << 13
 
 
 def _degrees(graph, view):
@@ -347,23 +346,6 @@ def _z_weight(graph, kind, base):
     return graph._memo(("z_weight", kind, None if kind is ScoreKind.RA else base), build)
 
 
-def _paths(graph, passes):
-    """paths[x]: the 2-hop paths of rows [0, x), summed over ``passes``,
-    each a (left, right) pair of views."""
-
-    def build():
-        paths = np.zeros(graph.vertex_count + 1, dtype=np.int64)
-        for left, right in passes:
-            indptr, indices = graph._adjacency(left)
-            right_degrees = np.diff(graph._adjacency(right)[0])
-            ends = np.zeros(len(indices) + 1, dtype=np.int64)
-            np.cumsum(right_degrees[indices], out=ends[1:])
-            paths += ends[indptr]
-        return paths
-
-    return graph._memo(("paths", passes), build)
-
-
 #: The (left, right) adjacency views each kind multiplies, one pair per
 #: directed pass. The INF family adds its two passes in this order.
 _PASSES = {
@@ -381,13 +363,11 @@ class _RunContext:
     """Per-call scoring state shared read-only by all workers.
 
     The graph-level arrays come from the graph's memo, the marker from
-    ``_marker``. Built for a list of chunks (lo, hi): ``dense[i]`` says
-    which backend chunk i takes, and the scipy factors exist only when
-    some chunk takes scipy's. A row query passes no chunks and builds
-    none.
+    ``_marker``. ``dense`` says which backend every chunk of the call
+    takes; the scipy factors exist only when it is False.
     """
 
-    def __init__(self, graph, marker, spec, chunks=(), unordered=False):
+    def __init__(self, graph, marker, spec, dense, unordered=False):
         self.graph = graph
         self.spec = spec
         self.n = graph.vertex_count
@@ -398,9 +378,9 @@ class _RunContext:
         self.z_weight = None
         if spec.kind in (ScoreKind.AA, ScoreKind.RA):
             self.z_weight = _z_weight(graph, spec.kind, spec.log_base)
-        self.dense = self._dense_chunks(chunks)
+        self.dense = dense
         self.sparse_passes = None
-        if not all(self.dense):
+        if not dense:
             self.sparse_passes = []
             for left, right in self.passes:
                 right = graph._csr(right)
@@ -408,16 +388,6 @@ class _RunContext:
                     data = np.repeat(self.z_weight, np.diff(right.indptr))
                     right = sp.csr_matrix((data, right.indices, right.indptr), shape=right.shape)
                 self.sparse_passes.append((left, graph._csr(left), right))
-
-    def _dense_chunks(self, chunks):
-        small = [(hi - lo) * self.n <= DENSE_MAX_CELLS for lo, hi in chunks]
-        if not any(small):
-            return small
-        paths = _paths(self.graph, self.passes)
-        return [
-            fits and int(paths[hi] - paths[lo]) <= DENSE_MAX_PATHS
-            for fits, (lo, hi) in zip(small, chunks)
-        ]
 
     def weight(self, left, data, at_rows, at_cols):
         """Per-entry value transform of the sums ``data`` of the pass whose
@@ -611,10 +581,10 @@ _TAG_COUNTS = np.array(
 )
 
 
-def _fold_chunk(ctx, lo, hi, dense, buckets):
+def _fold_chunk(ctx, lo, hi, buckets):
     """Merge the candidates of rows [lo, hi) into ``buckets``.
 
-    ``dense`` picks the backend that lists them. With ``ctx.unordered``
+    ``ctx.dense`` picks the backend that lists them. With ``ctx.unordered``
     (a symmetric score) only the pairs y > x are scored, and each value
     counts for (x, y) and for (y, x), each direction by its own tag.
     Returns (merged buckets, explicit_count), the count of
@@ -622,7 +592,7 @@ def _fold_chunk(ctx, lo, hi, dense, buckets):
     zero-valued candidates included). Raises ValidationError when a
     tagged pair's value is not bit for bit among the chunk's values.
     """
-    values, fixed, tags = (_dense_candidates if dense else _sparse_candidates)(ctx, lo, hi)
+    values, fixed, tags = (_dense_candidates if ctx.dense else _sparse_candidates)(ctx, lo, hi)
     if len(values) == len(fixed) == 0:
         return buckets, 0
     counts = _TAG_COUNTS[int(ctx.unordered)][tags]
@@ -666,9 +636,8 @@ def score_from_vertex(graph, n1, spec, test_edges):
     Ineligible vertices are skipped, producing an empty contribution.
     """
     graph._check_vertex(n1)
-    ctx = _RunContext(graph, _marker(graph, test_edges), spec)
-    # dense at any path count: scipy's factors would serve one row
-    return _fold_chunk(ctx, n1, n1 + 1, True, np.empty(0, dtype=BUCKET_DTYPE))
+    ctx = _RunContext(graph, _marker(graph, test_edges), spec, True)
+    return _fold_chunk(ctx, n1, n1 + 1, np.empty(0, dtype=BUCKET_DTYPE))
 
 
 def score_all(
@@ -703,7 +672,7 @@ def score_all(
 
     chunk_bounds = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
     unordered = spec.kind in UNDIRECTED_KINDS  # symmetric: score each pair once
-    ctx = _RunContext(graph, marker, spec, chunk_bounds, unordered)
+    ctx = _RunContext(graph, marker, spec, chunk_size * n <= DENSE_MAX_CELLS, unordered)
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), max(len(chunk_bounds), 1)))
@@ -713,7 +682,7 @@ def score_all(
             raise MemoryGuardError(f"distinct score values exceeded max_buckets={max_buckets}")
         return buckets
 
-    claims = iter(zip(chunk_bounds, ctx.dense))
+    claims = iter(chunk_bounds)
     claim_lock = threading.Lock()
     stop = threading.Event()  # set by the first failing worker
 
@@ -725,8 +694,7 @@ def score_all(
                     claim = None if stop.is_set() else next(claims, None)
                 if claim is None:
                     return buckets
-                (lo, hi), dense = claim
-                buckets = capped(_fold_chunk(ctx, lo, hi, dense, buckets)[0])
+                buckets = capped(_fold_chunk(ctx, *claim, buckets)[0])
         except BaseException:
             stop.set()
             raise

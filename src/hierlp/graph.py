@@ -80,10 +80,10 @@ class Graph:
     no self loops, no duplicate edges. Every other view is derived from
     them on first use, once, through ``_memo``: the sorted keys of the
     "in" and "undirected" views (``_keys``), each view's CSR arrays
-    (``_adjacency``), the scipy views, and the engine's degrees, weights
-    and path counts. Construction is single-threaded; afterwards the
-    graph is read-only and safe to share between any number of
-    concurrent readers.
+    (``_adjacency``), the scipy views, and the engine's candidate
+    universe, degrees, their logs and weights. Construction is
+    single-threaded; afterwards the graph is read-only and safe to share
+    between any number of concurrent readers.
     """
 
     def __init__(self, vertex_count, edge_u, edge_v, vertex_labels=None):

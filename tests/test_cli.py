@@ -149,6 +149,37 @@ class TestRun:
         assert f"Invalid value for '{option}'" in result.output
         assert not out.exists()
 
+    def test_chunk_size_zero_refused_before_out_exists(self, graph_file, tmp_path):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "run", "--graph", str(graph_file), "--score", "cn",
+            "--chunk-size", "0", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "Invalid value for '--chunk-size'" in result.output
+        assert not out.exists()
+
+    def test_chunk_size_above_vertex_count_refused_before_the_split(self, graph_file, tmp_path):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "run", "--graph", str(graph_file), "--score", "cn",
+            "--chunk-size", "401", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert "chunk_size must be in [1, 400], got 401" in result.output
+        assert not (out / "split.txt").exists()
+
+    def test_k_in_an_uppercase_token_is_kept(self, graph_file, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli([
+            "run", "--graph", str(graph_file), "--score", "INF_LOG_KD(K=3)",
+            "--seed", "5", "--out", str(out),
+        ])
+        assert result.exit_code == 0
+        summary = json.loads((out / "inf_log_kd_summary.json").read_text())
+        assert summary["k"] == 3.0
+        assert summary["score"] == "inf_log_kd(k=3)"
+
     def test_four_headline_scores_one_invocation(self, graph_file, tmp_path):
         out = tmp_path / "all"
         result = run_cli([

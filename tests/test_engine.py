@@ -3,7 +3,6 @@ import math
 import os
 import pickle
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -543,42 +542,54 @@ class TestBackends:
         lo = data.draw(st.integers(0, m - 1), label="lo")
         hi = data.draw(st.integers(lo + 1, m), label="hi")
         spec = ScoreSpec(kind, log_base=base)
-        chunks = [(lo, hi), (0, m)]
-        with mock.patch.object(engine, "DENSE_MAX_CELLS", -1):
-            ctx = engine._RunContext(train, marker, spec, chunks, unordered)
-        assert not any(ctx.dense)
+        dense_ctx = engine._RunContext(train, marker, spec, True, unordered)
+        sparse_ctx = engine._RunContext(train, marker, spec, False, unordered)
         empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
-        for lo, hi in chunks:
-            dense = engine._dense_candidates(ctx, lo, hi)
-            sparse = engine._sparse_candidates(ctx, lo, hi)
+        for lo, hi in [(lo, hi), (0, m)]:
+            dense = engine._dense_candidates(dense_ctx, lo, hi)
+            sparse = engine._sparse_candidates(sparse_ctx, lo, hi)
             # the values in any order; the tagged pairs in the same order
             assert np.sort(dense[0]).tobytes() == np.sort(sparse[0]).tobytes()
             assert dense[1].tobytes() == sparse[1].tobytes()
             assert np.array_equal(dense[2], sparse[2])
-            dense_fold = engine._fold_chunk(ctx, lo, hi, True, empty)
-            sparse_fold = engine._fold_chunk(ctx, lo, hi, False, empty)
+            dense_fold = engine._fold_chunk(dense_ctx, lo, hi, empty)
+            sparse_fold = engine._fold_chunk(sparse_ctx, lo, hi, empty)
             assert dense_fold[1] == sparse_fold[1]
             assert np.array_equal(dense_fold[0], sparse_fold[0])
 
-    def test_selection_boundary(self):
-        """A chunk is dense up to DENSE_MAX_CELLS accumulator cells and
-        DENSE_MAX_PATHS 2-hop paths, and scipy's beyond either."""
+    def test_selection_boundary(self, monkeypatch):
+        """A call is dense when a whole chunk's accumulator, chunk_size * n
+        cells, is at most DENSE_MAX_CELLS, and scipy's beyond, whatever
+        its 2-hop path count; the scipy factors exist only when used."""
+        contexts = []
+        real = engine._RunContext
+
+        def recorded(*args):
+            contexts.append(real(*args))
+            return contexts[-1]
+
+        monkeypatch.setattr(engine, "_RunContext", recorded)
         spec = ScoreSpec(ScoreKind.DED)
-        # a directed cycle: one path per row, so only the cells bind
         n = 512
         ring = Graph(n, np.arange(n), (np.arange(n) + 1) % n)
         rows = engine.DENSE_MAX_CELLS // n
-        ctx = engine._RunContext(
-            ring, engine._marker(ring, NO_TEST), spec, [(0, rows), (rows, 2 * rows + 1)]
-        )
-        assert ctx.dense == [True, False]
-        # 0 -> 1 -> each leaf: row 0 has one path per leaf
-        for leaves, dense in ((engine.DENSE_MAX_PATHS, True), (engine.DENSE_MAX_PATHS + 1, False)):
-            star = Graph(leaves + 2, [0] + [1] * leaves, np.arange(1, leaves + 2))
-            ctx = engine._RunContext(star, engine._marker(star, NO_TEST), spec, [(0, 1), (1, 2)])
-            assert ctx.dense == [dense, True]
-            # the scipy factors exist only when used
-            assert (ctx.sparse_passes is None) == dense
+        for chunk, dense in ((rows, True), (rows + 1, False)):
+            score_all(ring, spec, NO_TEST, workers=1, chunk_size=chunk)
+            assert contexts[-1].dense is dense
+            assert (contexts[-1].sparse_passes is None) == dense
+        # 0 -> 1 -> each leaf: row 0 has one path per leaf, 8193 of them
+        leaves = 8193
+        star = Graph(leaves + 2, [0] + [1] * leaves, np.arange(1, leaves + 2))
+        score_all(star, spec, NO_TEST, workers=1, chunk_size=1)
+        score_from_vertex(star, 0, spec, NO_TEST)
+        assert [ctx.dense for ctx in contexts[-2:]] == [True, True]
+        assert contexts[-1].sparse_passes is None
+        sparse_ctx = real(star, engine._marker(star, NO_TEST), spec, False)
+        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
+        dense_fold = engine._fold_chunk(contexts[-1], 0, 1, empty)
+        sparse_fold = engine._fold_chunk(sparse_ctx, 0, 1, empty)
+        assert dense_fold[1] == sparse_fold[1] == leaves
+        assert np.array_equal(dense_fold[0], sparse_fold[0])
 
     def test_diagonal_counts_as_a_training_edge(self):
         """Row 0 of DED reaches itself (0 -> 1 -> 0) and the training
@@ -586,16 +597,38 @@ class TestBackends:
         two values and fix both pairs, the marker's first, so that no
         candidate of the row counts."""
         g = graph_from_edges([(0, 1), (1, 0), (1, 2), (0, 2)])
-        with mock.patch.object(engine, "DENSE_MAX_CELLS", -1):
-            ctx = engine._RunContext(g, engine._marker(g, NO_TEST), ScoreSpec(ScoreKind.DED), [(0, 1)])
-        for backend in (engine._dense_candidates, engine._sparse_candidates):
+        marker = engine._marker(g, NO_TEST)
+        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
+        for dense, backend in ((True, engine._dense_candidates), (False, engine._sparse_candidates)):
+            ctx = engine._RunContext(g, marker, ScoreSpec(ScoreKind.DED), dense)
             values, fixed, tags = backend(ctx, 0, 1)
             assert values.tolist() == [0.5, 0.5]
             assert fixed.tolist() == [0.5, 0.5] and tags.tolist() == [1, 1]
-        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
-        for dense in (True, False):
-            buckets, count = engine._fold_chunk(ctx, 0, 1, dense, empty)
+            buckets, count = engine._fold_chunk(ctx, 0, 1, empty)
             assert len(buckets) == 0 and count == 0
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_dense_digraph_above_the_path_count_matches_oracle(self, kind):
+        """A 60-vertex digraph of ~800 edges: one chunk of all its rows
+        holds over 8192 2-hop paths for every kind and still takes the
+        dense backend, as do its chunks of 1 and 7 rows."""
+        rng = np.random.default_rng(60)
+        n = 60
+        adjacency = rng.random((n, n)) < 0.23
+        np.fill_diagonal(adjacency, False)
+        g = Graph(n, *np.nonzero(adjacency))
+        out, into = g.out_degrees, g.in_degrees
+        # DED's paths x -> z -> y and IND's x <- z -> y, the fewest of any kind
+        assert min(np.dot(into, out), np.dot(out, out)) > 8192
+        assert n * n <= engine.DENSE_MAX_CELLS
+        candidates = ~adjacency & ~np.eye(n, dtype=bool)
+        test = np.argwhere(candidates & (rng.random((n, n)) < 0.05))
+        for base in (math.e, 2.0):
+            spec = ScoreSpec(kind, log_base=base)
+            expected = oracle_score_all(g, spec, test).histogram
+            for workers in (1, 2):
+                for chunk in (1, 7, n):
+                    assert score_all(g, spec, test, workers=workers, chunk_size=chunk) == expected
 
     def test_direct_value_one_ulp_off_raises(self, monkeypatch):
         """A tagged pair's direct value must be one of the product's values
