@@ -35,10 +35,11 @@ large graphs the second.
 - Dense: every path (x, z, y) is listed with numpy in x, z, y order and
   summed per pair by ``np.bincount`` into a dense accumulator, the one
   of Gustavson's row-wise SpGEMM. It builds no scipy object.
-- Sparse: scipy's SpGEMM, whose values are taken as they come. The
-  scipy factors are built once per call, before any worker starts, and
-  only when the call takes this backend; no call keeps them for the
-  next.
+- Sparse: scipy's SpGEMM, one loop for every kind: each pass
+  multiplies the chunk's rows by the right factor, weights the product
+  and adds it to the passes before it. The scipy factors are built once
+  per call, before any worker starts, and only when the call takes this
+  backend; no call keeps them for the next.
 
 Each kind multiplies the adjacency views its row of ``_PASSES`` names,
 one (left, right) pair per directed pass, and each pass is weighted by
@@ -51,9 +52,10 @@ sum dropped, as scipy's csr_plus_csr does.
 
 The fold after either backend is one. Every value counts as a plain
 candidate, and the chunk's few tagged pairs are then moved to their
-tags' counts at their values' places: the marker's pairs in the rows,
-and for a directed kind the diagonal (x, x), which counts as a training
-edge would. The dense backend reads their values from its own sorted
+tags' counts at their values' places: the marker's pairs in the rows
+(for a directed kind only those tagged in its own direction), and for
+a directed kind the diagonal (x, x), which counts as a training edge
+would. The dense backend reads their values from its own sorted
 cells. The sparse one scores them directly, the masked product of Azad,
 Buluç and Gilbert: per pass it lists z over the shorter of left(x) and
 the right view's column y, finds each z in the other by
@@ -67,17 +69,17 @@ The undirected kinds (CN, AA, RA, Jaccard) are symmetric, so each
 unordered pair is scored once. A chunk of rows [lo, hi) keeps the pairs
 y > x only, and credits each value to (x, y) and to (y, x), each
 direction by its own tag. scipy's backend multiplies by the right
-factor's columns [hi, n), every pair of which has y > x, and by the
-square block [lo, hi), the only part that needs a mask. The bits cannot
-differ from scoring (y, x) itself: the product sums over the shared
-neighbours in ascending order either way, and Jaccard's du + dv
-commutes. ``score_from_vertex`` is a row query: it scores its whole row,
-y < x included, by the dense backend and through the same fold, in
-O(n + T + paths of the row): the accumulator has n cells, and finding
-the split's marker copies the test pairs. It takes the dense backend
-at any n: scipy's factors would be built for its one row, and on hub
-rows of 3-6 10^4 paths the dense backend took a fifth of the time
-scipy's did.
+factor's columns [lo, n), one column slice per chunk, then zeroes in
+place the pairs y <= x, all of which lie in the columns [lo, hi), and
+eliminates them. The bits cannot differ from scoring (y, x) itself:
+the product sums over the shared neighbours in ascending order either
+way, and Jaccard's du + dv commutes. ``score_from_vertex`` is a row
+query: it scores its whole row, y < x included, by the dense backend
+and through the same fold, in O(n + T + paths of the row): the
+accumulator has n cells, and finding the split's marker copies the
+test pairs. It takes the dense backend at any n: scipy's factors would
+be built for its one row, and on hub rows of 3-6 10^4 paths the dense
+backend took a fifth of the time scipy's did.
 
 Workers claim fixed-size chunks of source vertices dynamically from one
 shared iterator, which absorbs the degree skew of webgraphs. Each runs
@@ -410,15 +412,18 @@ class _RunContext:
     def tagged_pairs(self, lo, hi):
         """(keys, tags) of the pairs of rows [lo, hi) that count by a tag:
         the marker's pairs in key order, y > x only for a symmetric
-        score, then for a directed one the diagonal (x, x), tagged as a
-        training edge."""
+        score, and for a directed one those tagged in its own direction,
+        followed by the diagonal (x, x), tagged as a training edge. A pair
+        tagged in the reverse direction alone is a plain candidate of a
+        directed score."""
         n = self.n
         start, stop = np.searchsorted(self.marker_keys, (lo * n, hi * n))
         keys = self.marker_keys[start:stop]
         tags = self.marker_tags[start:stop]
+        keep = keys % n > keys // n if self.unordered else tags % 3 > 0
+        keys, tags = keys[keep], tags[keep]
         if self.unordered:
-            upper = keys % n > keys // n
-            return keys[upper], tags[upper]
+            return keys, tags
         diagonal = np.arange(lo, hi) * (n + 1)
         return np.concatenate([keys, diagonal]), np.concatenate([tags, np.ones(hi - lo, dtype=np.int8)])
 
@@ -482,38 +487,36 @@ def _sparse_candidates(ctx, lo, hi):
     [lo, hi), by scipy's SpGEMM; the fixed values are those of
     ``ctx.tagged_pairs``, scored by ``_direct``.
 
-    A chunk of a symmetric kind multiplies by the right factor's columns
-    [hi, n), which it keeps whole, and [lo, hi), which it masks to y > x.
+    Each pass multiplies the chunk's rows by the right factor's columns
+    from ``first``, weighted, and the passes are added in their order.
+    ``first`` is lo for a symmetric kind, whose pairs y < lo the chunks
+    of rows below lo score as (y, x), and 0 for a directed one, which
+    uses the factor unsliced. A symmetric chunk then drops its pairs
+    y <= x, which lie in its first hi - lo columns.
     """
+    first = lo if ctx.unordered else 0
+    prod = None
+    for view, left, right in ctx.sparse_passes:
+        part = left[lo:hi] @ (right[:, first:] if first else right)
+        counts = np.diff(part.indptr)
+        part.data = ctx.weight(
+            view, part.data, lambda a: np.repeat(a[lo:hi], counts), lambda a: a[first:][part.indices]
+        )
+        prod = part if prod is None else prod + part
     if ctx.unordered:
-        (view, left, right), = ctx.sparse_passes
-        rows = left[lo:hi]
-        rest = _weighted(ctx, view, rows @ right[:, hi:], lo, hi, hi)
-        block = rows @ right[:, lo:hi]
-        x = np.repeat(np.arange(hi - lo, dtype=block.indices.dtype), np.diff(block.indptr))
-        upper = block.indices > x
-        values = np.concatenate([_weighted(ctx, view, block, lo, hi, lo)[upper], rest])
-    else:
-        prod = None
-        for view, left, right in ctx.sparse_passes:
-            part = left[lo:hi] @ right
-            part.data = _weighted(ctx, view, part, lo, hi)
-            prod = part if prod is None else prod + part
-        values = prod.data
+        below = np.flatnonzero(prod.indices < hi - lo)
+        row = np.searchsorted(prod.indptr, below, side="right") - 1
+        # zero is no candidate anywhere: scipy's product drops a zero
+        # sum, _scored a zero value, and the zero bucket counts the
+        # zero-scored pairs analytically; a symmetric kind sums positive
+        # terms, so no weighted value of its own is 0.0 and
+        # eliminate_zeros drops exactly the pairs zeroed here
+        prod.data[below[prod.indices[below] <= row]] = 0.0
+        prod.eliminate_zeros()
     keys, tags = ctx.tagged_pairs(lo, hi)
     direct = _direct(ctx, *np.divmod(keys, ctx.n))
     found = direct != 0.0
-    return values, direct[found], tags[found]
-
-
-def _weighted(ctx, view, part, lo, hi, first=0):
-    """The weighted values of ``part``, the product of rows [lo, hi) of a
-    pass with left view ``view`` by the right factor's columns from
-    ``first``."""
-    counts = np.diff(part.indptr)
-    return ctx.weight(
-        view, part.data, lambda a: np.repeat(a[lo:hi], counts), lambda a: a[first:][part.indices]
-    )
+    return prod.data, direct[found], tags[found]
 
 
 def _direct(ctx, x, y):
@@ -663,7 +666,12 @@ def score_all(
     subset of the merged result's values, so the run raises exactly when
     the merged result exceeds the cap. A worker that raises stops the
     others from claiming further chunks, and its error is re-raised.
+    ``workers`` (one per CPU when None) must be an integer >= 1 and
+    ``max_buckets`` None or an integer >= 0, as checked before any work.
     """
+    for name, value, least in (("workers", workers, 1), ("max_buckets", max_buckets, 0)):
+        if value is not None and not (isinstance(value, (int, np.integer)) and value >= least):
+            raise ValidationError(f"{name} must be None or an integer >= {least}, got {value!r}")
     n = graph.vertex_count
     chunk_size = chunk_size_for(n, chunk_size)
     marker = _marker(graph, test_edges)
@@ -675,7 +683,7 @@ def score_all(
     ctx = _RunContext(graph, marker, spec, chunk_size * n <= DENSE_MAX_CELLS, unordered)
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(int(workers), max(len(chunk_bounds), 1)))
+    workers = min(workers, max(len(chunk_bounds), 1))
 
     def capped(buckets):
         if max_buckets is not None and len(buckets) > max_buckets:

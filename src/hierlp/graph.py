@@ -68,6 +68,19 @@ def _unique(keys):
     return keys[distinct]
 
 
+def _vertex_ids(ends):
+    """``ends`` as an array of vertex ids. Values of a non-integer dtype
+    must be finite and integral, or ValueError is raised; they are checked
+    before any cast to int64, which would truncate them, and warn at NaN
+    or infinity."""
+    ends = np.asarray(ends)
+    if not np.issubdtype(ends.dtype, np.integer):
+        ends = ends.astype(np.float64)
+        if not (np.all(np.isfinite(ends)) and np.all(ends == np.trunc(ends))):
+            raise ValueError("vertex ids must be finite integers")
+    return ends
+
+
 #: Guards every graph's memo. A value is built once per graph, rarely,
 #: and its build may ask the memo for another.
 _MEMO_LOCK = threading.RLock()
@@ -87,8 +100,7 @@ class Graph:
     """
 
     def __init__(self, vertex_count, edge_u, edge_v, vertex_labels=None):
-        edge_u = np.asarray(edge_u, dtype=np.int64)
-        edge_v = np.asarray(edge_v, dtype=np.int64)
+        edge_u, edge_v = _vertex_ids(edge_u), _vertex_ids(edge_v)
         if edge_u.shape != edge_v.shape:
             raise ValueError("edge endpoint arrays must have equal length")
         n = int(vertex_count)
@@ -98,6 +110,7 @@ class Graph:
             raise ValueError("negative vertex id")
         if len(edge_u) and max(edge_u.max(), edge_v.max()) >= n:
             raise ValueError("vertex id out of range")
+        edge_u, edge_v = edge_u.astype(np.int64, copy=False), edge_v.astype(np.int64, copy=False)
         if np.any(edge_u == edge_v):
             raise ValueError("self loops are not allowed")
         keys = np.sort(edge_u * n + edge_v)

@@ -150,6 +150,15 @@ class TestScoreAllValidation:
         with pytest.raises(ValidationError):
             score_all(four_cycle, ScoreSpec(ScoreKind.CN), NO_TEST, chunk_size=5)
 
+    @pytest.mark.parametrize("limits", [
+        {"workers": 0}, {"workers": -3}, {"workers": 1.7}, {"max_buckets": -1}, {"max_buckets": 0.5},
+    ])
+    def test_workers_and_max_buckets_checked_before_any_work(self, four_cycle, limits, monkeypatch):
+        checks, folds = _counting(monkeypatch, "_marker"), _counting(monkeypatch, "_fold_chunk")
+        with pytest.raises(ValidationError, match=next(iter(limits))):
+            score_all(four_cycle, ScoreSpec(ScoreKind.CN), NO_TEST, **limits)
+        assert checks == folds == []
+
     def test_memory_guardrail_hard_failure(self):
         rng = np.random.default_rng(5)
         g = erdos_renyi_digraph(rng, 60)
@@ -606,6 +615,25 @@ class TestBackends:
             assert fixed.tolist() == [0.5, 0.5] and tags.tolist() == [1, 1]
             buckets, count = engine._fold_chunk(ctx, 0, 1, empty)
             assert len(buckets) == 0 and count == 0
+
+    @pytest.mark.parametrize("kind", [k for k in ScoreKind if k not in UNDIRECTED_KINDS])
+    def test_directed_kind_tags_its_own_direction_only(self, kind):
+        """A pair tagged only as the reverse of a training or test edge is
+        a plain candidate of a directed kind, so no tagged pair of one has
+        t(x, y) = tag % 3 == 0; the rest of the marker and the diagonal
+        are all there."""
+        train, test = _split_of(3, 80)
+        marker = engine._marker(train, test)
+        n = train.vertex_count
+        assert np.any(marker[2] % 3 == 0)
+        for dense in (True, False):
+            ctx = engine._RunContext(train, marker, ScoreSpec(kind), dense)
+            for lo, hi in ((0, n), (5, 12), (n - 1, n)):
+                keys, tags = ctx.tagged_pairs(lo, hi)
+                assert np.all(tags % 3 > 0)
+                rows = (marker[1] >= lo * n) & (marker[1] < hi * n) & (marker[2] % 3 > 0)
+                diagonal = np.arange(lo, hi) * (n + 1)
+                assert keys.tolist() == marker[1][rows].tolist() + diagonal.tolist()
 
     @pytest.mark.parametrize("kind", list(ScoreKind))
     def test_dense_digraph_above_the_path_count_matches_oracle(self, kind):

@@ -286,6 +286,15 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Graph(2, [0, 0], [1, 1])
 
+    @pytest.mark.parametrize("edge_u, edge_v", [
+        ([0.5, 1.9], [1.2, 2.0]), ([0, np.nan], [1, 2]), ([0, 1], [np.inf, 2]),
+    ])
+    def test_construction_rejects_non_integer_ids(self, edge_u, edge_v):
+        """An id is not truncated to an integer, and NaN or infinity is
+        refused before a cast could warn."""
+        with pytest.raises(ValueError, match="finite integers"):
+            Graph(3, edge_u, edge_v)
+
     def test_degree_sums_match_edge_count(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
