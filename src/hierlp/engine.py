@@ -42,44 +42,49 @@ large graphs the second.
   backend; no call keeps them for the next.
 
 Each kind multiplies the adjacency views its row of ``_PASSES`` names,
-one (left, right) pair per directed pass, and each pass is weighted by
-its left view: divided by that view's degrees, times their logs for
-the log-weighted kinds, times k on INF_LOG_KD's "out" pass. Their bits
-agree: ``np.bincount`` and scipy's csr_matmat both add each pair's
-paths one by one from 0.0 in ascending z, both drop a zero sum, and the
-INF family's two weighted passes are added "out" pass first and a zero
-sum dropped, as scipy's csr_plus_csr does.
+one (left, right) pair per directed pass, and each pass is weighted in
+place by its left view: divided by that view's degrees, times their
+logs for the log-weighted kinds, times k on INF_LOG_KD's "out" pass.
+Their bits agree: ``np.bincount`` and scipy's csr_matmat both add each
+pair's paths one by one from 0.0 in ascending z, both drop a zero sum,
+and the INF family's two weighted passes are added "out" pass first
+and a zero sum dropped, as scipy's csr_plus_csr does.
 
-The fold after either backend is one. Every value counts as a plain
-candidate, and the chunk's few tagged pairs are then moved to their
-tags' counts at their values' places: the marker's pairs in the rows
-(for a directed kind only those tagged in its own direction), and for
-a directed kind the diagonal (x, x), which counts as a training edge
-would. The dense backend reads their values from its own sorted
-cells. The sparse one scores them directly, the masked product of Azad,
-Buluç and Gilbert: per pass it lists z over the shorter of left(x) and
-the right view's column y, finds each z in the other by
-``np.searchsorted`` in that view's sorted keys (``Graph._keys``), and
-sums each pair's terms by ``np.bincount``, z ascending from 0.0, so the
-bits are the product's. A pair with no path is in no bucket, and a
-direct value found nowhere among the chunk's distinct values is a bit
-mismatch and raises ValidationError.
+The fold after either backend is one. Each backend returns its chunk's
+values ascending, sorted in place in an array the chunk owns, so
+nothing after the product copies or compacts them: the fold counts
+each run of equal values as one distinct value's plain candidates, and
+the chunk's few tagged pairs are then moved to their tags' counts at
+their values' places: the marker's pairs in the rows (for a directed
+kind only those tagged in its own direction), and for a directed kind
+the diagonal (x, x), which counts as a training edge would. The dense
+backend reads their values from its own sorted cells. The sparse one
+scores them directly, the masked product of Azad, Buluç and Gilbert:
+per pass it lists z over the shorter of left(x) and the right view's
+column y, finds each z in the other by ``np.searchsorted`` in that
+view's sorted keys (``Graph._keys``), and sums each pair's terms by
+``np.bincount``, z ascending from 0.0, so the bits are the product's.
+A pair with no path is in no bucket, and a direct value found nowhere
+among the chunk's distinct values is a bit mismatch and raises
+ValidationError.
 
 The undirected kinds (CN, AA, RA, Jaccard) are symmetric, so each
-unordered pair is scored once. A chunk of rows [lo, hi) keeps the pairs
-y > x only, and credits each value to (x, y) and to (y, x), each
+unordered pair is scored once. A chunk of rows [lo, hi) keeps the
+pairs y > x only, and credits each value to (x, y) and to (y, x), each
 direction by its own tag. scipy's backend multiplies by the right
 factor's columns [lo, n), one column slice per chunk, then zeroes in
-place the pairs y <= x, all of which lie in the columns [lo, hi), and
-eliminates them. The bits cannot differ from scoring (y, x) itself:
-the product sums over the shared neighbours in ascending order either
-way, and Jaccard's du + dv commutes. ``score_from_vertex`` is a row
-query: it scores its whole row, y < x included, by the dense backend
-and through the same fold, in O(n + T + paths of the row): the
-accumulator has n cells, and finding the split's marker copies the
-test pairs. It takes the dense backend at any n: scipy's factors would
-be built for its one row, and on hub rows of 3-6 10^4 paths the dense
-backend took a fifth of the time scipy's did.
+place the pairs y <= x, all of which lie in the columns [lo, hi). No
+value of a symmetric kind's own is 0.0, so the sort puts exactly those
+pairs in front, and a slice of the sorted values cuts them off. The
+bits cannot differ from scoring (y, x) itself: the product sums over
+the shared neighbours in ascending order either way, and Jaccard's
+du + dv commutes. ``score_from_vertex`` is a row query: it scores its
+whole row, y < x included, by the dense backend and through the same
+fold, in O(n + T + paths of the row): the accumulator has n cells, and
+finding the split's marker copies the test pairs. It takes the dense
+backend at any n: scipy's factors would be built for its one row, and
+on hub rows of 3-6 10^4 paths the dense backend took a fifth of the
+time scipy's did.
 
 Workers claim fixed-size chunks of source vertices dynamically from one
 shared iterator, which absorbs the degree skew of webgraphs. Each runs
@@ -118,9 +123,12 @@ class MemoryGuardError(RuntimeError):
 
 def chunk_size_for(n, chunk_size=None):
     """The chunk size ``score_all`` uses on ``n`` vertices: ``chunk_size``,
-    which must lie in [1, max(n, 1)], or min(DEFAULT_CHUNK_SIZE, max(n, 1))."""
+    which must be a Python or numpy integer in [1, max(n, 1)], or
+    min(DEFAULT_CHUNK_SIZE, max(n, 1))."""
     if chunk_size is None:
         return min(DEFAULT_CHUNK_SIZE, max(n, 1))
+    if not isinstance(chunk_size, (int, np.integer)):
+        raise ValidationError(f"chunk_size must be None or an integer, got {chunk_size!r}")
     if not 1 <= chunk_size <= max(n, 1):
         raise ValidationError(f"chunk_size must be in [1, {max(n, 1)}], got {chunk_size}")
     return chunk_size
@@ -205,19 +213,26 @@ def _merge(parts):
 
     Equal values become one bucket, sorted descending, whose tp and fp
     are the int64 sums of theirs: exact, so the result does not depend
-    on the order or grouping of the parts. This is np.unique's sort
-    done in the open, so the same permutation gathers the counts.
+    on the order or grouping of the parts. One permutation sorts the
+    values and gathers their counts.
     """
     values = np.concatenate([part[0] for part in parts])
     if len(values) == 0:
         return np.empty(0, dtype=BUCKET_DTYPE)
-    # the parts are runs (a histogram descending, a chunk's np.unique
+    # the parts are runs (a histogram descending, a chunk's distinct
     # values ascending), which a stable sort merges in linear time
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    starts = _run_starts(values)
     counts = [np.concatenate([part[index] for part in parts])[order] for index in (1, 2)]
     return _buckets(values[starts], *(np.add.reduceat(c, starts, dtype=np.int64) for c in counts))
+
+
+def _run_starts(values):
+    """The index of the first value of each run of equal values."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(first)
 
 
 def _buckets(values, tp, fp):
@@ -393,21 +408,25 @@ class _RunContext:
 
     def weight(self, left, data, at_rows, at_cols):
         """Per-entry value transform of the sums ``data`` of the pass whose
-        left view is ``left``; ``at_rows(a)`` and ``at_cols(a)`` are the
+        left view is ``left``, done in place: ``data`` must be an array
+        the caller owns (a product's data, or sums gathered by index),
+        and is returned. ``at_rows(a)`` and ``at_cols(a)`` are the
         per-vertex array ``a`` at each entry's row and column. Arithmetic
-        mirrors scores.py exactly."""
+        mirrors scores.py exactly, operation by operation."""
         kind = self.spec.kind
         if kind in (ScoreKind.CN, ScoreKind.AA, ScoreKind.RA):
             return data
         degrees = _degrees(self.graph, left)
         if kind is ScoreKind.JACCARD:
-            return data / (at_rows(degrees) + at_cols(degrees) - data)
-        values = data / at_rows(degrees)
+            denominator = at_rows(degrees) + at_cols(degrees)
+            denominator -= data
+            return np.divide(data, denominator, out=data)
+        np.divide(data, at_rows(degrees), out=data)
         if kind in (ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD):
-            values = values * at_rows(_logs(self.graph, left, self.spec.log_base))
+            np.multiply(data, at_rows(_logs(self.graph, left, self.spec.log_base)), out=data)
         if kind is ScoreKind.INF_LOG_KD and left == "out":
-            values = values * self.spec.k
-        return values
+            data *= self.spec.k
+        return data
 
     def tagged_pairs(self, lo, hi):
         """(keys, tags) of the pairs of rows [lo, hi) that count by a tag:
@@ -440,8 +459,9 @@ def _expand(indptr, indices, rows):
 
 def _dense_candidates(ctx, lo, hi):
     """(values, fixed values, fixed tags) of the candidates of rows
-    [lo, hi), by a dense accumulator of (hi - lo) * n cells; the fixed
-    values are those of ``ctx.tagged_pairs``, read from the sorted cells.
+    [lo, hi), by a dense accumulator of (hi - lo) * n cells: the values
+    ascending, sorted in place, and the fixed values those of
+    ``ctx.tagged_pairs``, read from the sorted cells before that sort.
 
     Every 2-hop path (x, z, y) is listed in x, z, y order and its pair
     summed by ``np.bincount``, which adds in array order: each pair's
@@ -479,12 +499,15 @@ def _dense_candidates(ctx, lo, hi):
     at = np.searchsorted(keys, wanted)
     hit = at < len(keys)
     hit[hit] = keys[at[hit]] == wanted[hit]
-    return values, values[at[hit]], tags[hit]
+    fixed = values[at[hit]]
+    values.sort()
+    return values, fixed, tags[hit]
 
 
 def _sparse_candidates(ctx, lo, hi):
     """(values, fixed values, fixed tags) of the candidates of rows
-    [lo, hi), by scipy's SpGEMM; the fixed values are those of
+    [lo, hi), by scipy's SpGEMM: the values ascending, the product's
+    data sorted in place, and the fixed values those of
     ``ctx.tagged_pairs``, scored by ``_direct``.
 
     Each pass multiplies the chunk's rows by the right factor's columns
@@ -492,7 +515,8 @@ def _sparse_candidates(ctx, lo, hi):
     ``first`` is lo for a symmetric kind, whose pairs y < lo the chunks
     of rows below lo score as (y, x), and 0 for a directed one, which
     uses the factor unsliced. A symmetric chunk then drops its pairs
-    y <= x, which lie in its first hi - lo columns.
+    y <= x, which lie in its first hi - lo columns: it zeroes them in
+    place, and the sort puts them in front, where a slice cuts them off.
     """
     first = lo if ctx.unordered else 0
     prod = None
@@ -503,20 +527,23 @@ def _sparse_candidates(ctx, lo, hi):
             view, part.data, lambda a: np.repeat(a[lo:hi], counts), lambda a: a[first:][part.indices]
         )
         prod = part if prod is None else prod + part
+    values = prod.data
     if ctx.unordered:
         below = np.flatnonzero(prod.indices < hi - lo)
         row = np.searchsorted(prod.indptr, below, side="right") - 1
+        values[below[prod.indices[below] <= row]] = 0.0
+    values.sort()
+    if ctx.unordered:
         # zero is no candidate anywhere: scipy's product drops a zero
         # sum, _scored a zero value, and the zero bucket counts the
         # zero-scored pairs analytically; a symmetric kind sums positive
-        # terms, so no weighted value of its own is 0.0 and
-        # eliminate_zeros drops exactly the pairs zeroed here
-        prod.data[below[prod.indices[below] <= row]] = 0.0
-        prod.eliminate_zeros()
+        # terms, so no weighted value of its own is 0.0 and the leading
+        # run of 0.0 is exactly the pairs zeroed above
+        values = values[np.searchsorted(values, 0.0, side="right"):]
     keys, tags = ctx.tagged_pairs(lo, hi)
     direct = _direct(ctx, *np.divmod(keys, ctx.n))
     found = direct != 0.0
-    return prod.data, direct[found], tags[found]
+    return values, direct[found], tags[found]
 
 
 def _direct(ctx, x, y):
@@ -587,13 +614,17 @@ _TAG_COUNTS = np.array(
 def _fold_chunk(ctx, lo, hi, buckets):
     """Merge the candidates of rows [lo, hi) into ``buckets``.
 
-    ``ctx.dense`` picks the backend that lists them. With ``ctx.unordered``
-    (a symmetric score) only the pairs y > x are scored, and each value
-    counts for (x, y) and for (y, x), each direction by its own tag.
-    Returns (merged buckets, explicit_count), the count of
-    explicitly-scored candidates (diagonal and training edges excluded,
-    zero-valued candidates included). Raises ValidationError when a
-    tagged pair's value is not bit for bit among the chunk's values.
+    ``ctx.dense`` picks the backend that lists them, ascending; each run
+    of equal values is one distinct value, counted by the run's length.
+    With ``ctx.unordered`` (a symmetric score) only the pairs y > x are
+    scored, and each value counts for (x, y) and for (y, x), each
+    direction by its own tag. Returns (merged buckets, explicit_count),
+    the count of explicitly-scored candidates (diagonal and training
+    edges excluded). Neither backend lists a pair whose paths sum to
+    0.0, such as the INF family's on a row of out- and in-degree 1
+    (log 1 = 0), so such a pair is not counted and is left to the zero
+    bucket. Raises ValidationError when a tagged pair's value is not bit
+    for bit among the chunk's values.
     """
     values, fixed, tags = (_dense_candidates if ctx.dense else _sparse_candidates)(ctx, lo, hi)
     if len(values) == len(fixed) == 0:
@@ -601,7 +632,8 @@ def _fold_chunk(ctx, lo, hi, buckets):
     counts = _TAG_COUNTS[int(ctx.unordered)][tags]
     directions = 2 if ctx.unordered else 1
     explicit_count = directions * (len(values) - len(fixed)) + int(counts.sum())
-    distinct, fp = np.unique(values, return_counts=True)
+    starts = _run_starts(values)  # the values ascend, so each run is one distinct value
+    distinct, fp = values[starts], np.diff(starts, append=len(values))
     # the tagged pairs count by their tags, not as plain candidates
     at = np.searchsorted(distinct, fixed)
     m = len(distinct)

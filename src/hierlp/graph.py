@@ -103,6 +103,8 @@ class Graph:
         edge_u, edge_v = _vertex_ids(edge_u), _vertex_ids(edge_v)
         if edge_u.shape != edge_v.shape:
             raise ValueError("edge endpoint arrays must have equal length")
+        if not float(vertex_count).is_integer():  # int() would truncate it
+            raise ValueError(f"vertex_count must be a finite integer, got {vertex_count!r}")
         n = int(vertex_count)
         if n < 0:
             raise ValueError("vertex_count must be non-negative")

@@ -150,6 +150,18 @@ class TestScoreAllValidation:
         with pytest.raises(ValidationError):
             score_all(four_cycle, ScoreSpec(ScoreKind.CN), NO_TEST, chunk_size=5)
 
+    @pytest.mark.parametrize("chunk_size", [1.5, 2.0, np.float64(2.0), "2"])
+    def test_chunk_size_must_be_an_integer(self, four_cycle, chunk_size):
+        """A chunk size is not truncated and does not reach ``range``."""
+        with pytest.raises(ValidationError, match="chunk_size must be None or an integer"):
+            score_all(four_cycle, ScoreSpec(ScoreKind.CN), NO_TEST, chunk_size=chunk_size)
+
+    def test_numpy_integer_chunk_size(self, four_cycle):
+        spec = ScoreSpec(ScoreKind.CN)
+        assert score_all(four_cycle, spec, NO_TEST, chunk_size=np.int32(2)) == score_all(
+            four_cycle, spec, NO_TEST, chunk_size=2
+        )
+
     @pytest.mark.parametrize("limits", [
         {"workers": 0}, {"workers": -3}, {"workers": 1.7}, {"max_buckets": -1}, {"max_buckets": 0.5},
     ])
@@ -557,6 +569,10 @@ class TestBackends:
         for lo, hi in [(lo, hi), (0, m)]:
             dense = engine._dense_candidates(dense_ctx, lo, hi)
             sparse = engine._sparse_candidates(sparse_ctx, lo, hi)
+            for values in (dense[0], sparse[0]):
+                assert np.all(values[1:] >= values[:-1])
+                if unordered:  # the pairs y <= x zeroed by scipy's backend are cut off
+                    assert not np.any(values == 0.0)
             # the values in any order; the tagged pairs in the same order
             assert np.sort(dense[0]).tobytes() == np.sort(sparse[0]).tobytes()
             assert dense[1].tobytes() == sparse[1].tobytes()
@@ -615,6 +631,36 @@ class TestBackends:
             assert fixed.tolist() == [0.5, 0.5] and tags.tolist() == [1, 1]
             buckets, count = engine._fold_chunk(ctx, 0, 1, empty)
             assert len(buckets) == 0 and count == 0
+
+    @pytest.mark.parametrize("kind", [ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD])
+    def test_zero_sums_of_a_directed_row(self, kind):
+        """Row 0 has out-degree 1 and in-degree 1, so both INF passes
+        weigh its paths by log 1 = 0: its candidates (0, 3), (0, 4) and
+        (0, 5), the test pair (0, 4) among them, all score 0.0. Both
+        backends drop a zero sum, as they do a pair without paths, so the
+        row lists no value, counts no explicit candidate, fills no bucket,
+        and leaves its pairs to the zero bucket."""
+        g = graph_from_edges([(0, 1), (2, 0), (1, 3), (1, 4), (2, 5), (2, 3), (3, 1), (5, 4)])
+        test = [(0, 4)]
+        spec = ScoreSpec(kind)
+        oracle = oracle_score_all(g, spec, test)
+        assert [oracle.scores[(0, y)] for y in (3, 4, 5)] == [0.0, 0.0, 0.0]
+        marker = engine._marker(g, np.array(test))
+        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
+        for dense, backend in ((True, engine._dense_candidates), (False, engine._sparse_candidates)):
+            ctx = engine._RunContext(g, marker, spec, dense)
+            values, fixed, tags = backend(ctx, 0, 1)
+            assert len(values) == len(fixed) == len(tags) == 0
+            buckets, count = engine._fold_chunk(ctx, 0, 1, empty)
+            assert len(buckets) == 0 and count == 0
+        buckets, count = score_from_vertex(g, 0, spec, test)
+        assert len(buckets) == 0 and count == 0
+        for forced in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                if forced:
+                    patch.setattr(engine, "DENSE_MAX_CELLS", -1)
+                for chunk in (1, g.vertex_count):
+                    assert score_all(g, spec, test, workers=1, chunk_size=chunk) == oracle.histogram
 
     @pytest.mark.parametrize("kind", [k for k in ScoreKind if k not in UNDIRECTED_KINDS])
     def test_directed_kind_tags_its_own_direction_only(self, kind):

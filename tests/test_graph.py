@@ -295,6 +295,17 @@ class TestInvariants:
         with pytest.raises(ValueError, match="finite integers"):
             Graph(3, edge_u, edge_v)
 
+    @pytest.mark.parametrize("vertex_count", [3.7, np.float64(2.5), np.nan, np.inf])
+    def test_construction_rejects_a_non_integral_vertex_count(self, vertex_count):
+        """A vertex count is not truncated: Graph(3.7, ...) is no 3-vertex graph."""
+        with pytest.raises(ValueError, match="vertex_count must be a finite integer"):
+            Graph(vertex_count, [0], [1])
+
+    @pytest.mark.parametrize("vertex_count", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_construction_accepts_an_integral_vertex_count(self, vertex_count):
+        g = Graph(vertex_count, [0], [1])
+        assert g.vertex_count == 3 and type(g.vertex_count) is int
+
     def test_degree_sums_match_edge_count(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
