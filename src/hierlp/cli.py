@@ -35,6 +35,17 @@ CONTEXT_SETTINGS = {"auto_envvar_prefix": "HIERLP"}
 
 #: written last into ``--out`` by a run that completed
 MANIFEST = "manifest.json"
+#: bytes of an artifact read at a time to hash it for the manifest
+_HASH_BLOCK = 1 << 20
+
+
+def _sha256(path):
+    """Hex SHA-256 of a file, read ``_HASH_BLOCK`` bytes at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -140,10 +151,7 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
                 f"{spec.token()}: AUPR={rep.aupr:.5f} AUROC={rep.auroc:.5f} "
                 f"P={rep.positives_total} Neg={rep.negatives_total} wall={wall:.2f}s"
             )
-        digests = {
-            os.path.relpath(path, out): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in written
-        }
+        digests = {os.path.relpath(path, out): _sha256(path) for path in written}
         write_summary({"artifacts": digests}, out / MANIFEST)
     except (ValueError, OSError, MemoryGuardError) as exc:
         raise click.ClickException(str(exc)) from exc

@@ -107,7 +107,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _opened, _reprs
+from .graph import _opened, _write_rows
 from .scores import INF_FAMILY, UNDIRECTED_KINDS, ScoreKind, log_in_base
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -183,11 +183,11 @@ class ThresholdHistogram:
     def dump(self, sink):
         """Write "score tp fp" lines sorted by descending score, plus a
         trailer with the zero bucket and totals. Scores are serialized
-        with round-trip precision."""
+        with round-trip precision (their repr). The rows go through the
+        one row writer, ``graph._write_rows``, a block at a time."""
         b = self.buckets
-        rows = zip(b["value"].tolist(), _reprs(b["tp"].tolist()), _reprs(b["fp"].tolist()))
         with _opened(sink, "w") as fh:
-            fh.writelines([f"{value!r} {tp} {fp}\n" for value, tp, fp in rows])
+            _write_rows(fh, "%r %d %d\n", b["value"], b["tp"], b["fp"])
             fh.write(f"# zero_bucket {self.zero_bucket[0]} {self.zero_bucket[1]}\n")
             fh.write(f"# positives_total {self.positives_total}\n")
             fh.write(f"# negatives_total {self.negatives_total}\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _universe
-from .graph import Graph, GraphParseError, _comment_spans, _integer_pairs, _opened, _reprs, _write_pairs
+from .graph import Graph, GraphParseError, _comment_spans, _integer_pairs, _opened, _write_rows
 from .scores import ScoreSpec
 
 
@@ -79,16 +79,19 @@ def split_edges(graph, fraction=0.10, seed=0):
 
 
 def save_split(split, sink):
-    """Persist a split (test edges + seed); enough to rerun bit-exactly."""
+    """Persist a split (test edges + seed); enough to rerun bit-exactly.
+
+    The edges of each section are "u v" lines from the one row writer,
+    ``graph._write_rows``."""
     with _opened(sink, "w") as fh:
         fh.write("# hierlp edge split\n")
         fh.write(f"# seed {split.seed}\n")
         fh.write(f"# fraction {split.fraction!r}\n")
         fh.write(f"# vertices {split.train_graph.vertex_count}\n")
         fh.write(f"# test {len(split.test_edges)}\n")
-        _write_pairs(fh, split.test_edges)
+        _write_rows(fh, "%d %d\n", *split.test_edges.T)
         fh.write(f"# dropped {len(split.dropped_test_edges)}\n")
-        _write_pairs(fh, split.dropped_test_edges)
+        _write_rows(fh, "%d %d\n", *split.dropped_test_edges.T)
 
 
 #: split-file header keys: the type of their value, and whether it must be there
@@ -263,11 +266,13 @@ def area_under_roc(points):
 
 
 def write_curve_csv(points, header, sink):
-    """One CSV per curve, values with full round-trip precision."""
-    xs, ys = np.asarray(points).reshape(-1, 2).T.tolist()
+    """One CSV per curve, values with full round-trip precision (their
+    repr). The rows go through the one row writer, ``graph._write_rows``,
+    which computes a repr once per run of equal values in a block."""
+    points = np.asarray(points).reshape(-1, 2)
     with _opened(sink, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines([f"{x},{y}\n" for x, y in zip(_reprs(xs), _reprs(ys))])
+        _write_rows(fh, "%s,%s\n", points[:, 0], points[:, 1])
 
 
 def summary_record(report, seed, fraction, wall_time, threads, chunk_size, graph_name=""):

@@ -292,24 +292,10 @@ def _opened(target, mode="r"):
         yield target
 
 
-def _reprs(column):
-    """repr of every item of a list, computed once per run of equal
-    items: a curve column repeats its values in long runs."""
-    texts = []
-    previous = text = None
-    for value in column:
-        # 0.0 == -0.0, but their reprs differ
-        if value != previous or not value:
-            text = repr(value)
-            previous = value
-        texts.append(text)
-    return texts
-
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: every byte the fast path accepts outside comment lines
 _PLAIN_BYTES = b"0123456789 \t\r\n"
-#: id pairs formatted by one ``%`` in ``_write_pairs``
+#: rows formatted by one ``%`` and written by one ``fh.write`` in ``_write_rows``
 _WRITE_BLOCK = 4096
 
 
@@ -524,20 +510,40 @@ def load_edge_list(source, format="auto"):
     return _edge_list_graph(lines_total, pairs, labels, comment_lines)
 
 
-def _write_pairs(fh, pairs):
-    """Write (E, 2) integer pairs as "u v" lines, formatting blocks of
-    ``_WRITE_BLOCK`` pairs with one ``%`` each."""
-    flat = np.asarray(pairs, dtype=np.int64).ravel().tolist()
-    step = 2 * _WRITE_BLOCK
-    for at in range(0, len(flat), step):
-        block = flat[at:at + step]
-        fh.write("%d %d\n" * (len(block) // 2) % tuple(block))
+def _reprs(values):
+    """repr of every item of a list, computed once per run of equal
+    items: a curve column repeats its values in long runs."""
+    texts = []
+    previous = text = None
+    for value in values:
+        # 0.0 == -0.0, but their reprs differ
+        if value != previous or not value:
+            text = repr(value)
+            previous = value
+        texts.append(text)
+    return texts
+
+
+def _write_rows(fh, line, *columns):
+    """Write equal-length numpy columns as one ``line % row`` per row,
+    ``_WRITE_BLOCK`` rows per ``fh.write``, each block formatted by one
+    ``%``. ``line`` holds one conversion per column: ``%d`` and ``%r``
+    format each value, ``%s`` passes a column's values as their reprs,
+    computed once per run of equal values within the block (``_reprs``).
+    A writer so holds one block of text, never the whole artifact."""
+    for at in range(0, len(columns[0]), _WRITE_BLOCK):
+        blocks = [column[at:at + _WRITE_BLOCK].tolist() for column in columns]
+        cells = [None] * (len(columns) * len(blocks[0]))
+        for i, (values, conversion) in enumerate(zip(blocks, line.split("%")[1:])):
+            cells[i::len(columns)] = _reprs(values) if conversion.startswith("s") else values
+        fh.write(line * len(blocks[0]) % tuple(cells))
 
 
 def write_edge_list(graph, sink):
     """Write the canonical edge list: one "u v" per line, sorted by (u, v).
 
     Internal dense ids are used, so a reload yields an identical Graph.
+    The lines come from the one row writer, ``_write_rows``.
     """
     with _opened(sink, "w") as fh:
-        _write_pairs(fh, np.column_stack(graph.edges()))
+        _write_rows(fh, "%d %d\n", *graph.edges())

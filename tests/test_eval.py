@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +289,16 @@ def _column(runs):
     return [value for value, length in runs for _ in range(length)]
 
 
+#: row counts about the writers' block edges
+_BLOCK_ROWS = [_WRITE_BLOCK - 1, _WRITE_BLOCK, _WRITE_BLOCK + 1, 2 * _WRITE_BLOCK + 3]
+
+
+def _block_edges(rows):
+    """The first row of every block after the first; the last row when
+    there is one block only."""
+    return range(_WRITE_BLOCK, rows, _WRITE_BLOCK) or [rows - 1]
+
+
 class TestWriters:
     """The writers format a run of equal values once; the bytes must be
     those of a repr per value."""
@@ -322,3 +334,58 @@ class TestWriters:
             f"# negatives_total {h.negatives_total}",
         ]
         assert buf.getvalue().splitlines() == expected
+
+    @pytest.mark.parametrize("rows", _BLOCK_ROWS)
+    def test_curve_csv_at_block_edges(self, rows):
+        xs = np.linspace(0.0, 1.0, rows)
+        ys = np.linspace(1.0, 0.5, rows)
+        for edge in _block_edges(rows):
+            xs[edge - 7:edge + 7] = 1 / 3  # one run across the edge
+            ys[edge - 1], ys[edge] = 0.0, -0.0  # equal, but their reprs differ
+        buf = io.StringIO()
+        write_curve_csv(np.column_stack([xs, ys]), "fpr,tpr", buf)
+        expected = ["fpr,tpr"] + [f"{x!r},{y!r}" for x, y in zip(xs.tolist(), ys.tolist())]
+        assert buf.getvalue().splitlines() == expected
+
+    @pytest.mark.parametrize("rows", _BLOCK_ROWS)
+    def test_dump_at_block_edges(self, rows):
+        buckets = np.zeros(rows, dtype=BUCKET_DTYPE)
+        buckets["value"] = np.geomspace(1e3, 1e-9, rows)
+        buckets["fp"] = 1
+        for edge in _block_edges(rows):
+            buckets["tp"][edge - 7:edge + 7] = 2  # one run across the edge
+            buckets["value"][edge - 1], buckets["value"][edge] = 0.0, -0.0
+        h = ThresholdHistogram(buckets, (0, 5), int(buckets["tp"].sum()), rows + 5)
+        buf = io.StringIO()
+        h.dump(buf)
+        expected = [f"{value!r} {t} {f}" for value, t, f in buckets.tolist()] + [
+            "# zero_bucket 0 5",
+            f"# positives_total {h.positives_total}",
+            f"# negatives_total {h.negatives_total}",
+        ]
+        assert buf.getvalue().splitlines() == expected
+
+    def test_writers_hold_one_block(self):
+        # 100,000 rows: held as lines, either artifact takes over 20 MB;
+        # one block of it takes under 1 MB
+        rows = 100_000
+        buckets = np.zeros(rows, dtype=BUCKET_DTYPE)
+        buckets["value"] = np.geomspace(1e3, 1e-9, rows)
+        buckets["tp"] = np.arange(rows) % 7 == 0
+        buckets["fp"] = 1 + np.arange(rows) % 3
+        h = ThresholdHistogram(
+            buckets, (1, 2), int(buckets["tp"].sum()) + 1, int(buckets["fp"].sum()) + 2
+        )
+        roc_points = build_curves(h).roc_points
+        peaks = []
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                h.dump(sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                write_curve_csv(roc_points, "fpr,tpr", sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert all(peak < 4 * 2**20 for peak in peaks), peaks
