@@ -98,8 +98,9 @@ on its own rows, and the merge sums the integer counts of exactly equal
 values.
 """
 
+import io
+import math
 import os
-import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -107,7 +108,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _opened, _write_rows
+from .graph import _INT64_MAX, _opened, _read_artifact, _write_header, _write_rows
 from .scores import INF_FAMILY, UNDIRECTED_KINDS, ScoreKind, log_in_base
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -146,7 +147,9 @@ class CandidateUniverse:
 #: One histogram bucket: a distinct nonzero score value and its counts.
 BUCKET_DTYPE = np.dtype([("value", np.float64), ("tp", np.int64), ("fp", np.int64)])
 
-_TRAILER = re.compile(r"^#[ \t]*(\w+)[ \t]*(.*)$", re.MULTILINE)
+#: the keys of a histogram dump's trailer, each with its values' parsers:
+#: ThresholdHistogram's fields
+_TRAILER_KEYS = {"zero_bucket": (int, int), "positives_total": (int,), "negatives_total": (int,)}
 
 
 @dataclass(eq=False)
@@ -184,24 +187,69 @@ class ThresholdHistogram:
         """Write "score tp fp" lines sorted by descending score, plus a
         trailer with the zero bucket and totals. Scores are serialized
         with round-trip precision (their repr). The rows go through the
-        one row writer, ``graph._write_rows``, a block at a time."""
+        one row writer, ``graph._write_rows``, a block at a time, and
+        the trailer through the one header writer,
+        ``graph._write_header``."""
         b = self.buckets
         with _opened(sink, "w") as fh:
             _write_rows(fh, "%r %d %d\n", b["value"], b["tp"], b["fp"])
-            fh.write(f"# zero_bucket {self.zero_bucket[0]} {self.zero_bucket[1]}\n")
-            fh.write(f"# positives_total {self.positives_total}\n")
-            fh.write(f"# negatives_total {self.negatives_total}\n")
+            _write_header(
+                fh, _TRAILER_KEYS, zero_bucket=self.zero_bucket,
+                positives_total=self.positives_total, negatives_total=self.negatives_total,
+            )
 
     @classmethod
     def load(cls, source):
-        with _opened(source) as fh:
-            text = fh.read()
-        trailer = dict(_TRAILER.findall(text))
-        rows = np.array(_TRAILER.sub("", text).split()).reshape(-1, 3)
-        part = (rows[:, 0].astype(np.float64), rows[:, 1].astype(np.int64), rows[:, 2].astype(np.int64))
-        zero = tuple(int(x) for x in trailer.get("zero_bucket", "0 0").split())
-        positives = int(trailer.get("positives_total", 0))
-        return cls(_merge([part]), zero, positives, int(trailer.get("negatives_total", 0)))
+        """Read a histogram ``dump`` wrote by the one artifact reader,
+        ``graph._read_artifact``: its rows by ``_bucket_rows``, then its
+        trailer, each key of ``_TRAILER_KEYS`` exactly once and no row
+        after it. Raises ValueError naming the line at fault, and
+        ValidationError when the counts break ``check_conservation``."""
+        trailer, rows = _read_artifact(source, "histogram dump", _TRAILER_KEYS, _bucket_rows, (None,))
+        hist = cls(rows.get(None, np.empty(0, dtype=BUCKET_DTYPE)), **trailer)
+        hist.check_conservation()
+        return hist
+
+
+def _bucket_rows(body, first_line):
+    """The BUCKET_DTYPE rows of a histogram dump's body, one "value tp
+    fp" per line, blank lines skipped. The values must be finite,
+    nonzero and strictly descending, the counts in [0, 2^63).
+    ``np.loadtxt`` reads the rows at once; when it fails or a row breaks
+    a rule, a line loop reads them again and raises ValueError naming
+    the first line at fault, counted from ``first_line``."""
+    try:
+        rows = np.loadtxt(io.StringIO(body), dtype=BUCKET_DTYPE, comments=None, ndmin=1)
+    except ValueError:
+        pass  # the line loop names the line
+    else:
+        values = rows["value"]
+        if (
+            np.isfinite(values).all() and values.all() and (values[1:] < values[:-1]).all()
+            and (rows["tp"] >= 0).all() and (rows["fp"] >= 0).all()
+        ):
+            return rows
+    rows = []
+    for line_number, line in enumerate(io.StringIO(body), start=first_line):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            value, tp, fp = float(fields[0]), *map(int, fields[1:])
+        except ValueError:
+            fault = "expected 'value tp fp'"
+        else:
+            fault = (
+                "a value that is not finite" if not math.isfinite(value)
+                else "a zero value" if not value
+                else "a value not below the one before" if rows and value >= rows[-1][0]
+                else "a count outside [0, 2^63)" if not 0 <= min(tp, fp) <= max(tp, fp) <= _INT64_MAX
+                else None
+            )
+        if fault:
+            raise ValueError(f"line {line_number}: {line.strip()!r}: {fault}")
+        rows.append((value, tp, fp))
+    return np.array(rows, dtype=BUCKET_DTYPE)
 
 
 def _columns(buckets):
@@ -750,13 +798,8 @@ def score_all(
                 stop.set()  # an interrupted caller stops the workers too
     # a single worker's histogram is merged already
     buckets = capped(hists[0] if workers == 1 else _merge([_columns(b) for b in hists]))
-    explicit_tp = int(buckets["tp"].sum())
-    explicit_fp = int(buckets["fp"].sum())
-    hist = ThresholdHistogram(
-        buckets=buckets,
-        zero_bucket=(positives - explicit_tp, negatives - explicit_fp),
-        positives_total=positives,
-        negatives_total=negatives,
-    )
+    hist = ThresholdHistogram(buckets, (0, 0), positives, negatives)
+    explicit_tp, explicit_fp = hist.explicit_totals()
+    hist.zero_bucket = (positives - explicit_tp, negatives - explicit_fp)
     hist.check_conservation()
     return hist

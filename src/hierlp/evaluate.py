@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _universe
-from .graph import Graph, GraphParseError, _comment_spans, _integer_pairs, _opened, _write_rows
+from .graph import Graph, _integer_pairs, _opened, _read_artifact, _write_header, _write_rows
 from .scores import ScoreSpec
 
 
@@ -78,100 +78,55 @@ def split_edges(graph, fraction=0.10, seed=0):
     )
 
 
-def save_split(split, sink):
-    """Persist a split (test edges + seed); enough to rerun bit-exactly.
-
-    The edges of each section are "u v" lines from the one row writer,
-    ``graph._write_rows``."""
-    with _opened(sink, "w") as fh:
-        fh.write("# hierlp edge split\n")
-        fh.write(f"# seed {split.seed}\n")
-        fh.write(f"# fraction {split.fraction!r}\n")
-        fh.write(f"# vertices {split.train_graph.vertex_count}\n")
-        fh.write(f"# test {len(split.test_edges)}\n")
-        _write_rows(fh, "%d %d\n", *split.test_edges.T)
-        fh.write(f"# dropped {len(split.dropped_test_edges)}\n")
-        _write_rows(fh, "%d %d\n", *split.dropped_test_edges.T)
-
-
-#: split-file header keys: the type of their value, and whether it must be there
-_SPLIT_KEYS = {
-    "seed": (int, True),
-    "fraction": (float, True),
-    "vertices": (int, True),
-    "test": (int, False),
-    "dropped": (int, False),
+#: the first line of a split file
+_SPLIT_TITLE = "# hierlp edge split"
+#: a split file's header keys, each with its value's parser; "# test" and
+#: "# dropped" head the sections of their edges
+_SPLIT_HEADER = {
+    "seed": (int,), "fraction": (float,), "vertices": (int,), "test": (int,), "dropped": (int,)
 }
 
 
-def _split_header(line, line_number):
-    """(key, value) of a split-file header line "# key [value]". The value
-    is None when absent, and for a key not in ``_SPLIT_KEYS`` (the title
-    line). Refuses, naming the line, one of another shape or a value
-    that is missing or not a number."""
-    fields = line.split()
-    key = fields[1] if len(fields) > 1 else None
-    parse, required = _SPLIT_KEYS.get(key, (None, False))
-    try:
-        if fields[0] != "#" or key is None or (required and len(fields) < 3):
-            raise ValueError
-        return key, parse(fields[2]) if parse and len(fields) > 2 else None
-    except ValueError:
-        raise ValueError(f"malformed split file: line {line_number}: {line.strip()!r}") from None
+def save_split(split, sink):
+    """Persist a split (test edges + seed); enough to rerun bit-exactly.
+
+    The header lines come from the one header writer,
+    ``graph._write_header``, and the edges of each section are "u v"
+    lines from the one row writer, ``graph._write_rows``."""
+    with _opened(sink, "w") as fh:
+        fh.write(_SPLIT_TITLE + "\n")
+        _write_header(
+            fh, _SPLIT_HEADER, seed=split.seed, fraction=split.fraction,
+            vertices=split.train_graph.vertex_count, test=len(split.test_edges),
+        )
+        _write_rows(fh, "%d %d\n", *split.test_edges.T)
+        _write_header(fh, _SPLIT_HEADER, dropped=len(split.dropped_test_edges))
+        _write_rows(fh, "%d %d\n", *split.dropped_test_edges.T)
 
 
 def load_split(graph, source):
     """Rebuild an EdgeSplit against the original graph from a split file.
 
-    Header lines read "# key [value]"; the edges after "# test" and after
-    "# dropped" are read by the edge-list loader's integer-pair reader.
-    Refuse, naming the line, a malformed header or edge line; refuse a
-    file written for a graph of another vertex count, one whose section
-    counts differ from the edges it lists, and one that lists an edge
-    twice."""
-    with _opened(source) as fh:
-        text = fh.read()
-    header = {"seed": 0, "fraction": 0.0}
-    pairs = {"test": [], "dropped": []}
-    declared = {}
-    section = None
-    bodies = []  # (section, the lines up to the next header, first line number)
-    previous = 0
-    line_number = 1
-    for start, end in _comment_spans(text):
-        bodies.append((section, text[previous:start], line_number))
-        line_number += text.count("\n", previous, start)
-        key, value = _split_header(text[start:end], line_number)
-        if key in pairs:
-            section = key
-            if value is not None:
-                declared[key] = value
-        elif key == "vertices" and value != graph.vertex_count:
-            raise ValueError(
-                f"split file is for {value} vertices, the graph has {graph.vertex_count}"
-            )
-        elif key in header:
-            header[key] = value
-        line_number += 1
-        previous = end
-    bodies.append((section, text[previous:], line_number))
-    for section, body, first_line in bodies:
-        if not body or body.isspace():
-            continue
-        if section is None:
-            raise ValueError("malformed split file: edges before a section header")
-        try:
-            pairs[section].append(_integer_pairs(body, first_line))
-        except GraphParseError as error:
-            raise ValueError(f"malformed split file: {error}") from None
-    test, dropped = (
-        np.concatenate([np.empty((0, 2), dtype=np.int64), *pairs[name]])
-        for name in ("test", "dropped")
+    The one artifact reader, ``graph._read_artifact``, reads its header
+    lines "# key value", each key of ``_SPLIT_HEADER`` exactly once, and
+    the edges after "# test" and after "# dropped" by the edge-list
+    loader's integer-pair reader. Refuse, naming
+    the line, a malformed, unknown or repeated header line, a missing
+    one, and a malformed or misplaced edge line; refuse a file written
+    for a graph of another vertex count, one whose section counts differ
+    from the edges it lists, and one that lists an edge twice."""
+    header, edges = _read_artifact(
+        source, "split file", _SPLIT_HEADER, _integer_pairs, ("test", "dropped"), _SPLIT_TITLE
     )
+    test, dropped = (edges.get(key, np.empty((0, 2), dtype=np.int64)) for key in ("test", "dropped"))
+    if header["vertices"] != graph.vertex_count:
+        raise ValueError(
+            f"split file is for {header['vertices']} vertices, the graph has {graph.vertex_count}"
+        )
     for name, edges in (("test", test), ("dropped", dropped)):
-        if name in declared and declared[name] != len(edges):
+        if header[name] != len(edges):
             raise ValueError(
-                f"split file declares {declared[name]} {name} edges but lists {len(edges)}"
+                f"split file declares {header[name]} {name} edges but lists {len(edges)}"
             )
     removed = np.concatenate([test, dropped])
     n = graph.vertex_count
@@ -186,7 +141,7 @@ def load_split(graph, source):
     if graph.edge_count - len(kept) != len(removed):
         raise ValueError("split file contains edges absent from the graph")
     train_graph = Graph(n, *np.divmod(kept, n), vertex_labels=graph.vertex_labels)
-    return EdgeSplit(train_graph, test, dropped, **header)
+    return EdgeSplit(train_graph, test, dropped, header["seed"], header["fraction"])
 
 
 def build_curves(histogram, spec=None, metadata=None):

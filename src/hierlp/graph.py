@@ -299,18 +299,76 @@ _PLAIN_BYTES = b"0123456789 \t\r\n"
 _WRITE_BLOCK = 4096
 
 
-def _comment_spans(text):
-    """(start, end) of each line of ``text`` whose first character other
-    than a space or a tab is '#'; ``end`` is past the line's newline."""
-    spans = []
+def _sections(text):
+    """Cut ``text`` at its comment lines, those whose first character
+    other than a space or a tab is '#'. Yields (comment line, its line
+    number, body, the body's first line number) with line numbers from
+    1: first (None, None, the lines before any comment line, 1), then
+    one per comment line, whose body runs up to the next. The one walker
+    of edge lists, split files and histogram dumps."""
+    comment = comment_line = None
+    previous, line_number = 0, 1
     at = text.find("#")
     while at >= 0:
         start = text.rfind("\n", 0, at) + 1
         end = text.find("\n", at) + 1 or len(text)
         if not text[start:at].strip(" \t"):
-            spans.append((start, end))
+            yield comment, comment_line, text[previous:start], line_number
+            line_number += text.count("\n", previous, start)
+            comment, comment_line = text[start:end], line_number
+            line_number += 1
+            previous = end
         at = text.find("#", end)
-    return spans
+    yield comment, comment_line, text[previous:], line_number
+
+
+def _read_artifact(source, name, table, read_rows, row_keys, title=None):
+    """Read the artifact ``name`` from a path or a stream: one walk over
+    its comment lines, each a header line "# key value..." read by the
+    one header parser, and the rows between them.
+
+    ``table`` maps each key to one parser per value. Returns (values,
+    rows): ``values`` maps each key to its parsed value, or to the tuple
+    of them for a key of several; ``rows`` maps each key of ``row_keys``
+    whose header line is followed by a non-blank body to
+    ``read_rows(body, the body's first line number)``, None standing for
+    the lines before any header line. A first line equal to ``title`` is
+    no header line. Raises ValueError "malformed <name>: ...", naming
+    the line of a header line of another shape, of a key not in
+    ``table``, of a key's second line and of a row after a key not in
+    ``row_keys``, with the errors of ``read_rows``; and naming a key of
+    ``table`` that has no line."""
+    with _opened(source) as fh:
+        text = fh.read()
+    values, rows = {}, {}
+    key = None
+    try:
+        for line, line_number, body, first_line in _sections(text):
+            if line is not None and not (line_number == 1 and line.strip() == title):
+                fields, line = line.split(), line.strip()
+                key = fields[1] if len(fields) > 1 and fields[0] == "#" else None
+                if key not in table:
+                    raise ValueError(f"line {line_number}: {line!r}: no key of {', '.join(table)}")
+                if key in values:
+                    raise ValueError(f"line {line_number}: {line!r}: a second {key!r} line")
+                try:
+                    value = tuple(parse(f) for parse, f in zip(table[key], fields[2:], strict=True))
+                except ValueError:
+                    shape = " ".join(["#", key, *(parse.__name__ for parse in table[key])])
+                    raise ValueError(f"line {line_number}: {line!r}: expected {shape!r}") from None
+                values[key] = value if len(value) > 1 else value[0]
+            if body and not body.isspace():
+                if key not in row_keys:
+                    row_line = first_line + body[:len(body) - len(body.lstrip())].count("\n")
+                    where = f"after {line!r}" if key else "before any header line"
+                    raise ValueError(f"line {row_line}: a row {where}")
+                rows[key] = read_rows(body, first_line)
+        missing = [key for key in table if key not in values]
+        if missing:
+            raise ValueError(f"no '# {missing[0]}' line")
+    except ValueError as error:
+        raise ValueError(f"malformed {name}: {error}") from None
+    return values, rows
 
 
 def _plain_pairs(text):
@@ -417,13 +475,9 @@ def _plain_edge_list(text):
     """(integer id pairs, comment lines) of an edge list whose every line
     is a comment, blank, or two decimal ids below 2^63, from the fast
     path; None for any other text."""
-    spans = _comment_spans(text)
-    if spans:
-        starts = [start for start, _ in spans] + [len(text)]
-        ends = [0] + [end for _, end in spans]
-        text = "".join(text[a:b] for a, b in zip(ends, starts))
-    pairs = _plain_pairs(text)
-    return None if pairs is None else (pairs, len(spans))
+    bodies = [body for _, _, body, _ in _sections(text)]
+    pairs = _plain_pairs("".join(body for body in bodies if body))
+    return None if pairs is None else (pairs, len(bodies) - 1)
 
 
 def _line_edge_list(text, format):
@@ -537,6 +591,17 @@ def _write_rows(fh, line, *columns):
         for i, (values, conversion) in enumerate(zip(blocks, line.split("%")[1:])):
             cells[i::len(columns)] = _reprs(values) if conversion.startswith("s") else values
         fh.write(line * len(blocks[0]) % tuple(cells))
+
+
+def _write_header(fh, table, **values):
+    """Write one header line "# key value..." per keyword, in order: the
+    one header writer. Each value passes through its parser in
+    ``table[key]``; a key of several values takes them as a sequence, as
+    ``_read_artifact`` returns them."""
+    for key, value in values.items():
+        value = value if len(table[key]) > 1 else (value,)
+        fields = [str(parse(v)) for parse, v in zip(table[key], value, strict=True)]
+        fh.write(f"# {key} {' '.join(fields)}\n")
 
 
 def write_edge_list(graph, sink):

@@ -7,7 +7,16 @@ import pytest
 from click.testing import CliRunner
 
 from hierlp.cli import compare_reports, improvement_percent, main
-from hierlp import write_edge_list
+from hierlp import (
+    ScoreKind,
+    ScoreSpec,
+    ThresholdHistogram,
+    load_edge_list,
+    load_split,
+    score_all,
+    split_edges,
+    write_edge_list,
+)
 
 from conftest import preferential_attachment_digraph
 
@@ -73,6 +82,29 @@ class TestRun:
         summary_b = json.loads((out_b / "aa_summary.json").read_text())
         assert summary_a["positives"] == summary_b["positives"]
         assert summary_a["seed"] == summary_b["seed"]
+
+    def test_artifacts_load_back(self, graph_file, tmp_path):
+        out = tmp_path / "out"
+        kinds = [kind.value for kind in ScoreKind]
+        result = run_cli([
+            "run", "--graph", str(graph_file), *(a for kind in kinds for a in ("--score", kind)),
+            "--log-base", "2", "--seed", "6", "--out", str(out),
+        ])
+        assert result.exit_code == 0
+        graph, _ = load_edge_list(graph_file)
+        split = split_edges(graph, 0.10, seed=6)
+        reloaded = load_split(graph, out / "split.txt")
+        assert (reloaded.seed, reloaded.fraction) == (6, 0.10)
+        assert reloaded.train_graph == split.train_graph
+        assert np.array_equal(reloaded.test_edges, split.test_edges)
+        assert np.array_equal(reloaded.dropped_test_edges, split.dropped_test_edges)
+        assert sorted(p.name for p in out.glob("*_histogram.txt")) == sorted(
+            f"{kind}_histogram.txt" for kind in kinds
+        )
+        for kind in kinds:
+            spec = ScoreSpec.parse(kind, log_base=2.0)
+            expected = score_all(split.train_graph, spec, split.test_edges, workers=1)
+            assert ThresholdHistogram.load(out / f"{kind}_histogram.txt") == expected, kind
 
     def test_missing_graph_fails_nonzero(self, tmp_path):
         result = CliRunner().invoke(main, [

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,61 @@ _rows = st.lists(
     st.tuples(st.sampled_from([0.25, 1 / 3, 1.0, 2.5, 7.0]), st.integers(0, 3), st.integers(0, 3)),
     max_size=8,
 )
+
+
+_TRAILER = "# zero_bucket 0 5\n# positives_total 3\n# negatives_total 10\n"
+
+
+class TestHistogramLoad:
+    """A malformed dump is refused, by the line at fault where it has one."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # rows: three fields, finite nonzero values strictly descending,
+            # counts >= 0
+            ("0.5 1 2 0.25 2 3\n" + _TRAILER, "line 1: '0.5 1 2 0.25 2 3': expected 'value tp fp'"),
+            ("0.5 1 2\n0.25 2\n" + _TRAILER, "line 2: '0.25 2': expected 'value tp fp'"),
+            ("0.5 1 2\n0.25 2.0 3\n" + _TRAILER, "line 2: '0.25 2.0 3': expected"),
+            ("nan 1 2\n0.25 2 3\n" + _TRAILER, "line 1: 'nan 1 2': a value that is not finite"),
+            ("inf 1 2\n0.25 2 3\n" + _TRAILER, "line 1: 'inf 1 2': a value that is not finite"),
+            ("0.5 1 2\n0.0 2 3\n" + _TRAILER, "line 2: '0.0 2 3': a zero value"),
+            ("0.5 4 2\n0.25 -1 3\n" + _TRAILER, r"line 2: '0.25 -1 3': a count outside \[0, 2\^63\)"),
+            ("0.5 1 2\n\n0.5 2 3\n" + _TRAILER, "line 3: '0.5 2 3': a value not below the one before"),
+            ("0.25 1 2\n0.5 2 3\n" + _TRAILER, "line 2: '0.5 2 3': a value not below the one before"),
+            ("0.5 1 2\n0.25 2 3\n# zero_bucket 0 5\n0.125 0 0\n# positives_total 3\n"
+             "# negatives_total 10\n", "line 4: a row after '# zero_bucket 0 5'"),
+            # the trailer: each key once, with its values
+            ("0.5 1 2\n0.25 2 3\n", "no '# zero_bucket' line"),
+            ("0.5 1 2\n0.25 2 3\n# zero_buckets 0 5\n# positives_total 3\n# negatives_total 10\n",
+             "line 3: '# zero_buckets 0 5': no key of zero_bucket"),
+            ("0.5 1 2\n0.25 2 3\n# zero_bucket 0\n# positives_total 3\n# negatives_total 10\n",
+             "line 3: '# zero_bucket 0': expected '# zero_bucket int int'"),
+            ("0.5 1 2\n0.25 2 3\n" + _TRAILER + "# positives_total 3\n",
+             "line 6: '# positives_total 3': a second 'positives_total' line"),
+        ],
+        ids=[
+            "two-rows-on-a-line", "two-fields", "float-count", "nan", "inf", "zero-value",
+            "negative-count", "repeated-value", "ascending-values", "row-after-trailer",
+            "no-trailer", "misspelled-key", "one-zero-count", "second-key",
+        ],
+    )
+    def test_malformed_dump_refused(self, text, message):
+        with pytest.raises(ValueError, match=f"^malformed histogram dump: {message}"):
+            ThresholdHistogram.load(io.StringIO(text))
+
+    def test_counts_that_do_not_add_up_refused(self):
+        with pytest.raises(ValidationError, match="positives_total"):
+            ThresholdHistogram.load(io.StringIO(
+                "0.5 1 2\n0.25 2 3\n# zero_bucket 0 5\n# positives_total 4\n# negatives_total 10\n"
+            ))
+
+    def test_empty_dump_loads_without_a_warning(self):
+        text = "# zero_bucket 2 5\n# positives_total 2\n# negatives_total 5\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on no data
+            h = ThresholdHistogram.load(io.StringIO(text))
+        assert len(h.buckets) == 0 and h.zero_bucket == (2, 5)
 
 
 def _part(rows):

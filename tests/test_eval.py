@@ -144,6 +144,40 @@ class TestSplitEdges:
         assert buf.getvalue() == "".join(line + "\n" for line in lines)
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            # each header key is required, once
+            ("# hierlp edge split\n# fraction 0.5\n# vertices 4\n# test 1\n0 1\n# dropped 0\n",
+             "no '# seed' line"),
+            ("# hierlp edge split\n# seed 1\n# vertices 4\n# test 1\n0 1\n# dropped 0\n",
+             "no '# fraction' line"),
+            ("# hierlp edge split\n# seed 1\n# fraction 0.5\n# test 1\n0 1\n# dropped 0\n",
+             "no '# vertices' line"),
+            (SPLIT_HEAD + "# test 1\n0 1\n", "no '# dropped' line"),
+            (SPLIT_HEAD + "# seed 2\n# test 1\n0 1\n# dropped 0\n",
+             "line 5: '# seed 2': a second 'seed' line"),
+            (SPLIT_HEAD + "# test 1\n0 1\n# dropped 0\n# vertices 4\n",
+             "line 8: '# vertices 4': a second 'vertices' line"),
+            (SPLIT_HEAD + "# test 1\n0 1\n# test 0\n# dropped 0\n",
+             "line 7: '# test 0': a second 'test' line"),
+            # a key must be known and carry its value
+            (SPLIT_HEAD + "# test 1\n0 1\n# seeds 2\n# dropped 0\n",
+             "line 7: '# seeds 2': no key of seed, fraction"),
+            (SPLIT_HEAD + "# test\n0 1\n# dropped 0\n", "line 5: '# test': expected '# test int'"),
+            # edges belong to the test and dropped sections
+            (SPLIT_HEAD + "\n0 1\n# test 0\n# dropped 0\n", "line 6: a row after '# vertices 4'"),
+        ],
+        ids=[
+            "no-seed", "no-fraction", "no-vertices", "no-dropped", "second-seed",
+            "second-vertices", "second-test", "unknown-key", "no-value", "edge-outside-sections",
+        ],
+    )
+    def test_malformed_header_refused(self, text, message):
+        g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError, match=f"^malformed split file: {message}"):
+            load_split(g, io.StringIO(text))
+
+    @pytest.mark.parametrize(
         "body, message",
         [
             ("# test 99\n0 1\n1 2\n# dropped 0\n", "declares 99 test edges but lists 2"),
@@ -364,6 +398,13 @@ class TestWriters:
             f"# negatives_total {h.negatives_total}",
         ]
         assert buf.getvalue().splitlines() == expected
+        # a histogram holds no zero value: the reader names the first
+        with pytest.raises(ValueError, match=f"line {_block_edges(rows)[0]}: '0.0 2 1'"):
+            ThresholdHistogram.load(io.StringIO(buf.getvalue()))
+        buckets["value"] = np.geomspace(1e3, 1e-9, rows)
+        buf = io.StringIO()
+        h.dump(buf)
+        assert ThresholdHistogram.load(io.StringIO(buf.getvalue())) == h
 
     def test_writers_hold_one_block(self):
         # 100,000 rows: held as lines, either artifact takes over 20 MB;
