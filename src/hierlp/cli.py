@@ -71,9 +71,10 @@ def main():
                    f"min({DEFAULT_CHUNK_SIZE}, vertex count).")
 @click.option("--max-buckets", default=None, type=click.IntRange(min=0),
               help="Hard cap on distinct score values; exceeding it aborts the run. "
-                   "It is checked on each worker's histogram after every chunk and on "
-                   "the merged result, so a run holds at most threads x cap buckets; "
-                   "whether it aborts does not depend on --threads or --chunk-size.")
+                   "It is checked on each worker's histogram after every merge and on "
+                   "the merged result, so a run holds at most threads x (cap + one "
+                   "chunk's part) buckets; whether it aborts does not depend on "
+                   "--threads or --chunk-size.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
         split_file, threads, chunk_size, max_buckets, out_dir):
@@ -157,19 +158,27 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
         raise click.ClickException(str(exc)) from exc
 
 
-def compare_reports(records):
+def compare_reports(records, names=None):
     """Ranking table with pairwise AUPR improvement percentages.
 
     All records must come from the same split; comparisons across
     splits are invalid and refused. Improvements are keyed by
     ``score_label`` pairs, so one score run with two log bases is
-    two entries.
+    two entries, and two records of one label are refused: their entries
+    would collapse into one. ``names`` name the records in that error
+    (default: "report 1", "report 2", ...).
     """
     if len(records) < 2:
         raise ValueError("need at least 2 reports to compare")
     split_meta = {(r["seed"], r["fraction"], r["positives"], r["negatives"]) for r in records}
     if len(split_meta) != 1:
         raise ValueError("reports come from different splits; comparison refused")
+    first = {}  # the name of the first record of each label
+    for name, record in zip(names or [f"report {i}" for i in range(1, len(records) + 1)], records):
+        label = score_label(record)
+        if label in first:
+            raise ValueError(f"{first[label]} and {name} both summarise {label!r}; compare distinct scores")
+        first[label] = name
     ranked = sorted(records, key=lambda r: r["aupr"], reverse=True)
     labelled = [(score_label(r), r["aupr"]) for r in ranked]
     improvements = {}
@@ -222,10 +231,11 @@ def _read_summary(path):
 @click.argument("summaries", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 def compare(summaries):
-    """Compare summary JSONs produced by `run` on one shared split."""
+    """Compare summary JSONs produced by `run` on one shared split, one
+    per score."""
     records = [_read_summary(path) for path in summaries]
     try:
-        result = compare_reports(records)
+        result = compare_reports(records, summaries)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"{'score':<20} {'AUPR':>10} {'AUROC':>10}")
@@ -234,8 +244,7 @@ def compare(summaries):
     click.echo("")
     best = score_label(result["ranking"][0])
     for other in map(score_label, result["ranking"][1:]):
-        if other != best:
-            click.echo(f"{best} over {other}: {result['improvements'][(best, other)]:+.2f}%")
+        click.echo(f"{best} over {other}: {result['improvements'][(best, other)]:+.2f}%")
 
 
 if __name__ == "__main__":

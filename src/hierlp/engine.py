@@ -89,13 +89,24 @@ time scipy's did.
 Workers claim fixed-size chunks of source vertices dynamically from one
 shared iterator, which absorbs the degree skew of webgraphs. Each runs
 one loop, inline for one worker and on a ``ThreadPoolExecutor`` for
-more, folds its chunks into its own histogram and returns it; the first
-worker to fail stops the others from claiming more. A histogram holds
-the distinct nonzero score values, descending, with int64 (tp, fp)
-counts; one merge builds every histogram. The result is bit identical
-for any worker count and chunk size: every chunk's values depend only
-on its own rows, and the merge sums the integer counts of exactly equal
-values.
+more; the first worker to fail stops the others from claiming more. A
+histogram holds the distinct nonzero score values, descending, with
+int64 (tp, fp) counts; one merge, ``_merge``, builds every histogram,
+in one sort of all its parts. A chunk's fold is one such part, as
+columns. A worker's first part is its histogram, with no merge. Later
+parts wait, pending, and the worker merges them with its histogram in
+one ``_merge`` once they hold as many buckets as it. Such a merge sorts
+at most twice the pending buckets it takes in, so the merges of a call
+sort at most about twice the buckets of all its parts, where merging
+each part into the whole histogram cost O(chunks x buckets); a call of
+one chunk never merges. Without ``max_buckets`` a worker holds at most
+about twice its histogram, plus one chunk's part. With it, the worker
+also merges once histogram and pending parts hold more than the cap, and
+checks the cap on every merge, so it holds at most the cap plus one
+chunk's part. The call merges every worker's histogram and pending
+parts at the end. The result is bit identical for any worker count and
+chunk size: every chunk's values depend only on its own rows, and the
+merge sums the integer counts of exactly equal values, in any grouping.
 """
 
 import io
@@ -174,8 +185,11 @@ class ThresholdHistogram:
     def explicit_totals(self):
         return int(self.buckets["tp"].sum()), int(self.buckets["fp"].sum())
 
-    def check_conservation(self):
-        tp, fp = self.explicit_totals()
+    def check_conservation(self, explicit=None):
+        """Raise ValidationError unless the explicit counts plus the zero
+        bucket sum to the totals; ``explicit`` is ``explicit_totals()``
+        when the caller has it."""
+        tp, fp = explicit or self.explicit_totals()
         if tp + self.zero_bucket[0] != self.positives_total:
             raise ValidationError("true-positive counts do not sum to positives_total")
         if fp + self.zero_bucket[1] != self.negatives_total:
@@ -265,22 +279,21 @@ def _merge(parts):
     values and gathers their counts.
     """
     values = np.concatenate([part[0] for part in parts])
-    if len(values) == 0:
-        return np.empty(0, dtype=BUCKET_DTYPE)
     # the parts are runs (a histogram descending, a chunk's distinct
     # values ascending), which a stable sort merges in linear time
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
-    starts = _run_starts(values)
+    starts = _run_bounds(values)[:-1]
     counts = [np.concatenate([part[index] for part in parts])[order] for index in (1, 2)]
     return _buckets(values[starts], *(np.add.reduceat(c, starts, dtype=np.int64) for c in counts))
 
 
-def _run_starts(values):
-    """The index of the first value of each run of equal values."""
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return np.flatnonzero(first)
+def _run_bounds(values):
+    """The index of the first value of each run of equal values, then
+    len(values)."""
+    bounds = np.ones(len(values) + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=bounds[1:-1])
+    return bounds.nonzero()[0]
 
 
 def _buckets(values, tp, fp):
@@ -335,7 +348,7 @@ def _held_out(graph, pairs, eligible):
         # the two directions of a pair: one entry with both tags
         first = np.ones(len(keys), dtype=bool)
         first[1:] = ~tied
-        starts = np.flatnonzero(first)
+        starts = first.nonzero()[0]
         keys, tags = keys[starts], np.add.reduceat(tags, starts, dtype=np.int8)
     return len(pairs), keys, tags
 
@@ -347,7 +360,7 @@ def _marker(graph, test_edges):
     new check, which fills the slot once it has passed. The key copies
     the pairs' bytes: O(T) per call, a hit included."""
     pairs = np.asarray(test_edges)
-    if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
+    if pairs.size and pairs.dtype.kind not in "iu":  # numpy's integer types
         raise ValidationError(f"test edges must be integer vertex ids, got {pairs.dtype}")
     pairs = pairs.astype(np.int64, copy=False)
     key = (pairs.shape, pairs.tobytes())
@@ -484,14 +497,14 @@ class _RunContext:
         tagged in the reverse direction alone is a plain candidate of a
         directed score."""
         n = self.n
-        start, stop = np.searchsorted(self.marker_keys, (lo * n, hi * n))
+        start, stop = self.marker_keys.searchsorted((lo * n, hi * n))
         keys = self.marker_keys[start:stop]
         tags = self.marker_tags[start:stop]
         keep = keys % n > keys // n if self.unordered else tags % 3 > 0
         keys, tags = keys[keep], tags[keep]
         if self.unordered:
             return keys, tags
-        diagonal = np.arange(lo, hi) * (n + 1)
+        diagonal = np.arange(lo * (n + 1), hi * (n + 1), n + 1)
         return np.concatenate([keys, diagonal]), np.concatenate([tags, np.ones(hi - lo, dtype=np.int8)])
 
 
@@ -501,15 +514,16 @@ def _expand(indptr, indices, rows):
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     # entry i of the listing belongs to row r at starts[r] + i - (entries before r)
-    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return counts, indices[np.arange(len(offsets)) + offsets]
+    offsets = (starts - counts.cumsum() + counts).repeat(counts)
+    offsets += np.arange(len(offsets))
+    return counts, indices[offsets]
 
 
 def _dense_candidates(ctx, lo, hi):
     """(values, fixed values, fixed tags) of the candidates of rows
     [lo, hi), by a dense accumulator of (hi - lo) * n cells: the values
     ascending, sorted in place, and the fixed values those of
-    ``ctx.tagged_pairs``, read from the sorted cells before that sort.
+    ``ctx.tagged_pairs``, read from their cells.
 
     Every 2-hop path (x, z, y) is listed in x, z, y order and its pair
     summed by ``np.bincount``, which adds in array order: each pair's
@@ -524,32 +538,33 @@ def _dense_candidates(ctx, lo, hi):
     for left, right in ctx.passes:
         indptr, indices = ctx.graph._adjacency(left)
         z = indices[indptr[lo]:indptr[hi]]
-        xs = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
         # y runs over row z of the right factor, for each (x, z)
         counts, ys = _expand(*ctx.graph._adjacency(right), z)
-        xs = np.repeat(xs, counts)
+        # the row of each entry: its sorted key row * n + column, over n
+        xs = (ctx.graph._keys(left)[indptr[lo]:indptr[hi]] // n).repeat(counts)
         cell = (xs - lo) * n + ys
-        w = None if ctx.z_weight is None else np.repeat(ctx.z_weight[z], counts)
+        w = None if ctx.z_weight is None else ctx.z_weight[z].repeat(counts)
         if ctx.unordered:
             keep = ys > xs
             cell = cell[keep]
             w = None if w is None else w[keep]
         sums = np.bincount(cell, weights=w, minlength=cells).astype(np.float64, copy=False)
-        keys = np.flatnonzero(sums)
+        keys = (sums != 0.0).nonzero()[0]
         values = ctx.weight(left, sums[keys], lambda a: a[lo + keys // n], lambda a: a[keys % n])
-        if total is not None:
+        if total is None:  # one pass: its weighted sums are the cells
+            sums[keys] = values
+        else:
             total[keys] += values
-    if total is not None:
-        keys = np.flatnonzero(total)
+    if total is None:
+        total = sums
+    else:
+        keys = (total != 0.0).nonzero()[0]
         values = total[keys]
     tagged, tags = ctx.tagged_pairs(lo, hi)
-    wanted = tagged - lo * n
-    at = np.searchsorted(keys, wanted)
-    hit = at < len(keys)
-    hit[hit] = keys[at[hit]] == wanted[hit]
-    fixed = values[at[hit]]
+    fixed = total[tagged - lo * n]
+    hit = fixed != 0.0  # a listed cell: no weighted sum of a listed pair is 0.0
     values.sort()
-    return values, fixed, tags[hit]
+    return values, fixed[hit], tags[hit]
 
 
 def _sparse_candidates(ctx, lo, hi):
@@ -577,13 +592,13 @@ def _sparse_candidates(ctx, lo, hi):
         prod = part if prod is None else prod + part
     values = prod.data
     if ctx.unordered:
-        below = np.flatnonzero(prod.indices < hi - lo)
+        below = (prod.indices < hi - lo).nonzero()[0]
         row = np.searchsorted(prod.indptr, below, side="right") - 1
         values[below[prod.indices[below] <= row]] = 0.0
     values.sort()
     if ctx.unordered:
         # zero is no candidate anywhere: scipy's product drops a zero
-        # sum, _scored a zero value, and the zero bucket counts the
+        # sum, _fold_chunk a zero value, and the zero bucket counts the
         # zero-scored pairs analytically; a symmetric kind sums positive
         # terms, so no weighted value of its own is 0.0 and the leading
         # run of 0.0 is exactly the pairs zeroed above
@@ -612,8 +627,8 @@ def _direct(ctx, x, y):
         shorter = _degrees(graph, left)[x] <= _degrees(graph, column)[y]
         pairs, zs = [], []
         for picked, view, ends, other, others in (
-            (np.flatnonzero(shorter), left, x, column, y),
-            (np.flatnonzero(~shorter), column, y, left, x),
+            (shorter.nonzero()[0], left, x, column, y),
+            ((~shorter).nonzero()[0], column, y, left, x),
         ):
             counts, z = _expand(*graph._adjacency(view), ends[picked])
             pair = np.repeat(picked, counts)
@@ -626,7 +641,7 @@ def _direct(ctx, x, y):
         pair, z = np.concatenate(pairs), np.concatenate(zs)
         w = None if ctx.z_weight is None else ctx.z_weight[z]
         sums = np.bincount(pair, weights=w, minlength=len(x)).astype(np.float64, copy=False)
-        found = np.flatnonzero(sums)
+        found = (sums != 0.0).nonzero()[0]
         values[found] += ctx.weight(left, sums[found], lambda a: a[x[found]], lambda a: a[y[found]])
     return values
 
@@ -647,65 +662,55 @@ def _inv_log_weights(degrees, base):
         return np.where(degrees > 0, 1.0 / logs, 0.0)
 
 
-# The (tp, fp) a tagged pair counts, by its marker tag t(x, y) + 3 t(y, x)
-# (t: 0 candidate, 1 training edge, 2 test edge): row 0 counts (x, y)
-# alone, row 1 both directions.
-_TAG_COUNTS = np.array(
+# What a tagged pair adds to its value's (tp, fp), by its marker tag t(x, y)
+# + 3 t(y, x) (t: 0 candidate, 1 training edge, 2 test edge): the counts of
+# its tags less the plain candidate's it replaces (fp 1 per direction).
+# Row 0 counts (x, y) alone, row 1 both directions.
+_TAG_DELTAS = np.array(
     [
-        [(int(t % 3 == 2), int(t % 3 == 0)) for t in range(9)],
-        [((t % 3 == 2) + (t // 3 == 2), (t % 3 == 0) + (t // 3 == 0)) for t in range(9)],
+        [(int(t % 3 == 2), int(t % 3 == 0) - 1) for t in range(9)],
+        [((t % 3 == 2) + (t // 3 == 2), (t % 3 == 0) + (t // 3 == 0) - 2) for t in range(9)],
     ],
-    dtype=np.int64,
+    dtype=np.float64,
 )
 
 
-def _fold_chunk(ctx, lo, hi, buckets):
-    """Merge the candidates of rows [lo, hi) into ``buckets``.
+def _fold_chunk(ctx, lo, hi):
+    """The candidates of rows [lo, hi), folded into one part.
 
     ``ctx.dense`` picks the backend that lists them, ascending; each run
     of equal values is one distinct value, counted by the run's length.
     With ``ctx.unordered`` (a symmetric score) only the pairs y > x are
     scored, and each value counts for (x, y) and for (y, x), each
-    direction by its own tag. Returns (merged buckets, explicit_count),
-    the count of explicitly-scored candidates (diagonal and training
-    edges excluded). Neither backend lists a pair whose paths sum to
-    0.0, such as the INF family's on a row of out- and in-degree 1
-    (log 1 = 0), so such a pair is not counted and is left to the zero
-    bucket. Raises ValidationError when a tagged pair's value is not bit
-    for bit among the chunk's values.
+    direction by its own tag. Returns (part, explicit_count): the part
+    is (values, tp, fp), the columns of the distinct counted values,
+    descending, and their int64 counts; explicit_count is the count of
+    explicitly-scored candidates (diagonal and training edges excluded).
+    Neither backend lists a pair whose paths sum to 0.0, such as the INF
+    family's on a row of out- and in-degree 1 (log 1 = 0), so such a
+    pair is not counted and is left to the zero bucket. Raises
+    ValidationError when a tagged pair's value is not bit for bit among
+    the chunk's values.
     """
     values, fixed, tags = (_dense_candidates if ctx.dense else _sparse_candidates)(ctx, lo, hi)
-    if len(values) == len(fixed) == 0:
-        return buckets, 0
-    counts = _TAG_COUNTS[int(ctx.unordered)][tags]
     directions = 2 if ctx.unordered else 1
-    explicit_count = directions * (len(values) - len(fixed)) + int(counts.sum())
-    starts = _run_starts(values)  # the values ascend, so each run is one distinct value
-    distinct, fp = values[starts], np.diff(starts, append=len(values))
-    # the tagged pairs count by their tags, not as plain candidates
-    at = np.searchsorted(distinct, fixed)
-    m = len(distinct)
-    if np.any(at == m) or np.any(distinct[at].view(np.int64) != fixed.view(np.int64)):
+    deltas = _TAG_DELTAS[directions - 1].take(tags, axis=0)
+    explicit_count = directions * len(values) + int(deltas.sum())
+    bounds = _run_bounds(values)  # the values ascend: a run is one distinct value
+    distinct = values[bounds[:-1]]
+    at = distinct.searchsorted(fixed)
+    if (at >= len(distinct)).any() or (distinct[at].view(np.int64) != fixed.view(np.int64)).any():
         raise ValidationError("a tagged pair's direct value differs from the product's bits")
-    fp -= np.bincount(at, minlength=m)
-    fp *= directions
     # float sums of a chunk's few small counts: exact
-    tp = np.bincount(at, weights=counts[:, 0], minlength=m).astype(np.int64)
-    fp += np.bincount(at, weights=counts[:, 1], minlength=m).astype(np.int64)
-    values, tp, fp = _scored(distinct, tp, fp)
-    if len(buckets) == 0:
-        return _buckets(values[::-1], tp[::-1], fp[::-1]), explicit_count
-    return _merge([_columns(buckets), (values, tp, fp)]), explicit_count
-
-
-def _scored(values, tp, fp):
-    """The (values, tp, fp) that count: nonzero values, each finite,
-    with a nonzero count."""
-    counted = (values != 0.0) & (tp + fp > 0)
-    values = values[counted]
-    if not np.all(np.isfinite(values)):
+    tp, fp = (np.bincount(at, weights=column, minlength=len(distinct)) for column in deltas.T)
+    fp += (bounds[1:] - bounds[:-1]) * directions
+    # the values that count: nonzero, with a nonzero count, each finite,
+    # which the ascending order lets the ends show
+    counted = ((tp + fp) > 0) & (distinct != 0.0)
+    values = distinct[counted][::-1]
+    if len(values) and not (math.isfinite(values[0]) and math.isfinite(values[-1])):
         raise ValidationError("non-finite score outside the excluded diagonal")
-    return values, tp[counted], fp[counted]
+    return (values, tp[counted][::-1].astype(np.int64), fp[counted][::-1].astype(np.int64)), explicit_count
 
 
 def score_from_vertex(graph, n1, spec, test_edges):
@@ -720,7 +725,8 @@ def score_from_vertex(graph, n1, spec, test_edges):
     """
     graph._check_vertex(n1)
     ctx = _RunContext(graph, _marker(graph, test_edges), spec, True)
-    return _fold_chunk(ctx, n1, n1 + 1, np.empty(0, dtype=BUCKET_DTYPE))
+    part, explicit_count = _fold_chunk(ctx, n1, n1 + 1)
+    return _buckets(*part), explicit_count
 
 
 def score_all(
@@ -740,9 +746,10 @@ def score_all(
     ``chunk_size``. ``max_buckets`` is a hard memory guardrail on the
     distinct-score count: exceeding it raises MemoryGuardError, never
     bins silently. It is checked on each worker's histogram after every
-    chunk and on the merged result, so a run holds at most ``workers *
-    max_buckets`` buckets between chunks. Whether a run raises does not
-    depend on ``workers`` or ``chunk_size``: a worker's histogram holds a
+    merge and on the merged result; a worker merges before its histogram
+    and pending parts could pass it, so a run holds at most ``workers *
+    (max_buckets + one chunk's part)`` buckets. Whether a run raises does
+    not depend on ``workers`` or ``chunk_size``: a worker's histogram holds a
     subset of the merged result's values, so the run raises exactly when
     the merged result exceeds the cap. A worker that raises stops the
     others from claiming further chunks, and its error is re-raised.
@@ -765,41 +772,52 @@ def score_all(
         workers = os.cpu_count() or 1
     workers = min(workers, max(len(chunk_bounds), 1))
 
-    def capped(buckets):
-        if max_buckets is not None and len(buckets) > max_buckets:
+    def capped(count):
+        if max_buckets is not None and count > max_buckets:
             raise MemoryGuardError(f"distinct score values exceeded max_buckets={max_buckets}")
-        return buckets
+        return count
 
     claims = iter(chunk_bounds)
     claim_lock = threading.Lock()
-    stop = threading.Event()  # set by the first failing worker
+    stopped = False  # set by the first failing worker, read under claim_lock
 
     def run_worker():
-        buckets = np.empty(0, dtype=BUCKET_DTYPE)
+        nonlocal stopped
+        # parts[0] is the worker's histogram, of ``held`` buckets, and the
+        # parts after it are pending, ``pending`` buckets in all
+        parts, held, pending = [], 0, 0
         try:
             while True:
                 with claim_lock:
-                    claim = None if stop.is_set() else next(claims, None)
+                    claim = None if stopped else next(claims, None)
                 if claim is None:
-                    return buckets
-                buckets = capped(_fold_chunk(ctx, *claim, buckets)[0])
+                    return parts
+                part = _fold_chunk(ctx, *claim)[0]
+                if not len(part[0]):
+                    continue
+                parts.append(part)
+                pending += len(part[0])
+                # the first part becomes the histogram without a merge
+                if pending >= held or (max_buckets is not None and held + pending > max_buckets):
+                    merged = _columns(_merge(parts)) if len(parts) > 1 else parts[0]
+                    parts, held, pending = [merged], capped(len(merged[0])), 0
         except BaseException:
-            stop.set()
+            stopped = True
             raise
 
     if workers == 1:
-        hists = [run_worker()]
+        results = [run_worker()]
     else:
         with ThreadPoolExecutor(workers) as pool:
             try:
                 futures = [pool.submit(run_worker) for _ in range(workers)]
-                hists = [future.result() for future in futures]
+                results = [future.result() for future in futures]
             finally:
-                stop.set()  # an interrupted caller stops the workers too
-    # a single worker's histogram is merged already
-    buckets = capped(hists[0] if workers == 1 else _merge([_columns(b) for b in hists]))
-    hist = ThresholdHistogram(buckets, (0, 0), positives, negatives)
-    explicit_tp, explicit_fp = hist.explicit_totals()
-    hist.zero_bucket = (positives - explicit_tp, negatives - explicit_fp)
-    hist.check_conservation()
+                stopped = True  # an interrupted caller stops the workers too
+    parts = [part for result in results for part in result] or [_columns(np.empty(0, dtype=BUCKET_DTYPE))]
+    buckets = _merge(parts) if len(parts) > 1 else _buckets(*parts[0])
+    capped(len(buckets))
+    explicit = int(buckets["tp"].sum()), int(buckets["fp"].sum())
+    hist = ThresholdHistogram(buckets, (positives - explicit[0], negatives - explicit[1]), positives, negatives)
+    hist.check_conservation(explicit)
     return hist

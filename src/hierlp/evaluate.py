@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _universe
-from .graph import Graph, _integer_pairs, _opened, _read_artifact, _write_header, _write_rows
+from .graph import Graph, _integer_pairs, _opened, _read_artifact, _ruled, _write_header, _write_rows
 from .scores import ScoreSpec
 
 
@@ -80,11 +80,12 @@ def split_edges(graph, fraction=0.10, seed=0):
 
 #: the first line of a split file
 _SPLIT_TITLE = "# hierlp edge split"
-#: a split file's header keys, each with its value's parser; "# test" and
-#: "# dropped" head the sections of their edges
-_SPLIT_HEADER = {
-    "seed": (int,), "fraction": (float,), "vertices": (int,), "test": (int,), "dropped": (int,)
-}
+#: a split file's header keys, each with its value's parser: the values
+#: ``split_edges`` can write, a count or seed >= 0 and a fraction in
+#: (0, 1); "# test" and "# dropped" head the sections of their edges
+_COUNT = _ruled(int, "an integer >= 0", lambda value: value >= 0)
+_FRACTION = _ruled(float, "a float in (0, 1)", lambda value: 0.0 < value < 1.0)
+_SPLIT_HEADER = dict(seed=(_COUNT,), fraction=(_FRACTION,), vertices=(_COUNT,), test=(_COUNT,), dropped=(_COUNT,))
 
 
 def save_split(split, sink):
@@ -111,8 +112,9 @@ def load_split(graph, source):
     lines "# key value", each key of ``_SPLIT_HEADER`` exactly once, and
     the edges after "# test" and after "# dropped" by the edge-list
     loader's integer-pair reader. Refuse, naming
-    the line, a malformed, unknown or repeated header line, a missing
-    one, and a malformed or misplaced edge line; refuse a file written
+    the line, a malformed, unknown or repeated header line, a value that
+    ``split_edges`` could not have written (with the rule it breaks), a
+    missing header line, and a malformed or misplaced edge line; refuse a file written
     for a graph of another vertex count, one whose section counts differ
     from the edges it lists, and one that lists an edge twice."""
     header, edges = _read_artifact(
@@ -151,25 +153,29 @@ def build_curves(histogram, spec=None, metadata=None):
     bucket, when non-empty, is the final threshold and captures every
     remaining candidate, so the last recall is always 1. Cumulative
     counts use a single descending prefix sum; equal scores are
-    inherently one threshold.
+    inherently one threshold. A rate over a denominator that is not
+    positive is 1: with nothing to miss, a curve is vacuously complete.
     """
-    histogram.check_conservation()
-    buckets = histogram.buckets
-    thresholds, tp, fp = buckets["value"], buckets["tp"], buckets["fp"]
-    if histogram.zero_bucket != (0, 0) or not len(buckets):
-        thresholds = np.concatenate((thresholds, [0.0]))
-        tp = np.concatenate((tp, [histogram.zero_bucket[0]]))
-        fp = np.concatenate((fp, [histogram.zero_bucket[1]]))
-    thresholds = np.ascontiguousarray(thresholds)
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(fp)
-    positives = histogram.positives_total
-    negatives = histogram.negatives_total
-    recall = _safe_rate(cum_tp, positives)
-    precision = _safe_rate(cum_tp, cum_tp + cum_fp)
-    fpr = _safe_rate(cum_fp, negatives)
-    pr_points = np.column_stack([recall, precision])
-    roc_points = np.column_stack([fpr, recall])
+    buckets, zero = histogram.buckets, histogram.zero_bucket
+    explicit = len(buckets)
+    rows = explicit + (zero != (0, 0) or not explicit)
+    thresholds = np.zeros(rows)  # the zero bucket's threshold last, when it has a row
+    thresholds[:explicit] = buckets["value"]
+    counts = np.zeros((2, rows), dtype=np.int64)
+    counts[:, :explicit] = buckets["tp"], buckets["fp"]
+    counts[:, -1] += zero  # a row of its own, or (0, 0) added to the last bucket
+    cum_tp, cum_fp = counts.cumsum(axis=1, out=counts)
+    histogram.check_conservation((int(cum_tp[-1]) - zero[0], int(cum_fp[-1]) - zero[1]))
+    positives, negatives = histogram.positives_total, histogram.negatives_total
+    # (recall, precision) and (fpr, recall), each 1 where it is left alone
+    pr_points, roc_points = np.ones((2, rows, 2))
+    if positives > 0:
+        np.divide(cum_tp, positives, out=pr_points[:, 0])
+    if negatives > 0:
+        np.divide(cum_fp, negatives, out=roc_points[:, 0])
+    seen = cum_tp + cum_fp
+    np.divide(cum_tp, seen, out=pr_points[:, 1], where=seen > 0)
+    roc_points[:, 1] = pr_points[:, 0]
     return EvaluationReport(
         thresholds=thresholds,
         pr_points=pr_points,
@@ -183,13 +189,13 @@ def build_curves(histogram, spec=None, metadata=None):
     )
 
 
-def _safe_rate(numerator, denominator):
-    # a zero denominator means "nothing to miss": vacuously complete
-    numerator = np.asarray(numerator, dtype=np.int64)
-    denominator = np.broadcast_to(np.asarray(denominator, dtype=np.int64), numerator.shape)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rate = numerator / denominator
-    return np.where(denominator > 0, rate, 1.0)
+def _with_previous(op, column):
+    """``op`` of each value of ``column`` and the value before it, 0.0
+    before the first."""
+    previous = np.empty_like(column)
+    previous[0] = 0.0
+    previous[1:] = column[:-1]
+    return op(column, previous, out=previous)
 
 
 def area_under_pr(points):
@@ -201,11 +207,11 @@ def area_under_pr(points):
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         return 0.0
-    recall_steps = points[:, 0] - np.concatenate(([0.0], points[:-1, 0]))
+    recall_steps = _with_previous(np.subtract, points[:, 0])
     if (recall_steps[1:] < 0).any():
         raise ValueError("PR points must be sorted by ascending recall")
     # cumsum adds in sequence, so the sum is bit-identical to a loop
-    return float(np.cumsum(points[:, 1] * recall_steps)[-1])
+    return float((points[:, 1] * recall_steps).cumsum()[-1])
 
 
 def area_under_roc(points):
@@ -213,11 +219,10 @@ def area_under_roc(points):
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         return 0.0
-    previous = np.concatenate(([[0.0, 0.0]], points[:-1]))
-    fpr_steps = points[:, 0] - previous[:, 0]
+    fpr_steps = _with_previous(np.subtract, points[:, 0])
     if (fpr_steps[1:] < 0).any():
         raise ValueError("ROC points must be sorted by ascending fpr")
-    return float(np.cumsum(fpr_steps * (points[:, 1] + previous[:, 1]) / 2.0)[-1])
+    return float((fpr_steps * _with_previous(np.add, points[:, 1]) / 2.0).cumsum()[-1])
 
 
 def write_curve_csv(points, header, sink):

@@ -271,6 +271,30 @@ class TestCompare:
             ("aa", "aa (log base 2.0)"): -50.0,
         }
 
+    def test_one_label_twice_refused(self):
+        base = {"seed": 1, "fraction": 0.1, "positives": 10, "negatives": 100, "auroc": 0.5}
+        records = [dict(base, score="cn", aupr=0.2), dict(base, score="aa", aupr=0.3),
+                   dict(base, score="cn", aupr=0.2)]
+        with pytest.raises(ValueError, match="^report 1 and report 3 both summarise 'cn'"):
+            compare_reports(records)
+        # one score with two log bases is two labels
+        assert len(compare_reports([dict(records[1], log_base=2.0), records[1]])["improvements"]) == 2
+
+    def test_compare_names_both_summaries_of_one_score(self, graph_file, tmp_path):
+        """Two runs on one split each summarise a score: compare refuses
+        the pair of summaries of one score, naming both files."""
+        first, second = tmp_path / "a", tmp_path / "b"
+        run_cli(["run", "--graph", str(graph_file), "--score", "cn", "--score", "ra",
+                 "--seed", "4", "--out", str(first)])
+        run_cli(["run", "--graph", str(graph_file), "--score", "cn", "--score", "ra",
+                 "--split-file", str(first / "split.txt"), "--out", str(second)])
+        paths = [first / "cn_summary.json", first / "ra_summary.json", second / "cn_summary.json"]
+        result = CliRunner().invoke(main, ["compare", *map(str, paths)])
+        assert result.exit_code == 1
+        assert f"{paths[0]} and {paths[2]} both summarise 'cn'" in result.output
+        result = run_cli(["compare", str(paths[0]), str(second / "ra_summary.json")])
+        assert result.exit_code == 0
+
     def test_compare_command(self, graph_file, tmp_path):
         out = tmp_path / "cmp"
         run_cli(["run", "--graph", str(graph_file), "--score", "cn",

@@ -485,6 +485,73 @@ class TestMerge:
         assert score_all(train, spec, test, workers=workers, chunk_size=chunk) == reference
 
 
+def _recording_merges(monkeypatch):
+    """Record the part lengths of every later ``engine._merge`` call."""
+    calls = []
+    real = engine._merge
+
+    def recorded(parts):
+        calls.append([len(part[0]) for part in parts])
+        return real(parts)
+
+    monkeypatch.setattr(engine, "_merge", recorded)
+    return calls
+
+
+class TestPendingMerges:
+    """A worker keeps its chunks' parts pending and merges them with its
+    histogram in one ``_merge`` once they hold as many buckets as it, or
+    before histogram and parts could pass ``max_buckets``."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        # AA on a degree-skewed graph: 325 distinct values
+        return preferential_attachment_digraph(np.random.default_rng(8), 300, out_per_vertex=3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_merges_amortised_over_chunks(self, graph, workers, chunk_size, monkeypatch):
+        spec = ScoreSpec(ScoreKind.AA)
+        whole = score_all(graph, spec, NO_TEST, workers=1)
+        merges = _recording_merges(monkeypatch)
+        assert score_all(graph, spec, NO_TEST, workers=workers, chunk_size=chunk_size) == whole
+        if chunk_size is None:  # one chunk, whose part is the histogram
+            assert merges == []
+            return
+        # far fewer merges than chunks: each waits for as many pending
+        # buckets as the histogram holds
+        chunks = -(-graph.vertex_count // chunk_size)
+        assert 0 < len(merges) < chunks / 3
+        if workers == 1:
+            for held, *pending in merges:
+                # pending parts held fewer buckets than the histogram
+                # before the last of them came
+                assert sum(pending) - pending[-1] < held
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_cap_at_and_below_the_distinct_count(self, graph, workers, chunk_size, monkeypatch):
+        spec = ScoreSpec(ScoreKind.AA)
+        distinct = len(score_all(graph, spec, NO_TEST, workers=1).buckets)
+        assert distinct == 325
+        merges = _recording_merges(monkeypatch)
+        hist = score_all(graph, spec, NO_TEST, workers=workers, chunk_size=chunk_size, max_buckets=distinct)
+        assert len(hist.buckets) == distinct
+        if workers == 1:  # at most the cap and one chunk's part
+            assert all(sum(lengths) - lengths[-1] <= distinct for lengths in merges)
+        with pytest.raises(MemoryGuardError, match=f"^distinct score values exceeded max_buckets={distinct - 1}$"):
+            score_all(graph, spec, NO_TEST, workers=workers, chunk_size=chunk_size, max_buckets=distinct - 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_chunk_calls_no_merge(self, workers, monkeypatch):
+        g = erdos_renyi_digraph(np.random.default_rng(5), 60)
+        merges = _counting(monkeypatch, "_merge")
+        for kind in ScoreKind:
+            score_all(g, ScoreSpec(kind), NO_TEST, workers=workers)
+            score_all(g, ScoreSpec(kind), NO_TEST, workers=workers, chunk_size=g.vertex_count)
+        assert merges == []
+
+
 class TestStructuralFold:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -621,7 +688,6 @@ class TestBackends:
         spec = ScoreSpec(kind, log_base=base)
         dense_ctx = engine._RunContext(train, marker, spec, True, unordered)
         sparse_ctx = engine._RunContext(train, marker, spec, False, unordered)
-        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
         for lo, hi in [(lo, hi), (0, m)]:
             dense = engine._dense_candidates(dense_ctx, lo, hi)
             sparse = engine._sparse_candidates(sparse_ctx, lo, hi)
@@ -633,10 +699,10 @@ class TestBackends:
             assert np.sort(dense[0]).tobytes() == np.sort(sparse[0]).tobytes()
             assert dense[1].tobytes() == sparse[1].tobytes()
             assert np.array_equal(dense[2], sparse[2])
-            dense_fold = engine._fold_chunk(dense_ctx, lo, hi, empty)
-            sparse_fold = engine._fold_chunk(sparse_ctx, lo, hi, empty)
+            dense_fold = engine._fold_chunk(dense_ctx, lo, hi)
+            sparse_fold = engine._fold_chunk(sparse_ctx, lo, hi)
             assert dense_fold[1] == sparse_fold[1]
-            assert np.array_equal(dense_fold[0], sparse_fold[0])
+            assert np.array_equal(engine._buckets(*dense_fold[0]), engine._buckets(*sparse_fold[0]))
 
     def test_selection_boundary(self, monkeypatch):
         """A call is dense when a whole chunk's accumulator, chunk_size * n
@@ -666,11 +732,10 @@ class TestBackends:
         assert [ctx.dense for ctx in contexts[-2:]] == [True, True]
         assert contexts[-1].sparse_passes is None
         sparse_ctx = real(star, engine._marker(star, NO_TEST), spec, False)
-        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
-        dense_fold = engine._fold_chunk(contexts[-1], 0, 1, empty)
-        sparse_fold = engine._fold_chunk(sparse_ctx, 0, 1, empty)
+        dense_fold = engine._fold_chunk(contexts[-1], 0, 1)
+        sparse_fold = engine._fold_chunk(sparse_ctx, 0, 1)
         assert dense_fold[1] == sparse_fold[1] == leaves
-        assert np.array_equal(dense_fold[0], sparse_fold[0])
+        assert np.array_equal(engine._buckets(*dense_fold[0]), engine._buckets(*sparse_fold[0]))
 
     def test_diagonal_counts_as_a_training_edge(self):
         """Row 0 of DED reaches itself (0 -> 1 -> 0) and the training
@@ -679,14 +744,13 @@ class TestBackends:
         candidate of the row counts."""
         g = graph_from_edges([(0, 1), (1, 0), (1, 2), (0, 2)])
         marker = engine._marker(g, NO_TEST)
-        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
         for dense, backend in ((True, engine._dense_candidates), (False, engine._sparse_candidates)):
             ctx = engine._RunContext(g, marker, ScoreSpec(ScoreKind.DED), dense)
             values, fixed, tags = backend(ctx, 0, 1)
             assert values.tolist() == [0.5, 0.5]
             assert fixed.tolist() == [0.5, 0.5] and tags.tolist() == [1, 1]
-            buckets, count = engine._fold_chunk(ctx, 0, 1, empty)
-            assert len(buckets) == 0 and count == 0
+            part, count = engine._fold_chunk(ctx, 0, 1)
+            assert all(len(column) == 0 for column in part) and count == 0
 
     @pytest.mark.parametrize("kind", [ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD])
     def test_zero_sums_of_a_directed_row(self, kind):
@@ -702,13 +766,12 @@ class TestBackends:
         oracle = oracle_score_all(g, spec, test)
         assert [oracle.scores[(0, y)] for y in (3, 4, 5)] == [0.0, 0.0, 0.0]
         marker = engine._marker(g, np.array(test))
-        empty = np.empty(0, dtype=engine.BUCKET_DTYPE)
         for dense, backend in ((True, engine._dense_candidates), (False, engine._sparse_candidates)):
             ctx = engine._RunContext(g, marker, spec, dense)
             values, fixed, tags = backend(ctx, 0, 1)
             assert len(values) == len(fixed) == len(tags) == 0
-            buckets, count = engine._fold_chunk(ctx, 0, 1, empty)
-            assert len(buckets) == 0 and count == 0
+            part, count = engine._fold_chunk(ctx, 0, 1)
+            assert all(len(column) == 0 for column in part) and count == 0
         buckets, count = score_from_vertex(g, 0, spec, test)
         assert len(buckets) == 0 and count == 0
         for forced in (False, True):

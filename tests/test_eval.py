@@ -125,6 +125,32 @@ class TestSplitEdges:
         with pytest.raises(ValueError, match=message):
             load_split(g, io.StringIO(self.SPLIT_HEAD + body))
 
+    @pytest.mark.parametrize(
+        "line, rule",
+        [
+            ("# fraction nan", "a float in (0, 1)"),
+            ("# fraction inf", "a float in (0, 1)"),
+            ("# fraction 1.5", "a float in (0, 1)"),
+            ("# fraction 1", "a float in (0, 1)"),
+            ("# fraction 0", "a float in (0, 1)"),
+            ("# fraction -0.5", "a float in (0, 1)"),
+            ("# seed -7", "an integer >= 0"),
+        ],
+    )
+    def test_header_value_split_edges_cannot_write_refused(self, line, rule):
+        g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        key = line.split()[1]
+        head = "".join(
+            f"{line}\n" if known.startswith(f"# {key} ") else f"{known}\n"
+            for known in self.SPLIT_HEAD.splitlines()
+        )
+        number = head.splitlines().index(line) + 1
+        with pytest.raises(ValueError) as refused:
+            load_split(g, io.StringIO(head + "# test 1\n0 1\n# dropped 0\n"))
+        assert str(refused.value) == f"malformed split file: line {number}: {line!r}: expected " + (
+            f"'# {key} {'float' if key == 'fraction' else 'int'}', {rule}"
+        )
+
     def test_vertex_beyond_the_graph_refused(self):
         # with n = 4, the key 0 * 4 + 6 of (0, 6) is that of the edge (1, 2)
         g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -252,6 +278,68 @@ class TestBuildCurves:
             assert np.array_equal(report.pr_points, pr)
             assert np.array_equal(report.roc_points, roc)
             assert report.aupr == naive_area_under_pr(pr)
+
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(1e-300, 1e300, allow_nan=False),
+                st.integers(0, 3) | st.integers(0, 10**12),
+                st.integers(0, 3) | st.integers(0, 10**12),
+            ),
+            max_size=40,
+            unique_by=lambda row: row[0],
+        ),
+        zero=st.just((0, 0)) | st.tuples(st.integers(0, 5), st.integers(0, 10**9)),
+        no_positives=st.booleans(),
+        no_negatives=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_of_the_plain_formulas(self, rows, zero, no_positives, no_negatives):
+        """Points and areas equal, bit for bit, those of the plain
+        formulas kept below: with and without a zero bucket, with no
+        bucket at all, and with no positives or no negatives."""
+        rows = [(v, 0 if no_positives else tp, 0 if no_negatives else fp) for v, tp, fp in rows]
+        zero = (0 if no_positives else zero[0], 0 if no_negatives else zero[1])
+        buckets = np.array(sorted(rows, reverse=True), dtype=BUCKET_DTYPE)
+        h = ThresholdHistogram(
+            buckets, zero, int(buckets["tp"].sum()) + zero[0], int(buckets["fp"].sum()) + zero[1]
+        )
+        report = build_curves(h)
+        thresholds, pr, roc, aupr, auroc = _plain_curves(h)
+        assert report.thresholds.tobytes() == thresholds.tobytes()
+        assert report.pr_points.tobytes() == pr.tobytes()
+        assert report.roc_points.tobytes() == roc.tobytes()
+        assert (report.aupr.hex(), report.auroc.hex()) == (aupr.hex(), auroc.hex())
+        assert (area_under_pr(pr).hex(), area_under_roc(roc).hex()) == (aupr.hex(), auroc.hex())
+
+
+def _plain_curves(histogram):
+    """(thresholds, PR points, ROC points, AUPR, AUROC) of ``histogram`` by
+    the plain formulas: the zero bucket concatenated, one prefix sum per
+    count, a rate masked to 1 where its denominator is not positive, and
+    areas over columns shifted by concatenation."""
+    buckets = histogram.buckets
+    thresholds, tp, fp = buckets["value"], buckets["tp"], buckets["fp"]
+    if histogram.zero_bucket != (0, 0) or not len(buckets):
+        thresholds = np.concatenate((thresholds, [0.0]))
+        tp = np.concatenate((tp, [histogram.zero_bucket[0]]))
+        fp = np.concatenate((fp, [histogram.zero_bucket[1]]))
+    cum_tp, cum_fp = np.cumsum(tp), np.cumsum(fp)
+
+    def rate(numerator, denominator):
+        denominator = np.broadcast_to(np.asarray(denominator, dtype=np.int64), numerator.shape)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(denominator > 0, numerator / denominator, 1.0)
+
+    recall = rate(cum_tp, histogram.positives_total)
+    pr = np.column_stack([recall, rate(cum_tp, cum_tp + cum_fp)])
+    roc = np.column_stack([rate(cum_fp, histogram.negatives_total), recall])
+    recall_steps = pr[:, 0] - np.concatenate(([0.0], pr[:-1, 0]))
+    aupr = float(np.cumsum(pr[:, 1] * recall_steps)[-1])
+    previous = np.concatenate(([[0.0, 0.0]], roc[:-1]))
+    auroc = float(np.cumsum((roc[:, 0] - previous[:, 0]) * (roc[:, 1] + previous[:, 1]) / 2.0)[-1])
+    return np.ascontiguousarray(thresholds), pr, roc, aupr, auroc
 
 
 def _random_histogram(rng):
