@@ -14,10 +14,16 @@ and every view's CSR arrays (``Graph._keys``, ``Graph._adjacency``),
 the unit-weight scipy views, the candidate universe, the degrees and
 their logs per log base, and the AA and RA weights. These are O(n + E)
 arrays and nothing chunk-sized, and a new test set keeps them.
-What depends on the test pairs is the marker. ``_marker`` checks the
-pairs in the one sort that builds it: the training and the test edges,
-each in both directions, as sorted keys u*n+v with one tag per pair
-that holds both directions. The graph keeps the marker of its last test
+What depends on the test pairs is the split's two lists of the pairs
+that count other than as plain candidates, the marker. ``_marker``
+builds them once per split, and checks the pairs in the sort that
+builds the first: each list is sorted int64 keys with an int8
+(Δtp, Δfp) row per key, what the pair adds to its value's counts. A
+training edge adds (0, -1) per direction, a test edge (1, -1). ``own``
+holds every training edge and test pair in its own direction, and the
+diagonal (x, x) as a training edge; ``once`` holds each pair once,
+keyed min*n + max, with both directions' deltas summed. ``_held_out``
+alone knows this format. The graph keeps the marker of its last test
 set in one slot, keyed by the exact content of the pairs (shape and
 bytes), so ``score_all``, ``score_from_vertex`` and ``universe_stats``
 reuse it without a handle; finding it copies and compares the pairs'
@@ -54,11 +60,10 @@ The fold after either backend is one. Each backend returns its chunk's
 values ascending, sorted in place in an array the chunk owns, so
 nothing after the product copies or compacts them: the fold counts
 each run of equal values as one distinct value's plain candidates, and
-the chunk's few tagged pairs are then moved to their tags' counts at
-their values' places: the marker's pairs in the rows (for a directed
-kind only those tagged in its own direction), and for a directed kind
-the diagonal (x, x), which counts as a training edge would. The dense
-backend reads their values from its own sorted cells. The sparse one
+then adds the deltas of the chunk's few listed pairs at their values'
+places: the slice of the call's list in the chunk's rows, ``own`` for
+a directed kind and ``once`` for a symmetric one. The dense backend
+reads their values from its own sorted cells. The sparse one
 scores them directly, the masked product of Azad, Buluç and Gilbert:
 per pass it lists z over the shorter of left(x) and the right view's
 column y, finds each z in the other by ``np.searchsorted`` in that
@@ -70,21 +75,21 @@ ValidationError.
 
 The undirected kinds (CN, AA, RA, Jaccard) are symmetric, so each
 unordered pair is scored once. A chunk of rows [lo, hi) keeps the
-pairs y > x only, and credits each value to (x, y) and to (y, x), each
-direction by its own tag. scipy's backend multiplies by the right
-factor's columns [lo, n), one column slice per chunk, then zeroes in
-place the pairs y <= x, all of which lie in the columns [lo, hi). No
-value of a symmetric kind's own is 0.0, so the sort puts exactly those
-pairs in front, and a slice of the sorted values cuts them off. The
-bits cannot differ from scoring (y, x) itself: the product sums over
-the shared neighbours in ascending order either way, and Jaccard's
-du + dv commutes. ``score_from_vertex`` is a row query: it scores its
-whole row, y < x included, by the dense backend and through the same
-fold, in O(n + T + paths of the row): the accumulator has n cells, and
-finding the split's marker copies the test pairs. It takes the dense
-backend at any n: scipy's factors would be built for its one row, and
-on hub rows of 3-6 10^4 paths the dense backend took a fifth of the
-time scipy's did.
+pairs y > x only, and credits each value to (x, y) and to (y, x), and
+``once`` holds both directions' deltas. scipy's backend multiplies by
+the right factor's columns [lo, n), one column slice per chunk, then
+zeroes in place the pairs y <= x, all of which lie in the columns
+[lo, hi). No value of a symmetric kind's own is 0.0, so the sort puts
+exactly those pairs in front, and a slice of the sorted values cuts
+them off. The bits cannot differ from scoring (y, x) itself: the
+product sums over the shared neighbours in ascending order either way,
+and Jaccard's du + dv commutes. ``score_from_vertex`` is a row query:
+it scores its whole row, y < x included, by the dense backend and
+through the same fold with ``own``, in O(n + T + paths of the row):
+the accumulator has n cells, and finding the split's marker copies the
+test pairs. It takes the dense backend at any n: scipy's factors would
+be built for its one row, and on hub rows of 3-6 10^4 paths the dense
+backend took a fifth of the time scipy's did.
 
 Workers claim fixed-size chunks of source vertices dynamically from one
 shared iterator, which absorbs the degree skew of webgraphs. Each runs
@@ -304,17 +309,21 @@ def _buckets(values, tp, fp):
 
 
 def _held_out(graph, pairs, eligible):
-    """Check the held-out pairs and mark them beside the training edges.
+    """Check the held-out pairs and list them beside the training edges.
 
     ``pairs`` is an int64 array of (u, v) pairs, which must lie in the
     candidate universe: no self-loop, both endpoints ``eligible`` (with
     a training edge), no training edge, no duplicate. Returns
-    (positives, keys, tags): the count of pairs, and the marker as
-    sorted unique u*n+v keys with an int8 tag each, t(x, y) + 3 t(y, x)
-    at every pair of which either direction is a training edge (t = 1)
-    or a test edge (t = 2). Each entry tags both directions of its pair,
-    as the symmetric kinds read it; the directed kinds read t(x, y) =
-    tag % 3.
+    (positives, once, own): the count of pairs and two lists of the
+    pairs that count other than as plain candidates, each as sorted
+    unique int64 keys with an int8 (Δtp, Δfp) row per key: what the pair
+    adds to its value's counts. Per direction a training edge adds
+    (0, -1), a test edge (1, -1): its own counts less the plain
+    candidate's it replaces. ``own``, read by the directed kinds and the
+    row query, holds every training edge and test pair in its own
+    direction, u*n+v, and the diagonal (x, x), which counts as a
+    training edge. ``once``, read by the symmetric kinds, holds each
+    pair once, keyed min*n + max, with both directions' deltas summed.
     """
     n = graph.vertex_count
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
@@ -327,38 +336,37 @@ def _held_out(graph, pairs, eligible):
         raise ValidationError("self-loop test edge")
     if not np.all(eligible[u] & eligible[v]):
         raise ValidationError("test edge with an ineligible (disconnected) endpoint")
-    keys = np.concatenate([graph.edge_keys(), u * n + v, graph.reverse_edge_keys(), v * n + u])
-    tags = np.repeat(np.array([1, 2, 3, 6], dtype=np.int8), [graph.edge_count, len(u)] * 2)
-    # stable, so at each key a training edge precedes the test pairs
-    # equal to it, and both precede the reversed pairs
+    keys = np.concatenate([graph.edge_keys(), u * n + v, np.arange(n) * (n + 1)])
+    deltas = np.repeat(
+        np.array([(0, -1), (1, -1), (0, -1)], dtype=np.int8), [graph.edge_count, len(u), n], axis=0
+    )
+    # stable, so a training edge precedes the test pairs equal to it
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    tags = tags[order]
-    tied = keys[1:] == keys[:-1]
-    if tied.any():
-        # a key holds at most a training edge (1), test pairs (2), a
-        # reversed training edge (3) and reversed test pairs (6), in
-        # this order; of adjacent tags only (1, 2) multiply to 2 and
-        # (2, 2) to 4
-        neighbours = (tags[:-1] * tags[1:])[tied]
-        if np.any(neighbours == 2):
+    # the deltas' rows are gathered by take and compress (here and in the
+    # backends): numpy's fancy index gathers int8 pairs several times slower
+    own = keys[order], deltas.take(order, axis=0)
+    tied = (own[0][1:] == own[0][:-1]).nonzero()[0]
+    if len(tied):
+        # a tie starts at a training edge (Δtp 0) or at a test pair; the
+        # diagonal ties nothing, as neither edge set has a self-loop
+        if not own[1][tied, 0].all():
             raise ValidationError("test edge present in the training graph")
-        if np.any(neighbours == 4):
-            raise ValidationError("duplicate test edges")
-        # the two directions of a pair: one entry with both tags
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = ~tied
-        starts = first.nonzero()[0]
-        keys, tags = keys[starts], np.add.reduceat(tags, starts, dtype=np.int8)
-    return len(pairs), keys, tags
+        raise ValidationError("duplicate test edges")
+    x, y = np.divmod(keys[: len(keys) - n], n)
+    once = np.minimum(x, y) * n + np.maximum(x, y)
+    order = np.argsort(once)  # a pair's deltas sum to the same in any order
+    once = once[order]
+    starts = _run_bounds(once)[:-1]
+    once = once[starts], np.add.reduceat(deltas.take(order, axis=0), starts, axis=0, dtype=np.int8)
+    return len(pairs), once, own
 
 
 def _marker(graph, test_edges):
-    """(positives, marker keys, marker tags) of ``test_edges`` on
-    ``graph``, as ``_held_out`` returns them: the graph's split slot
-    when its test pairs had exactly this shape and these bytes, else a
-    new check, which fills the slot once it has passed. The key copies
-    the pairs' bytes: O(T) per call, a hit included."""
+    """(positives, once, own) of ``test_edges`` on ``graph``, as
+    ``_held_out`` returns them: the graph's split slot when its test
+    pairs had exactly this shape and these bytes, else a new check,
+    which fills the slot once it has passed. The key copies the pairs'
+    bytes: O(T) per call, a hit included."""
     pairs = np.asarray(test_edges)
     if pairs.size and pairs.dtype.kind not in "iu":  # numpy's integer types
         raise ValidationError(f"test edges must be integer vertex ids, got {pairs.dtype}")
@@ -440,9 +448,11 @@ _TRANSPOSED = {"out": "in", "undirected": "undirected"}
 class _RunContext:
     """Per-call scoring state shared read-only by all workers.
 
-    The graph-level arrays come from the graph's memo, the marker from
-    ``_marker``. ``dense`` says which backend every chunk of the call
-    takes; the scipy factors exist only when it is False.
+    The graph-level arrays come from the graph's memo, the split's
+    lists from ``_marker``: the call keeps the one its mode reads,
+    ``once`` when ``unordered``, ``own`` otherwise. ``dense`` says which
+    backend every chunk of the call takes; the scipy factors exist only
+    when it is False.
     """
 
     def __init__(self, graph, marker, spec, dense, unordered=False):
@@ -450,7 +460,7 @@ class _RunContext:
         self.spec = spec
         self.n = graph.vertex_count
         self.unordered = unordered
-        _, self.marker_keys, self.marker_tags = marker
+        self.tagged_keys, self.tagged_deltas = marker[1] if unordered else marker[2]
         self.passes = _PASSES[spec.kind]
         # AA and RA weight the right view by a per-vertex weight of its row z
         self.z_weight = None
@@ -490,22 +500,12 @@ class _RunContext:
         return data
 
     def tagged_pairs(self, lo, hi):
-        """(keys, tags) of the pairs of rows [lo, hi) that count by a tag:
-        the marker's pairs in key order, y > x only for a symmetric
-        score, and for a directed one those tagged in its own direction,
-        followed by the diagonal (x, x), tagged as a training edge. A pair
-        tagged in the reverse direction alone is a plain candidate of a
-        directed score."""
-        n = self.n
-        start, stop = self.marker_keys.searchsorted((lo * n, hi * n))
-        keys = self.marker_keys[start:stop]
-        tags = self.marker_tags[start:stop]
-        keep = keys % n > keys // n if self.unordered else tags % 3 > 0
-        keys, tags = keys[keep], tags[keep]
-        if self.unordered:
-            return keys, tags
-        diagonal = np.arange(lo * (n + 1), hi * (n + 1), n + 1)
-        return np.concatenate([keys, diagonal]), np.concatenate([tags, np.ones(hi - lo, dtype=np.int8)])
+        """(keys, deltas) of the pairs of rows [lo, hi) that count other
+        than as plain candidates: the slice of the call's list, in key
+        order. A pair that is a training or test edge in the reverse
+        direction alone is a plain candidate of a directed score."""
+        start, stop = self.tagged_keys.searchsorted((lo * self.n, hi * self.n))
+        return self.tagged_keys[start:stop], self.tagged_deltas[start:stop]
 
 
 def _expand(indptr, indices, rows):
@@ -520,10 +520,10 @@ def _expand(indptr, indices, rows):
 
 
 def _dense_candidates(ctx, lo, hi):
-    """(values, fixed values, fixed tags) of the candidates of rows
+    """(values, fixed values, fixed deltas) of the candidates of rows
     [lo, hi), by a dense accumulator of (hi - lo) * n cells: the values
-    ascending, sorted in place, and the fixed values those of
-    ``ctx.tagged_pairs``, read from their cells.
+    ascending, sorted in place, and the fixed values and deltas those of
+    the listed pairs of ``ctx.tagged_pairs``, read from their cells.
 
     Every 2-hop path (x, z, y) is listed in x, z, y order and its pair
     summed by ``np.bincount``, which adds in array order: each pair's
@@ -560,18 +560,18 @@ def _dense_candidates(ctx, lo, hi):
     else:
         keys = (total != 0.0).nonzero()[0]
         values = total[keys]
-    tagged, tags = ctx.tagged_pairs(lo, hi)
+    tagged, deltas = ctx.tagged_pairs(lo, hi)
     fixed = total[tagged - lo * n]
     hit = fixed != 0.0  # a listed cell: no weighted sum of a listed pair is 0.0
     values.sort()
-    return values, fixed[hit], tags[hit]
+    return values, fixed[hit], deltas.compress(hit, axis=0)
 
 
 def _sparse_candidates(ctx, lo, hi):
-    """(values, fixed values, fixed tags) of the candidates of rows
+    """(values, fixed values, fixed deltas) of the candidates of rows
     [lo, hi), by scipy's SpGEMM: the values ascending, the product's
-    data sorted in place, and the fixed values those of
-    ``ctx.tagged_pairs``, scored by ``_direct``.
+    data sorted in place, and the fixed values and deltas those of the
+    pairs of ``ctx.tagged_pairs`` that ``_direct`` finds a value for.
 
     Each pass multiplies the chunk's rows by the right factor's columns
     from ``first``, weighted, and the passes are added in their order.
@@ -603,10 +603,10 @@ def _sparse_candidates(ctx, lo, hi):
         # terms, so no weighted value of its own is 0.0 and the leading
         # run of 0.0 is exactly the pairs zeroed above
         values = values[np.searchsorted(values, 0.0, side="right"):]
-    keys, tags = ctx.tagged_pairs(lo, hi)
+    keys, deltas = ctx.tagged_pairs(lo, hi)
     direct = _direct(ctx, *np.divmod(keys, ctx.n))
     found = direct != 0.0
-    return values, direct[found], tags[found]
+    return values, direct[found], deltas.compress(found, axis=0)
 
 
 def _direct(ctx, x, y):
@@ -662,39 +662,26 @@ def _inv_log_weights(degrees, base):
         return np.where(degrees > 0, 1.0 / logs, 0.0)
 
 
-# What a tagged pair adds to its value's (tp, fp), by its marker tag t(x, y)
-# + 3 t(y, x) (t: 0 candidate, 1 training edge, 2 test edge): the counts of
-# its tags less the plain candidate's it replaces (fp 1 per direction).
-# Row 0 counts (x, y) alone, row 1 both directions.
-_TAG_DELTAS = np.array(
-    [
-        [(int(t % 3 == 2), int(t % 3 == 0) - 1) for t in range(9)],
-        [((t % 3 == 2) + (t // 3 == 2), (t % 3 == 0) + (t // 3 == 0) - 2) for t in range(9)],
-    ],
-    dtype=np.float64,
-)
-
-
 def _fold_chunk(ctx, lo, hi):
     """The candidates of rows [lo, hi), folded into one part.
 
     ``ctx.dense`` picks the backend that lists them, ascending; each run
     of equal values is one distinct value, counted by the run's length.
     With ``ctx.unordered`` (a symmetric score) only the pairs y > x are
-    scored, and each value counts for (x, y) and for (y, x), each
-    direction by its own tag. Returns (part, explicit_count): the part
-    is (values, tp, fp), the columns of the distinct counted values,
-    descending, and their int64 counts; explicit_count is the count of
-    explicitly-scored candidates (diagonal and training edges excluded).
+    scored, and each value counts for (x, y) and for (y, x). The
+    (Δtp, Δfp) deltas of ``ctx.tagged_pairs`` are then added at their
+    pairs' values. Returns (part, explicit_count): the part is (values,
+    tp, fp), the columns of the distinct counted values, descending, and
+    their int64 counts; explicit_count is the count of explicitly-scored
+    candidates (diagonal and training edges excluded).
     Neither backend lists a pair whose paths sum to 0.0, such as the INF
     family's on a row of out- and in-degree 1 (log 1 = 0), so such a
     pair is not counted and is left to the zero bucket. Raises
-    ValidationError when a tagged pair's value is not bit for bit among
+    ValidationError when a listed pair's value is not bit for bit among
     the chunk's values.
     """
-    values, fixed, tags = (_dense_candidates if ctx.dense else _sparse_candidates)(ctx, lo, hi)
+    values, fixed, deltas = (_dense_candidates if ctx.dense else _sparse_candidates)(ctx, lo, hi)
     directions = 2 if ctx.unordered else 1
-    deltas = _TAG_DELTAS[directions - 1].take(tags, axis=0)
     explicit_count = directions * len(values) + int(deltas.sum())
     bounds = _run_bounds(values)  # the values ascend: a run is one distinct value
     distinct = values[bounds[:-1]]

@@ -127,7 +127,9 @@ class Graph:
         keys.setflags(write=False)
         self._out_keys = keys
         self._derived = {}  # key -> value built by _memo
-        self._split = None  # the engine's (key, checked marker) of the last test set
+        # the engine's (key, (positives, once, own)) of the last test set
+        # it checked: the count of test pairs and its two delta lists
+        self._split = None
 
     # -- neighbor access ---------------------------------------------------
 

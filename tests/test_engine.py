@@ -89,6 +89,8 @@ class TestScoreFromVertex:
             ([(0, 2)], "present in the training graph"),
             ([(0, 3), (0, 3)], "duplicate"),
             ([(0, 0)], "self-loop"),
+            # the overlap is named first, though the duplicate's key is lower
+            ([(0, 3), (1, 0), (0, 3), (2, 3)], "present in the training graph"),
         ],
     )
     def test_held_out_edges_checked(self, test_edges, message):
@@ -740,15 +742,18 @@ class TestBackends:
     def test_diagonal_counts_as_a_training_edge(self):
         """Row 0 of DED reaches itself (0 -> 1 -> 0) and the training
         edge 0 -> 2 (0 -> 1 -> 2), each at 1/2: both backends list the
-        two values and fix both pairs, the marker's first, so that no
-        candidate of the row counts."""
+        two values and fix both pairs, the diagonal first in key order,
+        each with a training edge's deltas (0, -1), so that no candidate
+        of the row counts."""
         g = graph_from_edges([(0, 1), (1, 0), (1, 2), (0, 2)])
         marker = engine._marker(g, NO_TEST)
         for dense, backend in ((True, engine._dense_candidates), (False, engine._sparse_candidates)):
             ctx = engine._RunContext(g, marker, ScoreSpec(ScoreKind.DED), dense)
-            values, fixed, tags = backend(ctx, 0, 1)
+            # (0, 1) is a training edge too, but no path reaches it
+            assert ctx.tagged_pairs(0, 1)[0].tolist() == [0, 1, 2]
+            values, fixed, deltas = backend(ctx, 0, 1)
             assert values.tolist() == [0.5, 0.5]
-            assert fixed.tolist() == [0.5, 0.5] and tags.tolist() == [1, 1]
+            assert fixed.tolist() == [0.5, 0.5] and deltas.tolist() == [[0, -1], [0, -1]]
             part, count = engine._fold_chunk(ctx, 0, 1)
             assert all(len(column) == 0 for column in part) and count == 0
 
@@ -768,8 +773,8 @@ class TestBackends:
         marker = engine._marker(g, np.array(test))
         for dense, backend in ((True, engine._dense_candidates), (False, engine._sparse_candidates)):
             ctx = engine._RunContext(g, marker, spec, dense)
-            values, fixed, tags = backend(ctx, 0, 1)
-            assert len(values) == len(fixed) == len(tags) == 0
+            values, fixed, deltas = backend(ctx, 0, 1)
+            assert len(values) == len(fixed) == len(deltas) == 0
             part, count = engine._fold_chunk(ctx, 0, 1)
             assert all(len(column) == 0 for column in part) and count == 0
         buckets, count = score_from_vertex(g, 0, spec, test)
@@ -783,22 +788,30 @@ class TestBackends:
 
     @pytest.mark.parametrize("kind", [k for k in ScoreKind if k not in UNDIRECTED_KINDS])
     def test_directed_kind_tags_its_own_direction_only(self, kind):
-        """A pair tagged only as the reverse of a training or test edge is
-        a plain candidate of a directed kind, so no tagged pair of one has
-        t(x, y) = tag % 3 == 0; the rest of the marker and the diagonal
-        are all there."""
+        """A pair that is a training or test edge only in the reverse
+        direction is a plain candidate of a directed kind, so it is not
+        among the kind's tagged pairs; every training edge and test pair
+        of the rows is, in its own direction with its own deltas, and so
+        is the diagonal, as a training edge."""
         train, test = _split_of(3, 80)
         marker = engine._marker(train, test)
         n = train.vertex_count
-        assert np.any(marker[2] % 3 == 0)
+        edges = train.edge_keys()
+        tests = test[:, 0] * n + test[:, 1]
+        reverse = np.concatenate([train.reverse_edge_keys(), test[:, 1] * n + test[:, 0]])
+        alone = np.setdiff1d(reverse, np.concatenate([edges, tests]))
+        assert len(alone)  # the split has pairs tagged in the reverse direction alone
+        # training edges and the diagonal (0, -1), test pairs (1, -1)
+        listed = dict.fromkeys(edges.tolist() + (np.arange(n) * (n + 1)).tolist(), [0, -1])
+        listed.update(dict.fromkeys(tests.tolist(), [1, -1]))
         for dense in (True, False):
             ctx = engine._RunContext(train, marker, ScoreSpec(kind), dense)
             for lo, hi in ((0, n), (5, 12), (n - 1, n)):
-                keys, tags = ctx.tagged_pairs(lo, hi)
-                assert np.all(tags % 3 > 0)
-                rows = (marker[1] >= lo * n) & (marker[1] < hi * n) & (marker[2] % 3 > 0)
-                diagonal = np.arange(lo, hi) * (n + 1)
-                assert keys.tolist() == marker[1][rows].tolist() + diagonal.tolist()
+                keys, deltas = ctx.tagged_pairs(lo, hi)
+                assert not np.isin(keys, alone).any()
+                expected = sorted(key for key in listed if lo * n <= key < hi * n)
+                assert keys.tolist() == expected
+                assert deltas.tolist() == [listed[key] for key in expected]
 
     @pytest.mark.parametrize("kind", list(ScoreKind))
     def test_dense_digraph_above_the_path_count_matches_oracle(self, kind):
@@ -920,9 +933,17 @@ class TestSplitSession:
         copy = pickle.loads(pickle.dumps(train))
         assert copy == train and copy._derived == {} and copy._split is None
         # only O(n + E + T) arrays and the unit-weight CSR views stay,
-        # nothing chunk-sized
-        bound = 2 * (train.edge_count + len(test)) + train.vertex_count + 1
-        kept = [train._split[1][1:]]
+        # nothing chunk-sized: the split's lists hold one row per training
+        # edge, test pair and diagonal cell (own) or at most one per pair
+        # (once), each a key and its (tp, fp) deltas
+        pairs, n = train.edge_count + len(test), train.vertex_count
+        once, own = train._split[1][1:]
+        for (keys, deltas), rows in ((once, pairs), (own, pairs + n)):
+            assert keys.shape == (len(keys),) and deltas.shape == (len(keys), 2)
+            assert len(keys) <= rows
+        assert len(own[0]) == pairs + n
+        bound = 2 * pairs + n + 1
+        kept = []
         for value in train._derived.values():
             if isinstance(value, engine.CandidateUniverse):
                 value = value.eligible_mask
@@ -933,6 +954,44 @@ class TestSplitSession:
         for value in kept:
             for array in value if isinstance(value, tuple) else (value,):
                 assert isinstance(array, np.ndarray) and array.size <= bound
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_lists_match_brute_force(self, seed, n):
+        """The split's two lists, against sums over the graph's edges and
+        the test pairs: ``own`` holds each training edge, test pair and
+        diagonal cell in its own direction, ``once`` each pair once with
+        both directions' deltas summed. Where the graph has them, the
+        test set holds a pair whose reverse is a training edge and both
+        directions of one pair."""
+        rng = np.random.default_rng(seed)
+        train = erdos_renyi_digraph(rng, n)
+        eligible = np.flatnonzero(train.out_degrees + train.in_degrees).tolist()
+        edges = list(zip(*(side.tolist() for side in train.edges())))
+        known = set(edges)
+        candidates = {(x, y) for x in eligible for y in eligible if x != y} - known
+        test = {p for p in sorted(candidates) if rng.random() < 0.2}
+        test.update(sorted(p for p in candidates if p[::-1] in known)[:1])
+        for p in sorted(p for p in candidates if p[::-1] in candidates)[:1]:
+            test.update((p, p[::-1]))
+        test = np.array(sorted(test), dtype=np.int64).reshape(-1, 2)
+        rng.shuffle(test)
+        positives, once, own = engine._held_out(train, test, engine._universe(train).eligible_mask)
+        assert positives == len(test)
+        listed = [(e, (0, -1)) for e in edges] + [((x, x), (0, -1)) for x in range(n)]
+        listed += [(tuple(p), (1, -1)) for p in test.tolist()]
+        expected_own, expected_once = {}, {}
+        for (x, y), (tp, fp) in listed:
+            expected_own[x * n + y] = (tp, fp)
+            if x != y:
+                key = min(x, y) * n + max(x, y)
+                before = expected_once.get(key, (0, 0))
+                expected_once[key] = (before[0] + tp, before[1] + fp)
+        assert len(expected_own) == len(listed)
+        for (keys, deltas), expected in ((own, expected_own), (once, expected_once)):
+            assert keys.dtype == np.int64 and deltas.dtype == np.int8
+            assert keys.tolist() == sorted(expected)
+            assert deltas.tolist() == [list(expected[key]) for key in sorted(expected)]
 
     def test_changed_pairs_or_graph_miss(self):
         train, test = _split_of(2, 120)
