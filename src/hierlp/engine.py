@@ -56,49 +56,56 @@ pair's paths one by one from 0.0 in ascending z, both drop a zero sum,
 and the INF family's two weighted passes are added "out" pass first
 and a zero sum dropped, as scipy's csr_plus_csr does.
 
-The fold after either backend is one. Each backend returns its chunk's
-values ascending, sorted in place in an array the chunk owns, so
-nothing after the product copies or compacts them: the fold counts
-each run of equal values as one distinct value's plain candidates, and
-then adds the deltas of the chunk's few listed pairs at their values'
-places: the slice of the call's list in the chunk's rows, ``own`` for
-a directed kind and ``once`` for a symmetric one. The dense backend
-reads their values from its own sorted cells. The sparse one
-scores them directly, the masked product of Azad, Buluç and Gilbert:
-per pass it lists z over the shorter of left(x) and the right view's
-column y, finds each z in the other by ``np.searchsorted`` in that
-view's sorted keys (``Graph._keys``), and sums each pair's terms by
-``np.bincount``, z ascending from 0.0, so the bits are the product's.
-A pair with no path is in no bucket, and a direct value found nowhere
-among the chunk's distinct values is a bit mismatch and raises
-ValidationError.
+A backend only lists values; the fold after it, ``_fold_chunk``, is
+one and does every step that follows. It slices the chunk's listed
+pairs, those of the call's list in the chunk's rows, and hands their
+keys to the backend, which returns the chunk's candidate values, in any
+order, in an array the chunk owns, and the value at each listed key,
+0.0 where the chunk lists none. The fold sorts the values in place, so
+nothing after the product copies or compacts them, and cuts off their
+leading run of 0.0: no score is negative, and a zero is no candidate.
+It counts each run of equal values as one distinct value's plain
+candidates, drops the listed pairs with no value, with their deltas,
+and adds the others' deltas at their values' places. The dense backend
+reads the listed values from its own cells. The sparse one scores them
+directly, the masked product of Azad, Buluç and Gilbert: per pass it
+lists z over the shorter of left(x) and the right view's column y,
+finds each z in the other by ``np.searchsorted`` in that view's sorted
+keys (``Graph._keys``), and sums each pair's terms by ``np.bincount``,
+z ascending from 0.0, so the bits are the product's. A direct value
+found nowhere among the chunk's distinct values is a bit mismatch and
+raises ValidationError.
 
-The undirected kinds (CN, AA, RA, Jaccard) are symmetric, so each
-unordered pair is scored once. A chunk of rows [lo, hi) keeps the
-pairs y > x only, and credits each value to (x, y) and to (y, x), and
-``once`` holds both directions' deltas. scipy's backend multiplies by
-the right factor's columns [lo, n), one column slice per chunk, then
-zeroes in place the pairs y <= x, all of which lie in the columns
-[lo, hi). No value of a symmetric kind's own is 0.0, so the sort puts
-exactly those pairs in front, and a slice of the sorted values cuts
-them off. The bits cannot differ from scoring (y, x) itself: the
-product sums over the shared neighbours in ascending order either way,
-and Jaccard's du + dv commutes. ``score_from_vertex`` is a row query:
-it scores its whole row, y < x included, by the dense backend and
-through the same fold with ``own``, in O(n + T + paths of the row):
-the accumulator has n cells, and finding the split's marker copies the
-test pairs. It takes the dense backend at any n: scipy's factors would
-be built for its one row, and on hub rows of 3-6 10^4 paths the dense
-backend took a fifth of the time scipy's did.
+The undirected kinds (CN, AA, RA, Jaccard) are symmetric. scipy's
+backend scores each unordered pair once: a chunk of rows [lo, hi)
+keeps the pairs y > x only, credits each value to (x, y) and to
+(y, x), and reads ``once``, which holds both directions' deltas. It
+multiplies by the right factor's columns [lo, n), one column slice per
+chunk, then zeroes in place the pairs y <= x, all of which lie in the
+columns [lo, hi), and the fold's cut drops them. The dense backend
+scores both directions, each in its own row, and reads ``own``, as a
+directed kind does: on small chunks, listing both directions cost no
+more than listing both and discarding half. The bits cannot differ
+between (x, y) and (y, x): the product sums over the shared neighbours
+in ascending order either way, and Jaccard's du + dv commutes.
+``score_from_vertex`` is a row query: it folds its whole row by the
+dense backend, exactly as a dense ``score_all`` folds that row, in
+O(n + T + paths of the row): the accumulator has n cells, and finding
+the split's marker copies the test pairs. It takes the dense backend at
+any n: scipy's factors would be built for its one row, and on hub rows
+of 3-6 10^4 paths the dense backend took a fifth of the time scipy's
+did.
 
 Workers claim fixed-size chunks of source vertices dynamically from one
 shared iterator, which absorbs the degree skew of webgraphs. Each runs
 one loop, inline for one worker and on a ``ThreadPoolExecutor`` for
 more; the first worker to fail stops the others from claiming more. A
 histogram holds the distinct nonzero score values, descending, with
-int64 (tp, fp) counts; one merge, ``_merge``, builds every histogram,
-in one sort of all its parts. A chunk's fold is one such part, as
-columns. A worker's first part is its histogram, with no merge. Later
+int64 (tp, fp) counts, as (values, tp, fp) columns; one merge,
+``_merge``, builds every histogram, in one sort of all its parts, and
+``_buckets`` makes the BUCKET_DTYPE array only where the engine hands a
+result to its caller. A chunk's fold is one such part. A worker's
+first part is its histogram, with no merge. Later
 parts wait, pending, and the worker merges them with its histogram in
 one ``_merge`` once they hold as many buckets as it. Such a merge sorts
 at most twice the pending buckets it takes in, so the merges of a call
@@ -271,12 +278,8 @@ def _bucket_rows(body, first_line):
     return np.array(rows, dtype=BUCKET_DTYPE)
 
 
-def _columns(buckets):
-    return buckets["value"], buckets["tp"], buckets["fp"]
-
-
 def _merge(parts):
-    """Combine (values, tp, fp) parts into one BUCKET_DTYPE array.
+    """Combine (values, tp, fp) parts into one such part.
 
     Equal values become one bucket, sorted descending, whose tp and fp
     are the int64 sums of theirs: exact, so the result does not depend
@@ -290,7 +293,7 @@ def _merge(parts):
     values = values[order]
     starts = _run_bounds(values)[:-1]
     counts = [np.concatenate([part[index] for part in parts])[order] for index in (1, 2)]
-    return _buckets(values[starts], *(np.add.reduceat(c, starts, dtype=np.int64) for c in counts))
+    return values[starts], *(np.add.reduceat(c, starts, dtype=np.int64) for c in counts)
 
 
 def _run_bounds(values):
@@ -343,7 +346,7 @@ def _held_out(graph, pairs, eligible):
     # stable, so a training edge precedes the test pairs equal to it
     order = np.argsort(keys, kind="stable")
     # the deltas' rows are gathered by take and compress (here and in the
-    # backends): numpy's fancy index gathers int8 pairs several times slower
+    # fold): numpy's fancy index gathers int8 pairs several times slower
     own = keys[order], deltas.take(order, axis=0)
     tied = (own[0][1:] == own[0][:-1]).nonzero()[0]
     if len(tied):
@@ -449,18 +452,20 @@ class _RunContext:
     """Per-call scoring state shared read-only by all workers.
 
     The graph-level arrays come from the graph's memo, the split's
-    lists from ``_marker``: the call keeps the one its mode reads,
-    ``once`` when ``unordered``, ``own`` otherwise. ``dense`` says which
-    backend every chunk of the call takes; the scipy factors exist only
-    when it is False.
+    lists from ``_marker``. ``dense`` says which backend every chunk of
+    the call takes; the scipy factors exist only when it is False. The
+    mode follows from it: ``unordered`` (each unordered pair scored
+    once) holds for a symmetric kind on scipy's backend alone, and the
+    call keeps the list its mode reads, ``once`` when ``unordered``,
+    ``own`` otherwise.
     """
 
-    def __init__(self, graph, marker, spec, dense, unordered=False):
+    def __init__(self, graph, marker, spec, dense):
         self.graph = graph
         self.spec = spec
         self.n = graph.vertex_count
-        self.unordered = unordered
-        self.tagged_keys, self.tagged_deltas = marker[1] if unordered else marker[2]
+        self.unordered = not dense and spec.kind in UNDIRECTED_KINDS
+        self.tagged_keys, self.tagged_deltas = marker[1] if self.unordered else marker[2]
         self.passes = _PASSES[spec.kind]
         # AA and RA weight the right view by a per-vertex weight of its row z
         self.z_weight = None
@@ -519,11 +524,11 @@ def _expand(indptr, indices, rows):
     return counts, indices[offsets]
 
 
-def _dense_candidates(ctx, lo, hi):
-    """(values, fixed values, fixed deltas) of the candidates of rows
-    [lo, hi), by a dense accumulator of (hi - lo) * n cells: the values
-    ascending, sorted in place, and the fixed values and deltas those of
-    the listed pairs of ``ctx.tagged_pairs``, read from their cells.
+def _dense_candidates(ctx, lo, hi, keys):
+    """(values, fixed) of the candidates of rows [lo, hi), by a dense
+    accumulator of (hi - lo) * n cells: the values of its nonzero cells,
+    in cell order, in an array the chunk owns, and the cell of each of
+    the listed ``keys``, 0.0 where the chunk lists none.
 
     Every 2-hop path (x, z, y) is listed in x, z, y order and its pair
     summed by ``np.bincount``, which adds in array order: each pair's
@@ -540,38 +545,30 @@ def _dense_candidates(ctx, lo, hi):
         z = indices[indptr[lo]:indptr[hi]]
         # y runs over row z of the right factor, for each (x, z)
         counts, ys = _expand(*ctx.graph._adjacency(right), z)
-        # the row of each entry: its sorted key row * n + column, over n
-        xs = (ctx.graph._keys(left)[indptr[lo]:indptr[hi]] // n).repeat(counts)
-        cell = (xs - lo) * n + ys
+        # the first cell of each entry's row x, (x - lo) * n, with x its
+        # sorted key x * n + z over n
+        cell =((ctx.graph._keys(left)[indptr[lo]:indptr[hi]] // n - lo) * n).repeat(counts)
+        cell += ys
         w = None if ctx.z_weight is None else ctx.z_weight[z].repeat(counts)
-        if ctx.unordered:
-            keep = ys > xs
-            cell = cell[keep]
-            w = None if w is None else w[keep]
         sums = np.bincount(cell, weights=w, minlength=cells).astype(np.float64, copy=False)
-        keys = (sums != 0.0).nonzero()[0]
-        values = ctx.weight(left, sums[keys], lambda a: a[lo + keys // n], lambda a: a[keys % n])
+        found = (sums != 0.0).nonzero()[0]
+        values = ctx.weight(left, sums[found], lambda a: a[lo + found // n], lambda a: a[found % n])
         if total is None:  # one pass: its weighted sums are the cells
-            sums[keys] = values
+            sums[found] = values
         else:
-            total[keys] += values
+            total[found] += values
     if total is None:
         total = sums
     else:
-        keys = (total != 0.0).nonzero()[0]
-        values = total[keys]
-    tagged, deltas = ctx.tagged_pairs(lo, hi)
-    fixed = total[tagged - lo * n]
-    hit = fixed != 0.0  # a listed cell: no weighted sum of a listed pair is 0.0
-    values.sort()
-    return values, fixed[hit], deltas.compress(hit, axis=0)
+        values = total[total != 0.0]
+    return values, total[keys - lo * n]
 
 
-def _sparse_candidates(ctx, lo, hi):
-    """(values, fixed values, fixed deltas) of the candidates of rows
-    [lo, hi), by scipy's SpGEMM: the values ascending, the product's
-    data sorted in place, and the fixed values and deltas those of the
-    pairs of ``ctx.tagged_pairs`` that ``_direct`` finds a value for.
+def _sparse_candidates(ctx, lo, hi, keys):
+    """(values, fixed) of the candidates of rows [lo, hi), by scipy's
+    SpGEMM: the product's data, in the product's order, and the value
+    ``_direct`` scores at each of the listed ``keys``, 0.0 where the
+    product has none.
 
     Each pass multiplies the chunk's rows by the right factor's columns
     from ``first``, weighted, and the passes are added in their order.
@@ -579,7 +576,7 @@ def _sparse_candidates(ctx, lo, hi):
     of rows below lo score as (y, x), and 0 for a directed one, which
     uses the factor unsliced. A symmetric chunk then drops its pairs
     y <= x, which lie in its first hi - lo columns: it zeroes them in
-    place, and the sort puts them in front, where a slice cuts them off.
+    place, for the fold to cut off.
     """
     first = lo if ctx.unordered else 0
     prod = None
@@ -590,23 +587,11 @@ def _sparse_candidates(ctx, lo, hi):
             view, part.data, lambda a: np.repeat(a[lo:hi], counts), lambda a: a[first:][part.indices]
         )
         prod = part if prod is None else prod + part
-    values = prod.data
     if ctx.unordered:
         below = (prod.indices < hi - lo).nonzero()[0]
         row = np.searchsorted(prod.indptr, below, side="right") - 1
-        values[below[prod.indices[below] <= row]] = 0.0
-    values.sort()
-    if ctx.unordered:
-        # zero is no candidate anywhere: scipy's product drops a zero
-        # sum, _fold_chunk a zero value, and the zero bucket counts the
-        # zero-scored pairs analytically; a symmetric kind sums positive
-        # terms, so no weighted value of its own is 0.0 and the leading
-        # run of 0.0 is exactly the pairs zeroed above
-        values = values[np.searchsorted(values, 0.0, side="right"):]
-    keys, deltas = ctx.tagged_pairs(lo, hi)
-    direct = _direct(ctx, *np.divmod(keys, ctx.n))
-    found = direct != 0.0
-    return values, direct[found], deltas.compress(found, axis=0)
+        prod.data[below[prod.indices[below] <= row]] = 0.0
+    return prod.data, _direct(ctx, *np.divmod(keys, ctx.n))
 
 
 def _direct(ctx, x, y):
@@ -663,26 +648,30 @@ def _inv_log_weights(degrees, base):
 
 
 def _fold_chunk(ctx, lo, hi):
-    """The candidates of rows [lo, hi), folded into one part.
+    """The candidates of rows [lo, hi), folded into one (values, tp, fp)
+    part: the distinct counted values, descending, and their int64
+    counts.
 
-    ``ctx.dense`` picks the backend that lists them, ascending; each run
-    of equal values is one distinct value, counted by the run's length.
-    With ``ctx.unordered`` (a symmetric score) only the pairs y > x are
-    scored, and each value counts for (x, y) and for (y, x). The
-    (Δtp, Δfp) deltas of ``ctx.tagged_pairs`` are then added at their
-    pairs' values. Returns (part, explicit_count): the part is (values,
-    tp, fp), the columns of the distinct counted values, descending, and
-    their int64 counts; explicit_count is the count of explicitly-scored
-    candidates (diagonal and training edges excluded).
-    Neither backend lists a pair whose paths sum to 0.0, such as the INF
-    family's on a row of out- and in-degree 1 (log 1 = 0), so such a
-    pair is not counted and is left to the zero bucket. Raises
-    ValidationError when a listed pair's value is not bit for bit among
-    the chunk's values.
+    The fold hands the keys of the chunk's listed pairs,
+    ``ctx.tagged_pairs``, to the backend ``ctx.dense`` picks, which lists
+    the chunk's values and the listed pairs' values. The fold sorts the
+    values in place and cuts off
+    their leading run of 0.0: no score is negative, and a pair whose
+    paths sum to 0.0, such as the INF family's on a row of out- and
+    in-degree 1 (log 1 = 0), or one scipy's backend zeroed, is left to
+    the zero bucket. Each run of equal values is one distinct value,
+    counted by the run's length, twice with ``ctx.unordered``, where
+    each value counts for (x, y) and for (y, x). The listed pairs with
+    no value are dropped with their deltas, and the others' (Δtp, Δfp)
+    deltas are added at their values. Raises ValidationError when a
+    listed pair's value is not bit for bit among the chunk's values.
     """
-    values, fixed, deltas = (_dense_candidates if ctx.dense else _sparse_candidates)(ctx, lo, hi)
-    directions = 2 if ctx.unordered else 1
-    explicit_count = directions * len(values) + int(deltas.sum())
+    keys, deltas = ctx.tagged_pairs(lo, hi)
+    values, fixed = (_dense_candidates if ctx.dense else _sparse_candidates)(ctx, lo, hi, keys)
+    values.sort()
+    values = values[values.searchsorted(0.0, side="right"):]
+    hit = fixed != 0.0
+    fixed, deltas = fixed[hit], deltas.compress(hit, axis=0)
     bounds = _run_bounds(values)  # the values ascend: a run is one distinct value
     distinct = values[bounds[:-1]]
     at = distinct.searchsorted(fixed)
@@ -690,14 +679,14 @@ def _fold_chunk(ctx, lo, hi):
         raise ValidationError("a tagged pair's direct value differs from the product's bits")
     # float sums of a chunk's few small counts: exact
     tp, fp = (np.bincount(at, weights=column, minlength=len(distinct)) for column in deltas.T)
-    fp += (bounds[1:] - bounds[:-1]) * directions
-    # the values that count: nonzero, with a nonzero count, each finite,
-    # which the ascending order lets the ends show
-    counted = ((tp + fp) > 0) & (distinct != 0.0)
+    fp += (bounds[1:] - bounds[:-1]) * (2 if ctx.unordered else 1)
+    # the values that count: with a nonzero count, each finite, which
+    # the ascending order lets the ends show
+    counted = (tp + fp) > 0
     values = distinct[counted][::-1]
     if len(values) and not (math.isfinite(values[0]) and math.isfinite(values[-1])):
         raise ValidationError("non-finite score outside the excluded diagonal")
-    return (values, tp[counted][::-1].astype(np.int64), fp[counted][::-1].astype(np.int64)), explicit_count
+    return values, tp[counted][::-1].astype(np.int64), fp[counted][::-1].astype(np.int64)
 
 
 def score_from_vertex(graph, n1, spec, test_edges):
@@ -706,14 +695,15 @@ def score_from_vertex(graph, n1, spec, test_edges):
     ``test_edges`` are the held-out positives, (u, v) pairs, checked as
     ``score_all`` checks them. Returns (buckets, explicit_count): the
     nonzero-score buckets as a BUCKET_DTYPE array, distinct values
-    descending, and the count of explicitly-scored candidates, from
-    which the caller can complete the zero bucket analytically.
-    Ineligible vertices are skipped, producing an empty contribution.
+    descending, and the count of explicitly-scored candidates (diagonal
+    and training edges excluded), their tp + fp, from which the caller
+    can complete the zero bucket analytically. The row is folded as a
+    dense ``score_all`` folds it. Ineligible vertices are skipped,
+    producing an empty contribution.
     """
     graph._check_vertex(n1)
-    ctx = _RunContext(graph, _marker(graph, test_edges), spec, True)
-    part, explicit_count = _fold_chunk(ctx, n1, n1 + 1)
-    return _buckets(*part), explicit_count
+    values, tp, fp = _fold_chunk(_RunContext(graph, _marker(graph, test_edges), spec, True), n1, n1 + 1)
+    return _buckets(values, tp, fp), int(tp.sum() + fp.sum())
 
 
 def score_all(
@@ -753,8 +743,7 @@ def score_all(
     negatives = _universe(graph).universe_size - positives
 
     chunk_bounds = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
-    unordered = spec.kind in UNDIRECTED_KINDS  # symmetric: score each pair once
-    ctx = _RunContext(graph, marker, spec, chunk_size * n <= DENSE_MAX_CELLS, unordered)
+    ctx = _RunContext(graph, marker, spec, chunk_size * n <= DENSE_MAX_CELLS)
     if workers is None:
         workers = os.cpu_count() or 1
     workers = min(workers, max(len(chunk_bounds), 1))
@@ -779,14 +768,14 @@ def score_all(
                     claim = None if stopped else next(claims, None)
                 if claim is None:
                     return parts
-                part = _fold_chunk(ctx, *claim)[0]
+                part = _fold_chunk(ctx, *claim)
                 if not len(part[0]):
                     continue
                 parts.append(part)
                 pending += len(part[0])
                 # the first part becomes the histogram without a merge
                 if pending >= held or (max_buckets is not None and held + pending > max_buckets):
-                    merged = _columns(_merge(parts)) if len(parts) > 1 else parts[0]
+                    merged = _merge(parts) if len(parts) > 1 else parts[0]
                     parts, held, pending = [merged], capped(len(merged[0])), 0
         except BaseException:
             stopped = True
@@ -801,8 +790,8 @@ def score_all(
                 results = [future.result() for future in futures]
             finally:
                 stopped = True  # an interrupted caller stops the workers too
-    parts = [part for result in results for part in result] or [_columns(np.empty(0, dtype=BUCKET_DTYPE))]
-    buckets = _merge(parts) if len(parts) > 1 else _buckets(*parts[0])
+    parts = [part for result in results for part in result]
+    buckets = _buckets(*(_merge(parts) if len(parts) > 1 else parts[0] if parts else (np.empty(0),) * 3))
     capped(len(buckets))
     explicit = int(buckets["tp"].sum()), int(buckets["fp"].sum())
     hist = ThresholdHistogram(buckets, (positives - explicit[0], negatives - explicit[1]), positives, negatives)

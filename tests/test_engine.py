@@ -22,7 +22,7 @@ from hierlp import (
     universe_stats,
 )
 from hierlp import engine
-from hierlp.engine import _columns, _inv_log_weights, _log_of_degrees, _merge
+from hierlp.engine import _buckets, _inv_log_weights, _log_of_degrees, _merge
 from hierlp.scores import UNDIRECTED_KINDS, ScoreKind, ScoreSpec, log_in_base
 
 from conftest import erdos_renyi_digraph, graph_from_edges, preferential_attachment_digraph
@@ -365,7 +365,7 @@ class TestHistogramDump:
     def test_sorted_descending_with_trailer(self):
         unsorted = (np.array([0.5, 2.0]), np.array([1, 0]), np.array([0, 3]))
         hist = ThresholdHistogram(
-            buckets=_merge([unsorted]),
+            buckets=_buckets(*_merge([unsorted])),
             zero_bucket=(0, 7),
             positives_total=1,
             negatives_total=10,
@@ -455,14 +455,15 @@ class TestMerge:
             reference[value] = (old_tp + tp, old_fp + fp)
         parts = [_part(rows) for rows in row_lists]
         merged = _merge(parts)
-        assert merged.tolist() == [
+        assert [column.dtype for column in merged] == [np.float64, np.int64, np.int64]
+        assert _buckets(*merged).tolist() == [
             (value, *reference[value]) for value in sorted(reference, reverse=True)
         ]
         shuffled = random.sample(parts, len(parts))
-        assert np.array_equal(_merge(shuffled), merged)
+        assert np.array_equal(_buckets(*_merge(shuffled)), _buckets(*merged))
         cut = random.randrange(1, len(parts))
-        grouped = [_columns(_merge(shuffled[:cut])), _columns(_merge(shuffled[cut:]))]
-        assert np.array_equal(_merge(grouped), merged)
+        grouped = [_merge(shuffled[:cut]), _merge(shuffled[cut:])]
+        assert np.array_equal(_buckets(*_merge(grouped)), _buckets(*merged))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -595,9 +596,11 @@ UNDIRECTED = [ScoreKind.CN, ScoreKind.AA, ScoreKind.RA, ScoreKind.JACCARD]
 
 
 class TestReciprocalPairs:
-    """Symmetric kinds score each unordered pair once and credit both
-    directions, each by its own tag. Vertices 1 and 4 share the
-    neighbours 0 and 2; vertex 6 is a pendant of 1."""
+    """Symmetric kinds credit both directions of a pair, each by its own
+    deltas: scipy's backend scores each unordered pair once and reads
+    ``once``, the dense one scores both directions and reads ``own``.
+    Vertices 1 and 4 share the neighbours 0 and 2; vertex 6 is a
+    pendant of 1."""
 
     BASE = [(1, 0), (0, 4), (2, 1), (4, 2), (3, 5), (5, 1), (3, 4), (6, 1)]
     CASES = {
@@ -609,15 +612,17 @@ class TestReciprocalPairs:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("kind", UNDIRECTED)
-    def test_matches_oracle(self, case, kind):
+    def test_matches_oracle(self, case, kind, monkeypatch):
         extra, test = self.CASES[case]
         g = graph_from_edges(self.BASE + extra)
         spec = ScoreSpec(kind)
         expected = oracle_score_all(g, spec, test).histogram
-        # chunk 1 and 2 put vertices 1 and 4 in different chunks
-        for chunk in (1, 2, 3, g.vertex_count):
-            for workers in (1, 2):
-                assert score_all(g, spec, test, workers=workers, chunk_size=chunk) == expected
+        for cells in (engine.DENSE_MAX_CELLS, -1):  # the dense backend, then scipy's
+            monkeypatch.setattr(engine, "DENSE_MAX_CELLS", cells)
+            # chunk 1 and 2 put vertices 1 and 4 in different chunks
+            for chunk in (1, 2, 3, g.vertex_count):
+                for workers in (1, 2):
+                    assert score_all(g, spec, test, workers=workers, chunk_size=chunk) == expected
 
     @pytest.mark.parametrize("kind", UNDIRECTED)
     def test_score_from_vertex_scores_the_whole_row(self, kind):
@@ -659,10 +664,23 @@ def _backend_graph(rng, n, pendants):
     return Graph(b + 5 + 8, u, v)
 
 
+def _listed(ctx, lo, hi):
+    """The backend's (values, fixed) for the listed pairs of rows [lo, hi)."""
+    backend = engine._dense_candidates if ctx.dense else engine._sparse_candidates
+    return backend(ctx, lo, hi, ctx.tagged_pairs(lo, hi)[0])
+
+
+def _count(part):
+    return int(part[1].sum() + part[2].sum())
+
+
 class TestBackends:
     """The dense accumulator and scipy's SpGEMM list the same candidate
-    values of a chunk, bit for bit, and the same tagged pairs' values
-    and tags, the sparse backend's scored directly."""
+    values, bit for bit, and the same listed pairs' values, the sparse
+    backend's scored directly. A directed kind's chunks agree chunk by
+    chunk; a symmetric kind's agree over the whole range, where scipy's
+    backend lists each unordered pair once and the dense one both
+    directions."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -683,28 +701,82 @@ class TestBackends:
             (x, y) for x in eligible for y in eligible
             if x != y and x * m + y not in known and rng.random() < 0.15
         ]
-        unordered = kind in UNDIRECTED_KINDS and data.draw(st.booleans(), label="unordered")
-        marker = engine._marker(train, np.array(test, dtype=np.int64).reshape(-1, 2))
+        test = np.array(test, dtype=np.int64).reshape(-1, 2)
+        marker = engine._marker(train, test)
         lo = data.draw(st.integers(0, m - 1), label="lo")
         hi = data.draw(st.integers(lo + 1, m), label="hi")
         spec = ScoreSpec(kind, log_base=base)
-        dense_ctx = engine._RunContext(train, marker, spec, True, unordered)
-        sparse_ctx = engine._RunContext(train, marker, spec, False, unordered)
-        for lo, hi in [(lo, hi), (0, m)]:
-            dense = engine._dense_candidates(dense_ctx, lo, hi)
-            sparse = engine._sparse_candidates(sparse_ctx, lo, hi)
-            for values in (dense[0], sparse[0]):
-                assert np.all(values[1:] >= values[:-1])
-                if unordered:  # the pairs y <= x zeroed by scipy's backend are cut off
-                    assert not np.any(values == 0.0)
-            # the values in any order; the tagged pairs in the same order
-            assert np.sort(dense[0]).tobytes() == np.sort(sparse[0]).tobytes()
-            assert dense[1].tobytes() == sparse[1].tobytes()
-            assert np.array_equal(dense[2], sparse[2])
+        dense_ctx = engine._RunContext(train, marker, spec, True)
+        sparse_ctx = engine._RunContext(train, marker, spec, False)
+        symmetric = kind in UNDIRECTED_KINDS
+        # a symmetric kind's chunk parts differ between the backends by
+        # design: scipy's backend scores a pair in the chunk of its lower end
+        for lo, hi in [(0, m)] if symmetric else [(lo, hi), (0, m)]:
+            dense, sparse = _listed(dense_ctx, lo, hi), _listed(sparse_ctx, lo, hi)
+            assert not np.any(dense[0] == 0.0)  # the accumulator drops a zero sum
+            if symmetric:
+                # each pair y > x twice, and the diagonal, the dense
+                # backend's alone, which its listed pairs hold
+                keys = dense_ctx.tagged_pairs(lo, hi)[0]
+                x, y = np.divmod(keys, m)
+                diagonal = dense[1][(x == y) & (dense[1] != 0.0)]
+                expected = np.concatenate([np.repeat(sparse[0][sparse[0] != 0.0], 2), diagonal])
+                assert np.sort(dense[0]).tobytes() == np.sort(expected).tobytes()
+                # each direction's listed value is its unordered pair's
+                off = x != y
+                at = sparse_ctx.tagged_pairs(lo, hi)[0].searchsorted(
+                    np.minimum(x, y)[off] * m + np.maximum(x, y)[off]
+                )
+                assert dense[1][off].tobytes() == sparse[1][at].tobytes()
+            else:
+                # the values in any order; the listed pairs in key order
+                assert np.sort(dense[0]).tobytes() == np.sort(sparse[0]).tobytes()
+                assert dense[1].tobytes() == sparse[1].tobytes()
             dense_fold = engine._fold_chunk(dense_ctx, lo, hi)
             sparse_fold = engine._fold_chunk(sparse_ctx, lo, hi)
-            assert dense_fold[1] == sparse_fold[1]
-            assert np.array_equal(engine._buckets(*dense_fold[0]), engine._buckets(*sparse_fold[0]))
+            assert np.all(dense_fold[0][1:] < dense_fold[0][:-1])  # distinct, descending
+            assert np.array_equal(_buckets(*dense_fold), _buckets(*sparse_fold))
+        # and through score_all, in chunks of hi - lo rows
+        hists = []
+        for cells in (1 << 40, -1):  # every chunk dense, then every chunk scipy's
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "DENSE_MAX_CELLS", cells)
+                hists.append(score_all(train, spec, test, workers=1, chunk_size=hi - lo))
+        assert hists[0] == hists[1]
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_run_context_derives_its_mode(self, kind):
+        """Only scipy's backend scores a symmetric kind once per unordered
+        pair and reads ``once``; the dense backend reads ``own`` for every
+        kind, as the row query does."""
+        train, test = _split_of(3, 80)
+        marker = engine._marker(train, test)
+        once, own = marker[1][0], marker[2][0]
+        for dense in (True, False):
+            ctx = engine._RunContext(train, marker, ScoreSpec(kind), dense)
+            unordered = not dense and kind in UNDIRECTED_KINDS
+            assert ctx.unordered is unordered
+            assert ctx.tagged_keys is (once if unordered else own)
+
+    @pytest.mark.parametrize("kind", [ScoreKind.INF_LOG_KD, ScoreKind.AA])
+    @pytest.mark.parametrize("cells", [1 << 40, -1], ids=["dense", "scipy"])
+    def test_backends_list_values_in_any_order(self, kind, cells, monkeypatch):
+        """The fold sorts what a backend lists: a backend that lists its
+        values reversed gives the same histogram."""
+        train, test = _split_of(3, 80)
+        spec = ScoreSpec(kind)
+        expected = oracle_score_all(train, spec, test).histogram
+        monkeypatch.setattr(engine, "DENSE_MAX_CELLS", cells)
+        for name in ("_dense_candidates", "_sparse_candidates"):
+            real = getattr(engine, name)
+
+            def reversed_values(*args, real=real):
+                values, *rest = real(*args)
+                return (values[::-1].copy(), *rest)
+
+            monkeypatch.setattr(engine, name, reversed_values)
+        for chunk in (1, 7, None):
+            assert score_all(train, spec, test, workers=1, chunk_size=chunk) == expected
 
     def test_selection_boundary(self, monkeypatch):
         """A call is dense when a whole chunk's accumulator, chunk_size * n
@@ -736,26 +808,28 @@ class TestBackends:
         sparse_ctx = real(star, engine._marker(star, NO_TEST), spec, False)
         dense_fold = engine._fold_chunk(contexts[-1], 0, 1)
         sparse_fold = engine._fold_chunk(sparse_ctx, 0, 1)
-        assert dense_fold[1] == sparse_fold[1] == leaves
-        assert np.array_equal(engine._buckets(*dense_fold[0]), engine._buckets(*sparse_fold[0]))
+        assert _count(dense_fold) == _count(sparse_fold) == leaves
+        assert np.array_equal(_buckets(*dense_fold), _buckets(*sparse_fold))
 
     def test_diagonal_counts_as_a_training_edge(self):
         """Row 0 of DED reaches itself (0 -> 1 -> 0) and the training
         edge 0 -> 2 (0 -> 1 -> 2), each at 1/2: both backends list the
-        two values and fix both pairs, the diagonal first in key order,
-        each with a training edge's deltas (0, -1), so that no candidate
-        of the row counts."""
+        two values and the listed pairs' values in key order, the
+        diagonal's first and 0.0 for the training edge (0, 1), which no
+        path reaches. The fold gives both pairs a training edge's deltas
+        (0, -1), so that no candidate of the row counts."""
         g = graph_from_edges([(0, 1), (1, 0), (1, 2), (0, 2)])
         marker = engine._marker(g, NO_TEST)
-        for dense, backend in ((True, engine._dense_candidates), (False, engine._sparse_candidates)):
+        for dense in (True, False):
             ctx = engine._RunContext(g, marker, ScoreSpec(ScoreKind.DED), dense)
-            # (0, 1) is a training edge too, but no path reaches it
-            assert ctx.tagged_pairs(0, 1)[0].tolist() == [0, 1, 2]
-            values, fixed, deltas = backend(ctx, 0, 1)
+            keys, deltas = ctx.tagged_pairs(0, 1)
+            assert keys.tolist() == [0, 1, 2] and deltas.tolist() == [[0, -1]] * 3
+            values, fixed = _listed(ctx, 0, 1)
             assert values.tolist() == [0.5, 0.5]
-            assert fixed.tolist() == [0.5, 0.5] and deltas.tolist() == [[0, -1], [0, -1]]
-            part, count = engine._fold_chunk(ctx, 0, 1)
-            assert all(len(column) == 0 for column in part) and count == 0
+            assert fixed.tolist() == [0.5, 0.0, 0.5]
+            assert all(len(column) == 0 for column in engine._fold_chunk(ctx, 0, 1))
+        buckets, count = score_from_vertex(g, 0, ScoreSpec(ScoreKind.DED), NO_TEST)
+        assert len(buckets) == 0 and count == 0
 
     @pytest.mark.parametrize("kind", [ScoreKind.INF_LOG, ScoreKind.INF_LOG_KD])
     def test_zero_sums_of_a_directed_row(self, kind):
@@ -763,20 +837,22 @@ class TestBackends:
         weigh its paths by log 1 = 0: its candidates (0, 3), (0, 4) and
         (0, 5), the test pair (0, 4) among them, all score 0.0. Both
         backends drop a zero sum, as they do a pair without paths, so the
-        row lists no value, counts no explicit candidate, fills no bucket,
-        and leaves its pairs to the zero bucket."""
+        row lists no value and 0.0 for each listed pair, counts no
+        explicit candidate, fills no bucket, and leaves its pairs to the
+        zero bucket."""
         g = graph_from_edges([(0, 1), (2, 0), (1, 3), (1, 4), (2, 5), (2, 3), (3, 1), (5, 4)])
         test = [(0, 4)]
         spec = ScoreSpec(kind)
         oracle = oracle_score_all(g, spec, test)
         assert [oracle.scores[(0, y)] for y in (3, 4, 5)] == [0.0, 0.0, 0.0]
         marker = engine._marker(g, np.array(test))
-        for dense, backend in ((True, engine._dense_candidates), (False, engine._sparse_candidates)):
+        for dense in (True, False):
             ctx = engine._RunContext(g, marker, spec, dense)
-            values, fixed, deltas = backend(ctx, 0, 1)
-            assert len(values) == len(fixed) == len(deltas) == 0
-            part, count = engine._fold_chunk(ctx, 0, 1)
-            assert all(len(column) == 0 for column in part) and count == 0
+            # the diagonal, the training edge (0, 1) and the test pair (0, 4)
+            assert ctx.tagged_pairs(0, 1)[0].tolist() == [0, 1, 4]
+            values, fixed = _listed(ctx, 0, 1)
+            assert len(values) == 0 and fixed.tolist() == [0.0, 0.0, 0.0]
+            assert all(len(column) == 0 for column in engine._fold_chunk(ctx, 0, 1))
         buckets, count = score_from_vertex(g, 0, spec, test)
         assert len(buckets) == 0 and count == 0
         for forced in (False, True):
@@ -786,13 +862,15 @@ class TestBackends:
                 for chunk in (1, g.vertex_count):
                     assert score_all(g, spec, test, workers=1, chunk_size=chunk) == oracle.histogram
 
-    @pytest.mark.parametrize("kind", [k for k in ScoreKind if k not in UNDIRECTED_KINDS])
+    @pytest.mark.parametrize("kind", list(ScoreKind))
     def test_directed_kind_tags_its_own_direction_only(self, kind):
         """A pair that is a training or test edge only in the reverse
-        direction is a plain candidate of a directed kind, so it is not
-        among the kind's tagged pairs; every training edge and test pair
-        of the rows is, in its own direction with its own deltas, and so
-        is the diagonal, as a training edge."""
+        direction is a plain candidate of a directed score, so it is not
+        among the listed pairs of a context that scores each direction
+        on its own: every kind's on the dense backend, and a directed
+        kind's on scipy's. Every training edge and test pair of the rows
+        is, in its own direction with its own deltas, and so is the
+        diagonal, as a training edge."""
         train, test = _split_of(3, 80)
         marker = engine._marker(train, test)
         n = train.vertex_count
@@ -804,7 +882,7 @@ class TestBackends:
         # training edges and the diagonal (0, -1), test pairs (1, -1)
         listed = dict.fromkeys(edges.tolist() + (np.arange(n) * (n + 1)).tolist(), [0, -1])
         listed.update(dict.fromkeys(tests.tolist(), [1, -1]))
-        for dense in (True, False):
+        for dense in (True, False) if kind not in UNDIRECTED_KINDS else (True,):
             ctx = engine._RunContext(train, marker, ScoreSpec(kind), dense)
             for lo, hi in ((0, n), (5, 12), (n - 1, n)):
                 keys, deltas = ctx.tagged_pairs(lo, hi)
@@ -1089,8 +1167,10 @@ class TestSplitSession:
         else:
             train, test = g, NO_TEST
         spec = ScoreSpec(kind, log_base=base)
-        rows = [score_from_vertex(train, x, spec, test)[0] for x in range(n)]
-        merged = _merge([_columns(b) for b in rows])
+        rows = [score_from_vertex(train, x, spec, test) for x in range(n)]
+        for buckets, count in rows:  # the count is the row's explicit candidates
+            assert count == int(buckets["tp"].sum() + buckets["fp"].sum())
+        merged = _buckets(*_merge([(b["value"], b["tp"], b["fp"]) for b, _ in rows]))
         hist = score_all(train, spec, test, workers=1)
         assert np.array_equal(merged, hist.buckets)
         assert (int(merged["tp"].sum()), int(merged["fp"].sum())) == hist.explicit_totals()
