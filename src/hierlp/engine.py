@@ -701,7 +701,7 @@ def score_from_vertex(graph, n1, spec, test_edges):
     dense ``score_all`` folds it. Ineligible vertices are skipped,
     producing an empty contribution.
     """
-    graph._check_vertex(n1)
+    n1 = graph._check_vertex(n1)
     values, tp, fp = _fold_chunk(_RunContext(graph, _marker(graph, test_edges), spec, True), n1, n1 + 1)
     return _buckets(values, tp, fp), int(tp.sum() + fp.sum())
 

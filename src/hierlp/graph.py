@@ -12,7 +12,9 @@ merges.
 import contextlib
 import gzip
 import io
+import operator
 import os
+import re
 import threading
 from dataclasses import dataclass
 
@@ -134,11 +136,18 @@ class Graph:
     # -- neighbor access ---------------------------------------------------
 
     def _check_vertex(self, x):
+        """``x`` as an int (``operator.index``), a vertex of this graph:
+        TypeError naming any other value, IndexError out of range."""
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise TypeError(f"vertex id must be an integer, got {x!r}") from None
         if not 0 <= x < self.vertex_count:
             raise IndexError(f"vertex id {x} out of range [0, {self.vertex_count})")
+        return x
 
     def _neighbors(self, view, x):
-        self._check_vertex(x)
+        x = self._check_vertex(x)
         indptr, indices = self._adjacency(view)
         return indices[indptr[x]:indptr[x + 1]]
 
@@ -295,6 +304,8 @@ def _opened(target, mode="r"):
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: the form of an integer id; ``_is_id`` adds its range
+_INTEGER_ID = re.compile(r"[+-]?[0-9]+")
 #: every byte the fast path accepts outside comment lines
 _PLAIN_BYTES = b"0123456789 \t\r\n"
 #: rows formatted by one ``%`` and written by one ``fh.write`` in ``_write_rows``
@@ -303,18 +314,20 @@ _WRITE_BLOCK = 4096
 
 def _sections(text):
     """Cut ``text`` at its comment lines, those whose first character
-    other than a space or a tab is '#'. Yields (comment line, its line
-    number, body, the body's first line number) with line numbers from
-    1: first (None, None, the lines before any comment line, 1), then
-    one per comment line, whose body runs up to the next. The one walker
-    of edge lists, split files and histogram dumps."""
+    that is not whitespace (``str.isspace``) is '#'. Yields (comment
+    line, its line number, body, the body's first line number) with
+    line numbers from 1: first (None, None, the lines before any comment
+    line, 1), then one per comment line, whose body runs up to the next.
+    The only code that recognises a comment line: the one walker of edge
+    lists, split files and histogram dumps, whose readers read only the
+    bodies it cuts."""
     comment = comment_line = None
     previous, line_number = 0, 1
     at = text.find("#")
     while at >= 0:
         start = text.rfind("\n", 0, at) + 1
         end = text.find("\n", at) + 1 or len(text)
-        if not text[start:at].strip(" \t"):
+        if not text[start:at].strip():
             yield comment, comment_line, text[previous:start], line_number
             line_number += text.count("\n", previous, start)
             comment, comment_line = text[start:end], line_number
@@ -392,58 +405,62 @@ def _plain_pairs(text):
     return pairs if pairs.shape[1] == 2 else None
 
 
-def _parse_lines(text, format, first_line=1):
-    """The line loop over ``text``: (source tokens, target tokens, comment
-    lines, whether every id is an integer in [0, 2^63)). The only parser
-    of token mode and the only one that names a malformed line: raises
-    GraphParseError with its number, counted from ``first_line``."""
+def _is_id(token):
+    """Whether ``token`` is an integer id: an optional sign, then ASCII
+    digits, with a value in [0, 2^63). ``int`` alone would also take
+    '1_0' (as 10) and digits of other scripts."""
+    return _INTEGER_ID.fullmatch(token) is not None and 0 <= int(token) <= _INT64_MAX
+
+
+def _parse_lines(bodies, format):
+    """The line loop over ``bodies``, the (text, first line number) pairs
+    that ``_sections`` cut, in order: (source tokens, target tokens,
+    whether every id is an integer id, ``_is_id``). When a line holds
+    another id, "auto" reads every id as a token and "integer" refuses
+    that line. The only parser of token mode and the only one that
+    names a malformed line: raises GraphParseError with its number."""
     sources, targets = [], []
-    comment_lines = 0
     integer = format != "token"
-    # ``text`` had its stream's newlines translated when it was read; a
-    # StringIO breaks it at '\n' alone
-    for line_number, line in enumerate(io.StringIO(text), start=first_line):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            comment_lines += 1
-            continue
-        fields = stripped.split()
-        if len(fields) != 2:
-            raise GraphParseError(
-                f"expected 2 fields, got {len(fields)}: {stripped!r}", line_number
-            )
-        a, b = fields
-        if integer:
-            try:
-                if not (0 <= int(a) <= _INT64_MAX and 0 <= int(b) <= _INT64_MAX):
-                    raise ValueError
-            except ValueError:
+    for body, first_line in bodies:
+        # ``body`` had its stream's newlines translated when it was read;
+        # a StringIO breaks it at '\n' alone
+        for line_number, line in enumerate(io.StringIO(body), start=first_line):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 2:
+                raise GraphParseError(
+                    f"expected 2 fields, got {len(fields)}: {line.strip()!r}", line_number
+                )
+            if integer and not (_is_id(fields[0]) and _is_id(fields[1])):
                 if format == "integer":
                     raise GraphParseError(
-                        f"non-numeric vertex id in integer mode: {stripped!r}",
-                        line_number,
-                    ) from None
+                        f"non-numeric vertex id in integer mode: {line.strip()!r}", line_number
+                    )
                 integer = False
-        sources.append(a)
-        targets.append(b)
-    return sources, targets, comment_lines, integer
+            sources.append(fields[0])
+            targets.append(fields[1])
+    return sources, targets, integer
 
 
-def _ints(tokens):
-    return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+def _id_pairs(sources, targets, read=int):
+    """The (E, 2) int64 array of ``read`` of every source and target token."""
+    return np.column_stack([
+        np.fromiter(map(read, tokens), dtype=np.int64, count=len(tokens))
+        for tokens in (sources, targets)
+    ])
 
 
-def _integer_pairs(text, first_line=1):
-    """(E, 2) int64 id pairs of ``text``, one pair per line, blank lines
-    skipped: the fast path when it applies, else the line loop, which
-    raises GraphParseError naming a malformed line (counted from
-    ``first_line``). The reader of both edge lists and split files."""
+def _integer_pairs(text, first_line):
+    """(E, 2) int64 id pairs of one body of a split file, one pair per
+    line, blank lines skipped: the fast path when it applies, else the
+    edge-list loader's line loop in integer mode, which raises
+    GraphParseError naming a malformed line (counted from
+    ``first_line``)."""
     pairs = _plain_pairs(text)
     if pairs is None:
-        sources, targets, _, _ = _parse_lines(text, "integer", first_line)
-        pairs = np.column_stack([_ints(sources), _ints(targets)])
+        sources, targets, _ = _parse_lines([(text, first_line)], "integer")
+        pairs = _id_pairs(sources, targets)
     return pairs
 
 
@@ -475,31 +492,18 @@ def _dense_ids(pairs):
     return None if np.array_equal(ids, np.arange(len(ids))) else ids.tolist()
 
 
-def _plain_edge_list(text):
-    """(integer id pairs, comment lines) of an edge list whose every line
-    is a comment, blank, or two decimal ids below 2^63, from the fast
-    path; None for any other text."""
-    bodies = [body for _, _, body, _ in _sections(text)]
-    pairs = _plain_pairs("".join(body for body in bodies if body))
-    return None if pairs is None else (pairs, len(bodies) - 1)
-
-
-def _line_edge_list(text, format):
-    """(dense id pairs, labels, comment lines) of an edge list, from the
-    line loop."""
-    sources, targets, comment_lines, integer = _parse_lines(text, format)
+def _line_edge_list(bodies, format):
+    """(dense id pairs, labels) of an edge list's bodies, (text, first
+    line number) pairs, from the line loop."""
+    sources, targets, integer = _parse_lines(bodies, format)
     if not sources:
         raise GraphParseError("empty input: no edges found")
     if integer:
-        pairs = np.column_stack([_ints(sources), _ints(targets)])
-        return pairs, _dense_ids(pairs), comment_lines
+        pairs = _id_pairs(sources, targets)
+        return pairs, _dense_ids(pairs)
     labels = sorted(set(sources) | set(targets))
     rank = {t: i for i, t in enumerate(labels)}
-    pairs = np.column_stack([
-        np.fromiter(map(rank.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        for tokens in (sources, targets)
-    ])
-    return pairs, labels, comment_lines
+    return _id_pairs(sources, targets, rank.__getitem__), labels
 
 
 def _line_count(text):
@@ -531,24 +535,27 @@ def _edge_list_graph(lines_total, pairs, labels, comment_lines):
 def load_edge_list(source, format="auto"):
     """Parse a whitespace-delimited edge list into a Graph.
 
-    Lines whose first non-blank character is '#' are comments; blank
-    lines are skipped; a line ends at '\\n' (a path is read with
-    universal newlines). ``format`` is one of "auto", "integer", "token".
-    Integer ids are remapped to dense ids in ascending numeric order,
-    tokens in ascending lexicographic order. Duplicate edges and self
-    loops are dropped silently with counters (real webgraph dumps contain
-    both).
+    Lines whose first character that is not whitespace is '#' are
+    comments; blank lines are skipped; a line ends at '\\n' (a path is
+    read with universal newlines). ``format`` is one of "auto",
+    "integer", "token". An integer id is an optional sign, then ASCII
+    digits, with a value below 2^63; "auto" reads a file with any other
+    id as tokens, "integer" refuses it. Integer ids are remapped to dense
+    ids in ascending numeric order, tokens in ascending lexicographic
+    order. Duplicate edges and self loops are dropped silently with
+    counters (real webgraph dumps contain both).
 
-    The input is read at once. Unless ``format`` is "token", a fast path
-    parses it in one vectorised pass (``np.loadtxt``) when every line
-    that is not a comment is blank or two plain decimal ids below 2^63,
-    separated by spaces or tabs. Anything else (a sign, another
-    character, a line of one or three fields, a '#' after an id, a '\\r'
-    inside a line, an id past int64) goes to the line loop, which alone
-    reads token mode and names the line of an error. Both give the same
-    Graph, labels and counters; ``lines_total`` and ``comment_lines``
-    count the whole input exactly. An id from 2^63 up is not an integer
-    here: "auto" reads the file as tokens, "integer" refuses it.
+    The input is read at once and walked once: ``_sections`` alone
+    finds its comment lines and cuts the bodies between them. Unless
+    ``format`` is "token", a fast path parses the joined bodies in one
+    vectorised pass (``np.loadtxt``) when every line of them is blank or
+    two plain decimal ids below 2^63, separated by spaces or tabs.
+    Anything else (a sign, another character, a line of one or three
+    fields, a '#' after an id, a '\\r' inside a line, an id past int64)
+    goes to the line loop, which reads the same bodies from their first
+    line numbers, alone reads token mode and names the line of an error.
+    Both give the same Graph, labels and counters; ``lines_total`` and
+    ``comment_lines`` count the whole input exactly.
 
     Returns (Graph, LoadReport). Raises GraphParseError with the line
     number on malformed input, and on empty input.
@@ -557,13 +564,13 @@ def load_edge_list(source, format="auto"):
         raise ValueError(f"unknown edge-list format {format!r}")
     with _opened(source) as fh:
         text = fh.read()
-    lines_total = _line_count(text)
-    plain = None if format == "token" else _plain_edge_list(text)
-    if plain is None:
-        pairs, labels, comment_lines = _line_edge_list(text, format)
+    bodies = [(body, first_line) for _, _, body, first_line in _sections(text)]
+    lines_total, comment_lines = _line_count(text), len(bodies) - 1
+    pairs = None if format == "token" else _plain_pairs("".join(body for body, _ in bodies if body))
+    if pairs is None:
+        pairs, labels = _line_edge_list(bodies, format)
     else:
-        del text  # the remap and the build are the peak of the load's memory
-        pairs, comment_lines = plain
+        del text, bodies  # the remap and the build are the peak of the load's memory
         labels = _dense_ids(pairs)
     return _edge_list_graph(lines_total, pairs, labels, comment_lines)
 

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import pickle
+import re
 import threading
 import warnings
 
@@ -64,6 +65,13 @@ class TestScoreFromVertex:
         buckets, count = score_from_vertex(g, 0, ScoreSpec(ScoreKind.DED), [(0, 3)])
         assert buckets.tolist() == [(1.0, 1, 0)]
         assert count == 1
+        # a vertex id is taken as an int (operator.index), before any indexing
+        for x in (np.int64(0), False):
+            buckets, count = score_from_vertex(g, x, ScoreSpec(ScoreKind.DED), [(0, 3)])
+            assert (buckets.tolist(), count) == ([(1.0, 1, 0)], 1)
+        for x in (0.0, 2.5, np.float64(1.0), "0"):
+            with pytest.raises(TypeError, match=f"^vertex id must be an integer, got {re.escape(repr(x))}$"):
+                score_from_vertex(g, x, ScoreSpec(ScoreKind.DED), [(0, 3)])
 
     def test_no_two_hop_paths_is_empty(self):
         g = graph_from_edges([(0, 1)], n=3)
@@ -415,11 +423,13 @@ class TestHistogramLoad:
              "line 3: '# zero_bucket 0': expected '# zero_bucket int int'"),
             ("0.5 1 2\n0.25 2 3\n" + _TRAILER + "# positives_total 3\n",
              "line 6: '# positives_total 3': a second 'positives_total' line"),
+            # a line led by any whitespace, then '#', is a trailer line
+            ("0.5 1 2\n\f# x\n0.25 2 3\n" + _TRAILER, "line 2: '# x': no key of zero_bucket"),
         ],
         ids=[
             "two-rows-on-a-line", "two-fields", "float-count", "nan", "inf", "zero-value",
             "negative-count", "repeated-value", "ascending-values", "row-after-trailer",
-            "no-trailer", "misspelled-key", "one-zero-count", "second-key",
+            "no-trailer", "misspelled-key", "one-zero-count", "second-key", "stray-comment",
         ],
     )
     def test_malformed_dump_refused(self, text, message):

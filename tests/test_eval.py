@@ -192,10 +192,14 @@ class TestSplitEdges:
             (SPLIT_HEAD + "# test\n0 1\n# dropped 0\n", "line 5: '# test': expected '# test int'"),
             # edges belong to the test and dropped sections
             (SPLIT_HEAD + "\n0 1\n# test 0\n# dropped 0\n", "line 6: a row after '# vertices 4'"),
+            # a line led by any whitespace, then '#', is a header line
+            (SPLIT_HEAD + "# test 1\n0 1\n\f# garbage\n# dropped 0\n",
+             "line 7: '# garbage': no key of seed, fraction"),
         ],
         ids=[
             "no-seed", "no-fraction", "no-vertices", "no-dropped", "second-seed",
             "second-vertices", "second-test", "unknown-key", "no-value", "edge-outside-sections",
+            "stray-comment",
         ],
     )
     def test_malformed_header_refused(self, text, message):

@@ -2,6 +2,7 @@ import gc
 import gzip
 import io
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from hierlp.graph import (
     _line_count,
     _line_edge_list,
     _opened,
-    _plain_edge_list,
+    _plain_pairs,
+    _sections,
     _unique,
 )
 from hierlp.scores import ScoreKind, ScoreSpec
@@ -102,12 +104,27 @@ class TestLoadEdgeList:
         assert excinfo.value.line_number == 12346
         assert "expected 2 fields, got 3" in str(excinfo.value)
 
+    def test_an_integer_id_is_a_sign_and_ascii_digits(self):
+        """'1_0' is no spelling of 10 and '\u0663' none of 3: "auto" reads
+        them as tokens, "integer" refuses their line."""
+        for text, labels in (("1_0 5\n10 6\n", ["10", "1_0", "5", "6"]),
+                             ("\u0663 5\n3 6\n", ["3", "5", "6", "\u0663"])):
+            g, _ = load_edge_list(text_stream(text))
+            assert (g.vertex_count, g.vertex_labels) == (4, labels)
+            with pytest.raises(GraphParseError, match="non-numeric vertex id") as excinfo:
+                load_edge_list(text_stream(text), format="integer")
+            assert excinfo.value.line_number == 1
+        g, _ = load_edge_list(text_stream("+3 -0\n"), format="integer")
+        assert g.vertex_labels == [0, 3]
+
 
 #: ids the fast path reads, and ids it must leave to the line loop
 PLAIN_IDS = st.integers(0, 30).map(str) | st.integers(0, 30).map("00{}".format) | st.just(
     str(2**63 - 1)
 )
-OTHER_IDS = st.sampled_from(["+3", "-2", str(2**63), "99999999999999999999", "x7", "1_0"])
+OTHER_IDS = st.sampled_from(
+    ["+3", "-0", "-2", str(2**63), "99999999999999999999", "x7", "1_0", "\u0663", "+-3"]
+)
 ID_TEXTS = PLAIN_IDS.map(lambda t: (t, True)) | OTHER_IDS.map(lambda t: (t, False))
 BLANKS = st.sampled_from(["", " ", "\t", " \t "])
 
@@ -120,10 +137,13 @@ def edge_list_lines(draw):
     if kind == "blank":
         return lead, True, False
     if kind == "comment":
+        # a comment line may be led by any whitespace: the walker cuts it
+        # on both paths
+        lead = draw(st.sampled_from([lead, lead, "\v", "\f", "\x1c", " \xa0"]))
         return lead + "#" + draw(st.text(alphabet="ab #1\t", max_size=5)), True, False
     if kind == "odd":
         # one and three fields, '#' after an id, other blanks, a lone '\r'
-        odd = ["5", "0 1 2", "0 1#c", "0 1 # c", "\v# c", "0\v1", "0\xa01", "0\r1", "\r0 1", "0 1\r"]
+        odd = ["5", "0 1 2", "0 1#c", "0 1 # c", "0\v1", "0\xa01", "0\r1", "\r0 1", "0 1\r"]
         return draw(st.sampled_from(odd)), False, True
     (a, a_plain), (b, b_plain) = draw(ID_TEXTS), draw(ID_TEXTS)
     sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
@@ -160,12 +180,13 @@ class TestFastPath:
         else:
             source = io.StringIO(text)
         fast = _outcome(lambda: load_edge_list(source, format))
-        by_line = _outcome(
-            lambda: _edge_list_graph(_line_count(text), *_line_edge_list(text, format))
-        )
+        bodies = [(body, first_line) for _, _, body, first_line in _sections(text)]
+        by_line = _outcome(lambda: _edge_list_graph(
+            _line_count(text), *_line_edge_list(bodies, format), len(bodies) - 1
+        ))
         assert fast == by_line
         if all(plain for _, plain, _ in lines) and any(edge for _, _, edge in lines):
-            assert _plain_edge_list(text) is not None
+            assert _plain_pairs("".join(body for body, _ in bodies)) is not None
 
     @given(
         st.lists(
@@ -184,10 +205,11 @@ class TestFastPath:
         assert labels == (None if np.array_equal(ids, np.arange(len(ids))) else ids.tolist())
 
     def test_counters_exact_with_comments_and_crlf(self):
-        text = "# a\r\n  # b\r\n\r\n0 1\r\n\t1 2\r\n1 1\r\n0 1"
-        assert _plain_edge_list(text) is not None
+        text = "# a\r\n  # b\r\n\r\n0 1\r\n\v# c\r\n\t1 2\r\n\f# d\r\n1 1\r\n0 1"
+        bodies = [body for _, _, body, _ in _sections(text)]
+        assert _plain_pairs("".join(bodies)) is not None
         _, report = load_edge_list(text_stream(text))
-        assert (report.lines_total, report.comment_lines) == (7, 2)
+        assert (report.lines_total, report.comment_lines) == (9, 4)
         assert (report.raw_edges, report.self_loops_dropped) == (4, 1)
         assert (report.duplicate_edges_dropped, report.edges_retained) == (1, 2)
 
@@ -216,6 +238,13 @@ class TestNeighbors:
             g.out_neighbors(2)
         with pytest.raises(IndexError):
             g.in_neighbors(-1)
+        # any value but an integer is refused before it indexes
+        for x in (1.5, 0.0, np.float64(1.0), "0", None):
+            with pytest.raises(TypeError, match=f"^vertex id must be an integer, got {re.escape(repr(x))}$"):
+                g.out_neighbors(x)
+        # an integer of any type is taken as an int
+        assert g.out_neighbors(np.int64(0)).tolist() == g.out_neighbors(False).tolist() == [1]
+        assert g.in_neighbors(True).tolist() == [0]
 
 
 class TestRepresentation:
