@@ -67,8 +67,10 @@ def main():
 @click.option("--threads", default=None, type=click.IntRange(min=1),
               help="Worker count; default: all cores.")
 @click.option("--chunk-size", default=None, type=click.IntRange(min=1),
-              help=f"Chunk of source vertices per work unit; default "
-                   f"min({DEFAULT_CHUNK_SIZE}, vertex count).")
+              help=f"Source vertices per work unit. Default: about one chunk per "
+                   f"{DEFAULT_CHUNK_SIZE} vertices, cut so that each lists about as many "
+                   f"2-hop paths (a hub vertex may be a chunk of its own); one chunk on "
+                   f"graphs small enough for the dense backend.")
 @click.option("--max-buckets", default=None, type=click.IntRange(min=0),
               help="Hard cap on distinct score values; exceeding it aborts the run. "
                    "It is checked on each worker's histogram after every merge and on "
@@ -107,7 +109,8 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
             f"{report.self_loops_dropped} self-loops)",
             err=True,
         )
-        chunk_size = chunk_size_for(graph.vertex_count, chunk_size)  # before the split is written
+        if chunk_size is not None:
+            chunk_size_for(graph.vertex_count, chunk_size)  # before the split is written
         if split_file and Path(split_file).exists():
             split = load_split(graph, split_file)
             click.echo(f"reusing split from {split_file}", err=True)

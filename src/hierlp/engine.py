@@ -34,9 +34,10 @@ and membership are structural, and the diagonal is never a candidate.
 A chunk of rows [lo, hi) lists its candidates' values through one of
 two backends, chosen once per call by the size of the dense one's
 accumulator alone: the dense backend when a whole chunk's accumulator,
-chunk_size * n cells, is at most DENSE_MAX_CELLS, scipy's otherwise.
-Small graphs and small chunks take the first, the 1000-row chunks of
-large graphs the second.
+chunk_size * n cells, is at most DENSE_MAX_CELLS, scipy's otherwise,
+with a chunk_size of min(DEFAULT_CHUNK_SIZE, n) when the call gives
+none. Small graphs and small chunks take the first, large graphs the
+second.
 
 - Dense: every path (x, z, y) is listed with numpy in x, z, y order and
   summed per pair by ``np.bincount`` into a dense accumulator, the one
@@ -96,10 +97,19 @@ any n: scipy's factors would be built for its one row, and on hub rows
 of 3-6 10^4 paths the dense backend took a fifth of the time scipy's
 did.
 
-Workers claim fixed-size chunks of source vertices dynamically from one
-shared iterator, which absorbs the degree skew of webgraphs. Each runs
-one loop, inline for one worker and on a ``ThreadPoolExecutor`` for
-more; the first worker to fail stops the others from claiming more. A
+Workers claim chunks of source vertices dynamically from one shared
+iterator, ``_chunks``, which cuts each chunk as it is claimed. A given
+chunk_size, and the dense backend, cut fixed runs of rows. Without one,
+scipy's backend cuts chunks by work: each is the longest run of rows
+whose product lists at most a budget of 2-hop paths, the call's paths
+over ceil(n / DEFAULT_CHUNK_SIZE), so there are about as many chunks as
+fixed ones would be. Fixed chunks of a skewed graph are not: a chunk of
+hubs lists many times the median chunk's paths, and a symmetric chunk
+lists the paths to its columns y >= lo, so the first chunks list the
+most. Per-row path counts come from the graph's memo (``_row_paths``),
+and a row over the budget is a chunk of its own. Each worker runs one
+loop, inline for one worker and on a ``ThreadPoolExecutor`` for more;
+the first worker to fail stops the others from claiming more. A
 histogram holds the distinct nonzero score values, descending, with
 int64 (tp, fp) counts, as (values, tp, fp) columns; one merge,
 ``_merge``, builds every histogram, in one sort of all its parts, and
@@ -131,7 +141,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _INT64_MAX, _opened, _read_artifact, _write_header, _write_rows
+from .graph import _INT64_MAX, _ascii_float, _ascii_int, _opened, _read_artifact, _write_header, _write_rows
 from .scores import INF_FAMILY, UNDIRECTED_KINDS, ScoreKind, log_in_base
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -146,9 +156,11 @@ class MemoryGuardError(RuntimeError):
 
 
 def chunk_size_for(n, chunk_size=None):
-    """The chunk size ``score_all`` uses on ``n`` vertices: ``chunk_size``,
-    which must be a Python or numpy integer in [1, max(n, 1)], or
-    min(DEFAULT_CHUNK_SIZE, max(n, 1))."""
+    """The rows per chunk by which ``score_all`` picks its backend on
+    ``n`` vertices: ``chunk_size``, which must be a Python or numpy
+    integer in [1, max(n, 1)], or min(DEFAULT_CHUNK_SIZE, max(n, 1)),
+    which the dense backend also cuts by. Without ``chunk_size`` scipy's
+    backend cuts its chunks by their paths (``_chunks``)."""
     if chunk_size is None:
         return min(DEFAULT_CHUNK_SIZE, max(n, 1))
     if not isinstance(chunk_size, (int, np.integer)):
@@ -172,7 +184,7 @@ BUCKET_DTYPE = np.dtype([("value", np.float64), ("tp", np.int64), ("fp", np.int6
 
 #: the keys of a histogram dump's trailer, each with its values' parsers:
 #: ThresholdHistogram's fields
-_TRAILER_KEYS = {"zero_bucket": (int, int), "positives_total": (int,), "negatives_total": (int,)}
+_TRAILER_KEYS = {"zero_bucket": (_ascii_int,) * 2, "positives_total": (_ascii_int,), "negatives_total": (_ascii_int,)}
 
 
 @dataclass(eq=False)
@@ -239,8 +251,9 @@ class ThresholdHistogram:
 
 def _bucket_rows(body, first_line):
     """The BUCKET_DTYPE rows of a histogram dump's body, one "value tp
-    fp" per line, blank lines skipped. The values must be finite,
-    nonzero and strictly descending, the counts in [0, 2^63).
+    fp" per line, blank lines skipped, each an ASCII numeral
+    (``graph._ascii_float``, ``graph._ascii_int``). The values must be
+    finite, nonzero and strictly descending, the counts in [0, 2^63).
     ``np.loadtxt`` reads the rows at once; when it fails or a row breaks
     a rule, a line loop reads them again and raises ValueError naming
     the first line at fault, counted from ``first_line``."""
@@ -261,7 +274,7 @@ def _bucket_rows(body, first_line):
         if not fields:
             continue
         try:
-            value, tp, fp = float(fields[0]), *map(int, fields[1:])
+            value, tp, fp = _ascii_float(fields[0]), *map(_ascii_int, fields[1:])
         except ValueError:
             fault = "expected 'value tp fp'"
         else:
@@ -647,6 +660,92 @@ def _inv_log_weights(degrees, base):
         return np.where(degrees > 0, 1.0 / logs, 0.0)
 
 
+def _row_paths(graph, passes, unordered):
+    """(cumulative, fixed): the int64 prefix sums, over rows 0..n, of the
+    2-hop paths that scipy's product of a kind's ``passes`` lists for
+    each row, and the paths each chunk of DEFAULT_CHUNK_SIZE rows lists.
+    Built in O(n + E), once per graph.
+
+    A directed pass lists, for row x, the right view's degree of each z
+    in left(x). A chunk [lo, hi) of a symmetric kind (``unordered``)
+    lists every path to a column y >= lo, so what a row lists depends on
+    the chunk's lo. Its count here is its paths to y >= x, what it lists
+    as a chunk's first row: through z, z's neighbours from x's rank in
+    row z on, summed over the entries of each row z. A chunk also lists
+    its pairs lo <= y < x, a(a - 1) / 2 of them through each z with a
+    neighbours among its rows: ``fixed`` adds them, by the runs of one
+    row's neighbours in one chunk.
+    """
+
+    def build():
+        n = graph.vertex_count
+        chunks = math.ceil(n / DEFAULT_CHUNK_SIZE)
+        per_row, within = np.zeros(n, dtype=np.int64), np.zeros(chunks, dtype=np.int64)
+        for left, right in passes:
+            indptr, indices = graph._adjacency(left)
+            if unordered:
+                # of the entry of x in row z: z's entries from it on
+                from_rank = np.repeat(indptr[1:], np.diff(indptr)) - np.arange(len(indices))
+                # float sums of counts below 2^53: exact
+                per_row += np.bincount(indices, weights=from_rank, minlength=n).astype(np.int64)
+                # row z's neighbours, run by run of one fixed chunk
+                chunk = indices // DEFAULT_CHUNK_SIZE
+                bounds = _run_bounds(graph._keys(left) - indices + chunk)
+                runs = np.diff(bounds)
+                pairs = runs * (runs - 1) // 2
+                within += np.bincount(chunk[bounds[:-1]], weights=pairs, minlength=chunks).astype(np.int64)
+            else:
+                listed = np.zeros(len(indices) + 1, dtype=np.int64)
+                np.cumsum(np.diff(graph._adjacency(right)[0])[indices], out=listed[1:])
+                per_row += np.diff(listed[indptr])
+        cumulative = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(per_row, out=cumulative[1:])
+        return cumulative, np.diff(cumulative[np.r_[0:n:DEFAULT_CHUNK_SIZE, n]]) + within
+
+    return graph._memo(("row_paths", passes, unordered), build)
+
+
+def _chunks(ctx, rows):
+    """The (lo, hi) row ranges of a call, in row order, each cut only
+    when it is claimed: runs of ``rows`` rows, or with None the longest
+    runs whose product lists at most a budget of 2-hop paths, scipy's
+    default.
+
+    The budget is the mean paths of the DEFAULT_CHUNK_SIZE-row chunks
+    (``_row_paths``), rounded up, so the count of chunks stays about
+    theirs, while the work of each chunk, and what it holds, no longer
+    depends on where its rows lie. A row over the budget is a
+    chunk of its own: a row is never split, as a chunk must hold all
+    paths of its pairs. A directed kind's chunk lists the sum of its
+    rows' counts, so one search cuts it. A symmetric chunk's rows list
+    their paths to columns y >= lo, which their counts bound from below:
+    the search bounds the chunk, and the count of z's neighbours in
+    [lo, n), kept for the chunk's lo, gives the exact paths of each row
+    up to that bound, in O(the entries of its rows).
+    """
+    n = ctx.n
+    if rows is not None:
+        yield from ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
+        return
+    cumulative, fixed = _row_paths(ctx.graph, ctx.passes, ctx.unordered)
+    budget = -(-int(fixed.sum()) // len(fixed))  # rounded up
+    if ctx.unordered:
+        indptr, indices = ctx.graph._adjacency("undirected")
+        ahead = np.diff(indptr)  # of each z: its neighbours in [lo, n)
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(cumulative.searchsorted(cumulative[lo] + budget, side="right")) - 1)
+        if ctx.unordered:
+            listed = np.zeros(indptr[hi] - indptr[lo] + 1, dtype=np.int64)
+            np.cumsum(ahead[indices[indptr[lo]:indptr[hi]]], out=listed[1:])
+            # the paths of rows [lo, h), for each h in [lo, hi]
+            fits = listed[indptr[lo:hi + 1] - indptr[lo]]
+            hi = max(lo + 1, lo + int(fits.searchsorted(budget, side="right")) - 1)
+            ahead -= np.bincount(indices[indptr[lo]:indptr[hi]], minlength=n)
+        yield lo, hi
+        lo = hi
+
+
 def _fold_chunk(ctx, lo, hi):
     """The candidates of rows [lo, hi), folded into one (values, tp, fp)
     part: the distinct counted values, descending, and their int64
@@ -720,7 +819,9 @@ def score_all(
     candidate universe, so no self-loop, no training edge, and both
     endpoints eligible; anything else raises ValidationError. The
     result is bit identical regardless of ``workers`` and
-    ``chunk_size``. ``max_buckets`` is a hard memory guardrail on the
+    ``chunk_size``, the rows per chunk; without it, scipy's backend
+    cuts about ceil(n / DEFAULT_CHUNK_SIZE) chunks of about equal 2-hop
+    paths (``_chunks``). ``max_buckets`` is a hard memory guardrail on the
     distinct-score count: exceeding it raises MemoryGuardError, never
     bins silently. It is checked on each worker's histogram after every
     merge and on the merged result; a worker merges before its histogram
@@ -737,23 +838,23 @@ def score_all(
         if value is not None and not (isinstance(value, (int, np.integer)) and value >= least):
             raise ValidationError(f"{name} must be None or an integer >= {least}, got {value!r}")
     n = graph.vertex_count
-    chunk_size = chunk_size_for(n, chunk_size)
+    rows = chunk_size_for(n, chunk_size)
     marker = _marker(graph, test_edges)
     positives = marker[0]
     negatives = _universe(graph).universe_size - positives
 
-    chunk_bounds = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
-    ctx = _RunContext(graph, marker, spec, chunk_size * n <= DENSE_MAX_CELLS)
+    ctx = _RunContext(graph, marker, spec, rows * n <= DENSE_MAX_CELLS)
+    # scipy's default chunks are cut by the paths they list, about as many
+    claims = _chunks(ctx, None if chunk_size is None and not ctx.dense else rows)
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = min(workers, max(len(chunk_bounds), 1))
+    workers = min(workers, max(math.ceil(n / rows), 1))
 
     def capped(count):
         if max_buckets is not None and count > max_buckets:
             raise MemoryGuardError(f"distinct score values exceeded max_buckets={max_buckets}")
         return count
 
-    claims = iter(chunk_bounds)
     claim_lock = threading.Lock()
     stopped = False  # set by the first failing worker, read under claim_lock
 

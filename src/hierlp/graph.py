@@ -306,6 +306,9 @@ def _opened(target, mode="r"):
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: the form of an integer id; ``_is_id`` adds its range
 _INTEGER_ID = re.compile(r"[+-]?[0-9]+")
+#: the form of a float: a decimal numeral, or a word ``float`` reads as
+#: infinity or NaN
+_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))")
 #: every byte the fast path accepts outside comment lines
 _PLAIN_BYTES = b"0123456789 \t\r\n"
 #: rows formatted by one ``%`` and written by one ``fh.write`` in ``_write_rows``
@@ -410,6 +413,25 @@ def _is_id(token):
     digits, with a value in [0, 2^63). ``int`` alone would also take
     '1_0' (as 10) and digits of other scripts."""
     return _INTEGER_ID.fullmatch(token) is not None and 0 <= int(token) <= _INT64_MAX
+
+
+def _numeral(parse, form):
+    """``parse`` of a text of ``form`` alone, in ASCII: ``int`` and
+    ``float`` alone would also take '1_0' (as 10) and digits of other
+    scripts. Raises ValueError for any other text."""
+
+    def parser(text):
+        if form.fullmatch(text) is None:
+            raise ValueError(f"not an ASCII numeral: {text!r}")
+        return parse(text)
+
+    parser.__name__ = parse.__name__
+    return parser
+
+
+#: the parsers of the numbers of histogram dumps and split-file headers
+_ascii_int = _numeral(int, _INTEGER_ID)
+_ascii_float = _numeral(float, _FLOAT)
 
 
 def _parse_lines(bodies, format):
@@ -621,12 +643,13 @@ def _ruled(parse, rule, holds):
 
 def _write_header(fh, table, **values):
     """Write one header line "# key value..." per keyword, in order: the
-    one header writer. Each value passes through its parser in
-    ``table[key]``; a key of several values takes them as a sequence, as
-    ``_read_artifact`` returns them."""
+    one header writer. Each value's text passes through its parser in
+    ``table[key]``, so the writer refuses what the reader would; a key
+    of several values takes them as a sequence, as ``_read_artifact``
+    returns them."""
     for key, value in values.items():
         value = value if len(table[key]) > 1 else (value,)
-        fields = [str(parse(v)) for parse, v in zip(table[key], value, strict=True)]
+        fields = [str(parse(str(v))) for parse, v in zip(table[key], value, strict=True)]
         fh.write(f"# {key} {' '.join(fields)}\n")
 
 

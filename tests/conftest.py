@@ -42,6 +42,16 @@ def preferential_attachment_digraph(rng, n, out_per_vertex=2):
     return Graph(n, keys // n, keys % n)
 
 
+def hub_first(graph):
+    """``graph`` relabelled by descending total degree, hubs first, as a
+    crawl-ordered dump is."""
+    order = np.argsort(-(graph.out_degrees + graph.in_degrees), kind="stable")
+    label = np.empty_like(order)
+    label[order] = np.arange(len(order))
+    u, v = graph.edges()
+    return Graph(graph.vertex_count, label[u], label[v])
+
+
 @pytest.fixture
 def four_cycle():
     # a -> b -> c -> d -> a

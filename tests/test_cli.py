@@ -18,7 +18,7 @@ from hierlp import (
     write_edge_list,
 )
 
-from conftest import preferential_attachment_digraph
+from conftest import hub_first, preferential_attachment_digraph
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,30 @@ class TestRun:
         assert summary["seed"] == 5
         assert summary["wall_time_seconds"] >= 0
         assert summary["threads"] >= 1
+        assert summary["chunk_size"] is None  # the engine's default chunks
+
+    def test_default_chunks_write_the_bytes_of_fixed_ones(self, tmp_path):
+        """On a hub-first graph of more than 1000 vertices, the default
+        cuts scipy's chunks by their paths; the histograms are those of
+        1000-row chunks, and each summary records its chunk size, null
+        for the default."""
+        graph = tmp_path / "hub_first.txt"
+        write_edge_list(hub_first(preferential_attachment_digraph(np.random.default_rng(9), 1500, 3)), graph)
+        runs = {}
+        for name, extra in (("default", []), ("fixed", ["--chunk-size", "1000"])):
+            out = tmp_path / name
+            result = run_cli([
+                "run", "--graph", str(graph), "--score", "aa", "--score", "inf_log_kd",
+                "--seed", "4", "--threads", "2", "--out", str(out), *extra,
+            ])
+            assert result.exit_code == 0, result.output
+            runs[name] = out
+        for kind in ("aa", "inf_log_kd"):
+            histogram = f"{kind}_histogram.txt"
+            assert (runs["default"] / histogram).read_bytes() == (runs["fixed"] / histogram).read_bytes()
+            chunk_sizes = [json.loads((runs[name] / f"{kind}_summary.json").read_text())["chunk_size"]
+                           for name in ("default", "fixed")]
+            assert chunk_sizes == [None, 1000]
 
     def test_same_seed_byte_identical_csvs(self, graph_file, tmp_path):
         outputs = []

@@ -26,7 +26,7 @@ from hierlp import engine
 from hierlp.engine import _buckets, _inv_log_weights, _log_of_degrees, _merge
 from hierlp.scores import UNDIRECTED_KINDS, ScoreKind, ScoreSpec, log_in_base
 
-from conftest import erdos_renyi_digraph, graph_from_edges, preferential_attachment_digraph
+from conftest import erdos_renyi_digraph, graph_from_edges, hub_first, preferential_attachment_digraph
 
 NO_TEST = np.empty((0, 2), dtype=np.int64)
 
@@ -425,11 +425,23 @@ class TestHistogramLoad:
              "line 6: '# positives_total 3': a second 'positives_total' line"),
             # a line led by any whitespace, then '#', is a trailer line
             ("0.5 1 2\n\f# x\n0.25 2 3\n" + _TRAILER, "line 2: '# x': no key of zero_bucket"),
+            # ASCII numerals alone: float and int would take '1_5' as 15
+            # and the digits of other scripts
+            ("1_5 2 3\n" + _TRAILER, "line 1: '1_5 2 3': expected 'value tp fp'"),
+            ("0.5 1 2\n0.25 1_0 3\n" + _TRAILER, "line 2: '0.25 1_0 3': expected 'value tp fp'"),
+            ("\u0661 1 2\n" + _TRAILER, "line 1: '\u0661 1 2': expected 'value tp fp'"),
+            ("0.5 \uff11 2\n" + _TRAILER, "line 1: '0.5 \uff11 2': expected 'value tp fp'"),
+            ("0.5 3 3\n# zero_bucket 1_0 0\n# positives_total 3\n# negatives_total 3\n",
+             "line 2: '# zero_bucket 1_0 0': expected '# zero_bucket int int'"),
+            ("0.5 3 3\n# zero_bucket 0 0\n# positives_total \u0663\n# negatives_total 3\n",
+             "line 3: '# positives_total \u0663': expected '# positives_total int'"),
         ],
         ids=[
             "two-rows-on-a-line", "two-fields", "float-count", "nan", "inf", "zero-value",
             "negative-count", "repeated-value", "ascending-values", "row-after-trailer",
             "no-trailer", "misspelled-key", "one-zero-count", "second-key", "stray-comment",
+            "underscore-value", "underscore-count", "arabic-indic-value", "fullwidth-count",
+            "underscore-trailer", "arabic-indic-trailer",
         ],
     )
     def test_malformed_dump_refused(self, text, message):
@@ -1238,3 +1250,81 @@ class TestMemo:
                 assert got[0] is not None and got[0] is got[1]
         finally:
             sys.setswitchinterval(interval)
+
+
+def _star_on_a_path(n):
+    """Vertex 0 points at every other vertex, and each of them at the
+    next: row 0 lists about n 2-hop paths, every other row about one."""
+    others = np.arange(1, n)
+    return Graph(n, np.r_[np.zeros(n - 1, dtype=np.int64), others[:-1]], np.r_[others, others[1:]])
+
+
+def _paths_listed(ctx, lo, hi):
+    """The 2-hop paths scipy's product lists for rows [lo, hi), counted
+    on the unit-weight views: every pass's rows times its right view, a
+    symmetric kind's columns from lo alone."""
+    g = ctx.graph
+    if ctx.unordered:
+        return int((g.undirected_csr()[lo:hi] @ g.undirected_csr()[:, lo:]).sum())
+    return sum(int((g._csr(left)[lo:hi] @ g._csr(right)).sum()) for left, right in ctx.passes)
+
+
+class TestPathBalancedChunks:
+    """Without a chunk size, scipy's backend cuts each chunk as the
+    longest run of rows whose product lists at most a budget of 2-hop
+    paths, the paths of the call's 1000-row chunks over their count.
+    Any row partition scores the same pairs, so the histograms are those
+    of fixed chunks."""
+
+    @pytest.fixture(scope="class")
+    def hub_split(self):
+        from hierlp import split_edges
+
+        g = hub_first(preferential_attachment_digraph(np.random.default_rng(3), 2500, out_per_vertex=3))
+        split = split_edges(g, 0.1, seed=3)
+        return split.train_graph, split.test_edges
+
+    @pytest.mark.parametrize("kind", [ScoreKind.CN, ScoreKind.DED, ScoreKind.IND, ScoreKind.INF_LOG])
+    @pytest.mark.parametrize("hub_row", [False, True], ids=["hub-first", "star-on-a-path"])
+    def test_chunks_cover_the_rows_within_the_budget(self, hub_split, kind, hub_row):
+        g = _star_on_a_path(2001) if hub_row else hub_split[0]
+        n = g.vertex_count
+        ctx = engine._RunContext(g, engine._marker(g, NO_TEST), ScoreSpec(kind), False)
+        chunks = list(engine._chunks(ctx, None))
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(lo < hi for lo, hi in chunks)
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        fixed = [_paths_listed(ctx, lo, min(lo + 1000, n)) for lo in range(0, n, 1000)]
+        assert engine._row_paths(g, ctx.passes, ctx.unordered)[1].tolist() == fixed
+        chunk_count = math.ceil(n / 1000)
+        budget = -(-sum(fixed) // chunk_count)
+        listed = [_paths_listed(ctx, lo, hi) for lo, hi in chunks]
+        over = [chunk for chunk, paths in zip(chunks, listed) if paths > budget]
+        assert all(hi - lo == 1 for lo, hi in over)
+        # the longest run: one row more passes the budget
+        assert all(_paths_listed(ctx, lo, hi + 1) > budget for lo, hi in chunks[:-1])
+        assert chunk_count <= len(chunks) <= chunk_count + 2 + len(over)
+        # DED's row 0 lists the star's paths; through the hub, every row lists about n
+        assert over == ([(0, 1)] if hub_row and kind is ScoreKind.DED else [])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_equals_fixed_chunks(self, hub_split, workers):
+        g, test = hub_split
+        for kind in ScoreKind:
+            spec = ScoreSpec(kind)
+            expected = score_all(g, spec, test, workers=workers)
+            for chunk_size in (1, 7, 1000, g.vertex_count):
+                assert score_all(g, spec, test, workers=workers, chunk_size=chunk_size) == expected, (kind, chunk_size)
+
+    def test_score_all_claims_the_balanced_chunks(self, hub_split, monkeypatch):
+        g, test = hub_split
+        claimed = []
+        real = engine._fold_chunk
+        monkeypatch.setattr(engine, "_fold_chunk", lambda ctx, lo, hi: claimed.append((lo, hi)) or real(ctx, lo, hi))
+        ctx = engine._RunContext(g, engine._marker(g, test), ScoreSpec(ScoreKind.CN), False)
+        balanced = list(engine._chunks(ctx, None))
+        score_all(g, ScoreSpec(ScoreKind.CN), test, workers=1)
+        assert claimed == balanced != [(0, 1000), (1000, 2000), (2000, g.vertex_count)]
+        claimed.clear()
+        score_all(g, ScoreSpec(ScoreKind.CN), test, workers=1, chunk_size=1000)
+        assert claimed == [(0, 1000), (1000, 2000), (2000, g.vertex_count)]

@@ -151,6 +151,25 @@ class TestSplitEdges:
             f"'# {key} {'float' if key == 'fraction' else 'int'}', {rule}"
         )
 
+    @pytest.mark.parametrize(
+        "head, line, number",
+        [
+            (SPLIT_HEAD, "# test 1_0", 5),
+            (SPLIT_HEAD.replace("# seed 1", "# seed 0_1"), "# seed 0_1", 2),
+            (SPLIT_HEAD.replace("# fraction 0.5", "# fraction 0.5_0"), "# fraction 0.5_0", 3),
+            (SPLIT_HEAD.replace("# vertices 4", "# vertices \u0664"), "# vertices \u0664", 4),
+        ],
+        ids=["underscore-test", "underscore-seed", "underscore-fraction", "arabic-indic-vertices"],
+    )
+    def test_header_value_that_is_no_ascii_numeral_refused(self, head, line, number):
+        """int and float would read '1_0' as 10 and the digits of other
+        scripts; the header reads ASCII numerals alone."""
+        g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        body = "# test 1\n0 1\n# dropped 0\n" if "test" not in line else f"{line}\n0 1\n# dropped 0\n"
+        with pytest.raises(ValueError) as refused:
+            load_split(g, io.StringIO(head + body))
+        assert str(refused.value).startswith(f"malformed split file: line {number}: {line!r}: expected '# ")
+
     def test_vertex_beyond_the_graph_refused(self):
         # with n = 4, the key 0 * 4 + 6 of (0, 6) is that of the edge (1, 2)
         g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
