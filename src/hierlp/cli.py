@@ -58,7 +58,7 @@ def main():
 @click.option("--format", "fmt", default="auto", type=click.Choice(["auto", "integer", "token"]))
 @click.option("--score", "score_tokens", multiple=True, required=True,
               help="Score token, repeatable: cn aa ra jaccard ded ind inf inf_log inf_log_kd")
-@click.option("--k", default=2.0, show_default=True, help="DED multiplier for inf_log_kd.")
+@click.option("--k", default=2.0, show_default=True, help="DED multiplier of a bare inf_log_kd token; a token's k wins.")
 @click.option("--log-base", default=0.0, help="Logarithm base; 0 means natural log.")
 @click.option("--split-fraction", default=0.10, show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -84,13 +84,7 @@ def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
     base = math.e if not log_base else float(log_base)
     out = Path(out_dir)
     try:
-        specs = []
-        for token in score_tokens:
-            spec = ScoreSpec.parse(token, log_base=base)
-            # a k in the token, in any case, wins over --k, as parse reads it
-            if spec.kind.value == "inf_log_kd" and "k=" not in token.lower():
-                spec = ScoreSpec(spec.kind, k=k, log_base=base)
-            specs.append(spec)
+        specs = [ScoreSpec.parse(token, log_base=base, k=k) for token in score_tokens]
         # artifacts are named by score kind alone, so two runs of one
         # kind would overwrite each other's files
         stems = [spec.kind.value for spec in specs]

@@ -54,8 +54,9 @@ place by its left view: divided by that view's degrees, times their
 logs for the log-weighted kinds, times k on INF_LOG_KD's "out" pass.
 Their bits agree: ``np.bincount`` and scipy's csr_matmat both add each
 pair's paths one by one from 0.0 in ascending z, both drop a zero sum,
-and the INF family's two weighted passes are added "out" pass first
-and a zero sum dropped, as scipy's csr_plus_csr does.
+and the dense backend adds every kind's weighted passes into one
+accumulator from 0.0, the INF family's "out" pass first, and drops a
+zero sum, as scipy's csr_plus_csr adds the INF passes.
 
 A backend only lists values; the fold after it, ``_fold_chunk``, is
 one and does every step that follows. It slices the chunk's listed
@@ -546,13 +547,14 @@ def _dense_candidates(ctx, lo, hi, keys):
     Every 2-hop path (x, z, y) is listed in x, z, y order and its pair
     summed by ``np.bincount``, which adds in array order: each pair's
     sum adds its z ascending from 0.0, as scipy's csr_matmat does, and
-    a zero sum is no candidate, as in scipy's product. The INF family
-    adds its two weighted passes into one accumulator, pass 0 first, and
-    again drops a zero sum, as scipy's csr_plus_csr does.
+    a zero sum is no candidate, as in scipy's product. Every kind adds
+    each pass's weighted nonzero sums into one accumulator of 0.0s, in
+    pass order, and drops a zero cell, as scipy's csr_plus_csr does; a
+    kind of one pass keeps its weighted sums' bits, since 0.0 + v is v.
     """
     n = ctx.n
     cells = (hi - lo) * n
-    total = np.zeros(cells) if len(ctx.passes) > 1 else None
+    total = np.zeros(cells)
     for left, right in ctx.passes:
         indptr, indices = ctx.graph._adjacency(left)
         z = indices[indptr[lo]:indptr[hi]]
@@ -565,16 +567,8 @@ def _dense_candidates(ctx, lo, hi, keys):
         w = None if ctx.z_weight is None else ctx.z_weight[z].repeat(counts)
         sums = np.bincount(cell, weights=w, minlength=cells).astype(np.float64, copy=False)
         found = (sums != 0.0).nonzero()[0]
-        values = ctx.weight(left, sums[found], lambda a: a[lo + found // n], lambda a: a[found % n])
-        if total is None:  # one pass: its weighted sums are the cells
-            sums[found] = values
-        else:
-            total[found] += values
-    if total is None:
-        total = sums
-    else:
-        values = total[total != 0.0]
-    return values, total[keys - lo * n]
+        total[found] += ctx.weight(left, sums[found], lambda a: a[lo + found // n], lambda a: a[found % n])
+    return total[total != 0.0], total[keys - lo * n]
 
 
 def _sparse_candidates(ctx, lo, hi, keys):

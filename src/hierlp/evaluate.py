@@ -14,10 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _universe
-from .graph import (
-    Graph, _ascii_float, _ascii_int, _integer_pairs, _opened, _read_artifact, _ruled, _write_header,
-    _write_rows,
-)
+from .graph import _FLOAT, _INTEGER_ID, Graph, _integer_pairs, _numeral, _opened, _read_artifact, _write_header, _write_rows
 from .scores import ScoreSpec
 
 
@@ -86,8 +83,8 @@ _SPLIT_TITLE = "# hierlp edge split"
 #: a split file's header keys, each with its value's parser: the values
 #: ``split_edges`` can write, a count or seed >= 0 and a fraction in
 #: (0, 1); "# test" and "# dropped" head the sections of their edges
-_COUNT = _ruled(_ascii_int, "an integer >= 0", lambda value: value >= 0)
-_FRACTION = _ruled(_ascii_float, "a float in (0, 1)", lambda value: 0.0 < value < 1.0)
+_COUNT = _numeral(int, _INTEGER_ID, "an integer >= 0", lambda value: value >= 0)
+_FRACTION = _numeral(float, _FLOAT, "a float in (0, 1)", lambda value: 0.0 < value < 1.0)
 _SPLIT_HEADER = dict(seed=(_COUNT,), fraction=(_FRACTION,), vertices=(_COUNT,), test=(_COUNT,), dropped=(_COUNT,))
 
 

@@ -345,8 +345,8 @@ def _read_artifact(source, name, table, read_rows, row_keys, title=None):
     its comment lines, each a header line "# key value..." read by the
     one header parser, and the rows between them.
 
-    ``table`` maps each key to one parser per value, a ``_ruled`` one
-    named with its rule where it refuses. Returns (values,
+    ``table`` maps each key to one ``_numeral`` parser per value, named
+    with its rule where it refuses. Returns (values,
     rows): ``values`` maps each key to its parsed value, or to the tuple
     of them for a key of several; ``rows`` maps each key of ``row_keys``
     whose header line is followed by a non-blank body to
@@ -374,7 +374,7 @@ def _read_artifact(source, name, table, read_rows, row_keys, title=None):
                     value = tuple(parse(f) for parse, f in zip(table[key], fields[2:], strict=True))
                 except ValueError:
                     shape = " ".join(["#", key, *(parse.__name__ for parse in table[key])])
-                    rules = "".join(f", {parse.rule}" for parse in table[key] if hasattr(parse, "rule"))
+                    rules = "".join(f", {parse.rule}" for parse in table[key] if parse.rule)
                     raise ValueError(f"line {line_number}: {line!r}: expected {shape!r}{rules}") from None
                 values[key] = value if len(value) > 1 else value[0]
             if body and not body.isspace():
@@ -415,17 +415,24 @@ def _is_id(token):
     return _INTEGER_ID.fullmatch(token) is not None and 0 <= int(token) <= _INT64_MAX
 
 
-def _numeral(parse, form):
-    """``parse`` of a text of ``form`` alone, in ASCII: ``int`` and
-    ``float`` alone would also take '1_0' (as 10) and digits of other
-    scripts. Raises ValueError for any other text."""
+def _numeral(parse, form, rule=None, holds=None):
+    """The one factory of number parsers: ``parse`` of a text of
+    ``form`` alone, in ASCII, since ``int`` and ``float`` alone would
+    also take '1_0' (as 10) and digits of other scripts. Raises
+    ValueError for any other text and, given a ``rule``, for each value
+    for which ``holds`` is false. The parser's ``rule`` says which
+    values it takes (None: every one of ``form``), and the refusals of
+    ``_read_artifact`` name it."""
 
     def parser(text):
         if form.fullmatch(text) is None:
             raise ValueError(f"not an ASCII numeral: {text!r}")
-        return parse(text)
+        value = parse(text)
+        if rule is not None and not holds(value):
+            raise ValueError(rule)
+        return value
 
-    parser.__name__ = parse.__name__
+    parser.__name__, parser.rule = parse.__name__, rule
     return parser
 
 
@@ -624,21 +631,6 @@ def _write_rows(fh, line, *columns):
         for i, (values, conversion) in enumerate(zip(blocks, line.split("%")[1:])):
             cells[i::len(columns)] = _reprs(values) if conversion.startswith("s") else values
         fh.write(line * len(blocks[0]) % tuple(cells))
-
-
-def _ruled(parse, rule, holds):
-    """A header value parser: ``parse``, refusing each value for which
-    ``holds`` is false. Its ``rule`` says which values it takes, and the
-    refusals of ``_read_artifact`` name it."""
-
-    def parser(text):
-        value = parse(text)
-        if not holds(value):
-            raise ValueError(rule)
-        return value
-
-    parser.__name__, parser.rule = parse.__name__, rule
-    return parser
 
 
 def _write_header(fh, table, **values):

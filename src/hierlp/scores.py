@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .graph import _ascii_float
+
 
 class ScoreConsistencyError(RuntimeError):
     """A neighbor-set input contradicts the simple-graph invariants."""
@@ -64,18 +66,25 @@ class ScoreSpec:
             raise ValueError(f"log_base must be finite and > 1, got {self.log_base}")
 
     def token(self):
-        """Canonical serialized form, e.g. "cn" or "inf_log_kd(k=2)"."""
+        """Canonical serialized form, e.g. "cn" or "inf_log_kd(k=2)": k is
+        written as its repr without a trailing ".0", so that ``parse``
+        reads the token back to this spec for every finite k > 0."""
         if self.kind is ScoreKind.INF_LOG_KD:
-            return f"inf_log_kd(k={self.k:g})"
+            return f"inf_log_kd(k={repr(float(self.k)).removesuffix('.0')})"
         return self.kind.value
 
     @classmethod
-    def parse(cls, text, log_base=math.e):
-        """Parse a canonical token, e.g. "ra" or "inf_log_kd(k=1.5)"."""
+    def parse(cls, text, log_base=math.e, k=2.0):
+        """The one reader of a score token, in any case, e.g. "ra",
+        "inf_log_kd" or "inf_log_kd(k=1.5)". A k in the token wins and is
+        an ASCII numeral, as every number of an artifact is
+        (``graph._ascii_float``); a bare "inf_log_kd" takes ``k``; every
+        other kind keeps the default k. Raises ValueError for any other
+        token and for a parameter that ``ScoreSpec`` refuses."""
         text = text.strip().lower()
-        m = re.fullmatch(r"inf_log_kd\(k=([^)]+)\)", text)
+        m = re.fullmatch(r"inf_log_kd(?:\(k=([^)]+)\))?", text)
         if m:
-            return cls(ScoreKind.INF_LOG_KD, k=float(m.group(1)), log_base=log_base)
+            return cls(ScoreKind.INF_LOG_KD, k=k if m[1] is None else _ascii_float(m[1]), log_base=log_base)
         try:
             kind = ScoreKind(text)
         except ValueError:

@@ -226,15 +226,30 @@ class TestRun:
         assert not (out / "split.txt").exists()
 
     def test_k_in_an_uppercase_token_is_kept(self, graph_file, tmp_path):
+        """A token's own k wins over --k."""
         out = tmp_path / "out"
         result = run_cli([
             "run", "--graph", str(graph_file), "--score", "INF_LOG_KD(K=3)",
-            "--seed", "5", "--out", str(out),
+            "--k", "5", "--seed", "5", "--out", str(out),
         ])
         assert result.exit_code == 0
         summary = json.loads((out / "inf_log_kd_summary.json").read_text())
         assert summary["k"] == 3.0
         assert summary["score"] == "inf_log_kd(k=3)"
+
+    @pytest.mark.parametrize("token, k, score, recorded", [
+        ("inf_log_kd", "3", "inf_log_kd(k=3)", 3.0),
+        ("cn", "5", "cn", 2.0),
+    ])
+    def test_k_option_sets_a_bare_kd_token_alone(self, graph_file, tmp_path, token, k, score, recorded):
+        out = tmp_path / "out"
+        result = run_cli([
+            "run", "--graph", str(graph_file), "--score", token,
+            "--k", k, "--seed", "5", "--out", str(out),
+        ])
+        assert result.exit_code == 0
+        summary = json.loads((out / f"{token}_summary.json").read_text())
+        assert (summary["score"], summary["k"]) == (score, recorded)
 
     def test_four_headline_scores_one_invocation(self, graph_file, tmp_path):
         out = tmp_path / "all"
@@ -283,6 +298,18 @@ class TestCompare:
         assert improvements[("cn", "aa")] == 0.0
         assert improvements[("ra", "cn")] == math.inf
         assert improvements[("cn", "ra")] == -100.0
+
+    def test_k_apart_in_the_seventh_digit_ranked(self):
+        base = {"seed": 1, "fraction": 0.1, "positives": 10, "negatives": 100, "auroc": 0.5}
+        records = [
+            dict(base, score=ScoreSpec(ScoreKind.INF_LOG_KD, k=k).token(), aupr=aupr)
+            for k, aupr in ((1.234567, 0.25), (1.234568, 0.5))
+        ]
+        result = compare_reports(records)
+        assert result["improvements"] == {
+            ("inf_log_kd(k=1.234568)", "inf_log_kd(k=1.234567)"): 100.0,
+            ("inf_log_kd(k=1.234567)", "inf_log_kd(k=1.234568)"): -50.0,
+        }
 
     def test_log_bases_kept_apart(self):
         base = {"seed": 1, "fraction": 0.1, "positives": 10, "negatives": 100,

@@ -207,3 +207,30 @@ class TestScoreSpec:
     def test_unknown_token_rejected(self):
         with pytest.raises(ValueError):
             ScoreSpec.parse("katz")
+
+    @pytest.mark.parametrize("k", [2.0, 1.5, 0.1, 1e-05, 10.0, 1e16, 1234567.0, 1.23456789])
+    def test_token_reads_back_to_its_spec(self, k):
+        spec = ScoreSpec(ScoreKind.INF_LOG_KD, k=k)
+        assert ScoreSpec.parse(spec.token()) == spec
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_token_reads_back_for_every_finite_positive_k(self, k):
+        spec = ScoreSpec(ScoreKind.INF_LOG_KD, k=k)
+        assert ScoreSpec.parse(spec.token()) == spec
+
+    @pytest.mark.parametrize("k, token", [
+        (2.0, "inf_log_kd(k=2)"), (1.5, "inf_log_kd(k=1.5)"), (1234567.0, "inf_log_kd(k=1234567)"),
+        (1.23456789, "inf_log_kd(k=1.23456789)"), (1e16, "inf_log_kd(k=1e+16)"),
+    ])
+    def test_token_writes_k_as_its_repr_without_a_trailing_zero(self, k, token):
+        assert ScoreSpec(ScoreKind.INF_LOG_KD, k=k).token() == token
+
+    @pytest.mark.parametrize("token", ["inf_log_kd(k=1_0)", "inf_log_kd(k=\u0663)", "inf_log_kd(k= 3)"])
+    def test_k_that_is_no_ascii_numeral_refused(self, token):
+        with pytest.raises(ValueError, match="not an ASCII numeral"):
+            ScoreSpec.parse(token)
+
+    def test_bare_kd_token_alone_takes_k(self):
+        assert ScoreSpec.parse("inf_log_kd", k=3.0) == ScoreSpec(ScoreKind.INF_LOG_KD, k=3.0)
+        assert ScoreSpec.parse("INF_LOG_KD(K=1.5)", k=3.0).k == 1.5
+        assert ScoreSpec.parse("cn", k=5.0) == ScoreSpec(ScoreKind.CN)
