@@ -73,10 +73,10 @@ def main():
                    f"graphs small enough for the dense backend.")
 @click.option("--max-buckets", default=None, type=click.IntRange(min=0),
               help="Hard cap on distinct score values; exceeding it aborts the run. "
-                   "It is checked on each worker's histogram after every merge and on "
-                   "the merged result, so a run holds at most threads x (cap + one "
-                   "chunk's part) buckets; whether it aborts does not depend on "
-                   "--threads or --chunk-size.")
+                   "It is checked on the run's one histogram after every merge and on "
+                   "the result, so a run holds at most the cap and one chunk's part, "
+                   "plus the parts of at most 2 x threads chunks not yet merged; "
+                   "whether it aborts does not depend on --threads or --chunk-size.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def run(graph_path, fmt, score_tokens, k, log_base, split_fraction, seed,
         split_file, threads, chunk_size, max_buckets, out_dir):

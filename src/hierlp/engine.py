@@ -3,9 +3,9 @@
 Candidates are never materialized as a full score table. Each chunk of
 source vertices lists the candidates its 2-hop neighborhood reaches,
 classifies each as true/false positive, and folds the result into a
-per-worker threshold histogram. The (overwhelming) zero-score remainder
-of the candidate universe is accounted for analytically from the
-universe size.
+part, which the calling thread merges into the call's one threshold
+histogram. The (overwhelming) zero-score remainder of the candidate
+universe is accounted for analytically from the universe size.
 
 Every score reads two kinds of state. What depends on the training
 graph alone is built on first use, once per graph, through the graph's
@@ -98,46 +98,50 @@ any n: scipy's factors would be built for its one row, and on hub rows
 of 3-6 10^4 paths the dense backend took a fifth of the time scipy's
 did.
 
-Workers claim chunks of source vertices dynamically from one shared
-iterator, ``_chunks``, which cuts each chunk as it is claimed. A given
-chunk_size, and the dense backend, cut fixed runs of rows. Without one,
-scipy's backend cuts chunks by work: each is the longest run of rows
-whose product lists at most a budget of 2-hop paths, the call's paths
-over ceil(n / DEFAULT_CHUNK_SIZE), so there are about as many chunks as
-fixed ones would be. Fixed chunks of a skewed graph are not: a chunk of
-hubs lists many times the median chunk's paths, and a symmetric chunk
-lists the paths to its columns y >= lo, so the first chunks list the
-most. Per-row path counts come from the graph's memo (``_row_paths``),
-and a row over the budget is a chunk of its own. Each worker runs one
-loop, inline for one worker and on a ``ThreadPoolExecutor`` for more;
-the first worker to fail stops the others from claiming more. A
-histogram holds the distinct nonzero score values, descending, with
-int64 (tp, fp) counts, as (values, tp, fp) columns; one merge,
-``_merge``, builds every histogram, in one sort of all its parts, and
-``_buckets`` makes the BUCKET_DTYPE array only where the engine hands a
-result to its caller. A chunk's fold is one such part. A worker's
-first part is its histogram, with no merge. Later
-parts wait, pending, and the worker merges them with its histogram in
-one ``_merge`` once they hold as many buckets as it. Such a merge sorts
-at most twice the pending buckets it takes in, so the merges of a call
-sort at most about twice the buckets of all its parts, where merging
-each part into the whole histogram cost O(chunks x buckets); a call of
-one chunk never merges. Without ``max_buckets`` a worker holds at most
-about twice its histogram, plus one chunk's part. With it, the worker
-also merges once histogram and pending parts hold more than the cap, and
-checks the cap on every merge, so it holds at most the cap plus one
-chunk's part. The call merges every worker's histogram and pending
-parts at the end. The result is bit identical for any worker count and
-chunk size: every chunk's values depend only on its own rows, and the
-merge sums the integer counts of exactly equal values, in any grouping.
+The calling thread takes the chunks of source vertices from one
+iterator, ``_chunks``, which cuts each chunk when it is handed out. A
+given chunk_size, and the dense backend, cut fixed runs of rows. Without
+one, scipy's backend cuts chunks by work: each is the longest run of
+rows whose product lists at most a budget of 2-hop paths, the call's
+paths over ceil(n / DEFAULT_CHUNK_SIZE), so there are about as many
+chunks as fixed ones would be. Fixed chunks of a skewed graph are not: a
+chunk of hubs lists many times the median chunk's paths, and a symmetric
+chunk lists the paths to its columns y >= lo, so the first chunks list
+the most. Per-row path counts come from the graph's memo
+(``_row_paths``), and a row over the budget is a chunk of its own.
+Workers only fold chunks (``_fold_chunk``): inline for one worker, on a
+``ThreadPoolExecutor`` for more, where the calling thread keeps 2 x
+workers chunks submitted and hands out one more for each part it takes.
+Any error, a worker's, a merge's or an interrupt, cancels the queued
+chunks, lets the running ones finish and is re-raised. A histogram holds
+the distinct nonzero score values, descending, with int64 (tp, fp)
+counts, as (values, tp, fp) columns; one merge, ``_merge``, builds every
+histogram, in one sort of all its parts, and ``_buckets`` makes the
+BUCKET_DTYPE array only where the engine hands a result to its caller. A
+chunk's fold is one such part, and the calling thread alone merges them.
+The first part is the call's histogram, with no merge. Later parts wait,
+pending, and are merged with the histogram in one ``_merge`` once they
+hold as many buckets as it. Such a merge sorts at most twice the pending
+buckets it takes in, so the merges of a call sort at most about twice
+the buckets of all its parts, where merging each part into the whole
+histogram cost O(chunks x buckets); a call of one chunk never merges.
+Without ``max_buckets`` the call holds at most about twice its
+histogram, plus one chunk's part. With it, the call also merges once
+histogram and pending parts hold more than the cap, and checks the cap
+on every merge, so it holds at most the cap plus one chunk's part.
+Beside them it holds only the parts of the at most 2 x workers chunks
+submitted and not yet taken. The result is bit identical for any worker
+count and chunk size: every chunk's values depend only on its own rows,
+and the merge sums the integer counts of exactly equal values, in any
+grouping.
 """
 
 import io
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -701,9 +705,9 @@ def _row_paths(graph, passes, unordered):
 
 def _chunks(ctx, rows):
     """The (lo, hi) row ranges of a call, in row order, each cut only
-    when it is claimed: runs of ``rows`` rows, or with None the longest
-    runs whose product lists at most a budget of 2-hop paths, scipy's
-    default.
+    when the calling thread hands it out: runs of ``rows`` rows, or with
+    None the longest runs whose product lists at most a budget of 2-hop
+    paths, scipy's default.
 
     The budget is the mean paths of the DEFAULT_CHUNK_SIZE-row chunks
     (``_row_paths``), rounded up, so the count of chunks stays about
@@ -817,14 +821,16 @@ def score_all(
     cuts about ceil(n / DEFAULT_CHUNK_SIZE) chunks of about equal 2-hop
     paths (``_chunks``). ``max_buckets`` is a hard memory guardrail on the
     distinct-score count: exceeding it raises MemoryGuardError, never
-    bins silently. It is checked on each worker's histogram after every
-    merge and on the merged result; a worker merges before its histogram
-    and pending parts could pass it, so a run holds at most ``workers *
-    (max_buckets + one chunk's part)`` buckets. Whether a run raises does
-    not depend on ``workers`` or ``chunk_size``: a worker's histogram holds a
-    subset of the merged result's values, so the run raises exactly when
-    the merged result exceeds the cap. A worker that raises stops the
-    others from claiming further chunks, and its error is re-raised.
+    bins silently. The calling thread alone merges: it merges before the
+    call's one histogram and its pending parts could pass the cap, and
+    checks the cap after every merge and on the result, so a run holds at
+    most the cap and one chunk's part, plus the parts of at most 2 x
+    ``workers`` chunks folded but not yet merged. Whether a run raises
+    does not depend on ``workers`` or ``chunk_size``: every merge holds a
+    subset of the result's values, so the run raises exactly when the
+    result exceeds the cap. Workers only fold chunks; any error, a
+    worker's, a merge's or an interrupt, cancels the chunks not yet
+    started, waits for the running ones and is re-raised.
     ``workers`` (one per CPU when None) must be an integer >= 1 and
     ``max_buckets`` None or an integer >= 0, as checked before any work.
     """
@@ -839,7 +845,7 @@ def score_all(
 
     ctx = _RunContext(graph, marker, spec, rows * n <= DENSE_MAX_CELLS)
     # scipy's default chunks are cut by the paths they list, about as many
-    claims = _chunks(ctx, None if chunk_size is None and not ctx.dense else rows)
+    chunks = _chunks(ctx, None if chunk_size is None and not ctx.dense else rows)
     if workers is None:
         workers = os.cpu_count() or 1
     workers = min(workers, max(math.ceil(n / rows), 1))
@@ -849,43 +855,37 @@ def score_all(
             raise MemoryGuardError(f"distinct score values exceeded max_buckets={max_buckets}")
         return count
 
-    claim_lock = threading.Lock()
-    stopped = False  # set by the first failing worker, read under claim_lock
+    # parts[0] is the call's histogram, of ``held`` buckets, and the parts
+    # after it are pending, ``pending`` buckets in all
+    parts, held, pending = [], 0, 0
 
-    def run_worker():
-        nonlocal stopped
-        # parts[0] is the worker's histogram, of ``held`` buckets, and the
-        # parts after it are pending, ``pending`` buckets in all
-        parts, held, pending = [], 0, 0
-        try:
-            while True:
-                with claim_lock:
-                    claim = None if stopped else next(claims, None)
-                if claim is None:
-                    return parts
-                part = _fold_chunk(ctx, *claim)
-                if not len(part[0]):
-                    continue
-                parts.append(part)
-                pending += len(part[0])
-                # the first part becomes the histogram without a merge
-                if pending >= held or (max_buckets is not None and held + pending > max_buckets):
-                    merged = _merge(parts) if len(parts) > 1 else parts[0]
-                    parts, held, pending = [merged], capped(len(merged[0])), 0
-        except BaseException:
-            stopped = True
-            raise
+    def add(part):
+        nonlocal parts, held, pending
+        if not len(part[0]):
+            return
+        parts.append(part)
+        pending += len(part[0])
+        # the first part becomes the histogram without a merge
+        if pending >= held or (max_buckets is not None and held + pending > max_buckets):
+            merged = _merge(parts) if len(parts) > 1 else parts[0]
+            parts, held, pending = [merged], capped(len(merged[0])), 0
 
     if workers == 1:
-        results = [run_worker()]
+        for chunk in chunks:
+            add(_fold_chunk(ctx, *chunk))
     else:
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                futures = [pool.submit(run_worker) for _ in range(workers)]
-                results = [future.result() for future in futures]
-            finally:
-                stopped = True  # an interrupted caller stops the workers too
-    parts = [part for result in results for part in result]
+        pool = ThreadPoolExecutor(workers)
+        try:
+            # two chunks per worker: one to fold, one queued for when it is done
+            running = {pool.submit(_fold_chunk, ctx, *chunk) for chunk in islice(chunks, 2 * workers)}
+            while running:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    add(future.result())
+                    running |= {pool.submit(_fold_chunk, ctx, *chunk) for chunk in islice(chunks, 1)}
+        finally:
+            # on any error, queued chunks are cancelled and running ones finish
+            pool.shutdown(cancel_futures=True)
     buckets = _buckets(*(_merge(parts) if len(parts) > 1 else parts[0] if parts else (np.empty(0),) * 3))
     capped(len(buckets))
     explicit = int(buckets["tp"].sum()), int(buckets["fp"].sum())

@@ -1,9 +1,20 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 from hierlp import Graph
+
+# hypothesis imports this module to print a failing example; with libcst
+# installed the import warns (mypy_extensions.TypedDict), which -W error
+# would turn into an INTERNALERROR in place of the test's failure
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 def graph_from_edges(edges, n=None):

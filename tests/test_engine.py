@@ -524,9 +524,10 @@ def _recording_merges(monkeypatch):
 
 
 class TestPendingMerges:
-    """A worker keeps its chunks' parts pending and merges them with its
-    histogram in one ``_merge`` once they hold as many buckets as it, or
-    before histogram and parts could pass ``max_buckets``."""
+    """The calling thread keeps the chunks' parts pending and merges them
+    with the call's histogram in one ``_merge`` once they hold as many
+    buckets as it, or before histogram and parts could pass
+    ``max_buckets``."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -547,11 +548,10 @@ class TestPendingMerges:
         # buckets as the histogram holds
         chunks = -(-graph.vertex_count // chunk_size)
         assert 0 < len(merges) < chunks / 3
-        if workers == 1:
-            for held, *pending in merges:
-                # pending parts held fewer buckets than the histogram
-                # before the last of them came
-                assert sum(pending) - pending[-1] < held
+        for held, *pending in merges:
+            # pending parts held fewer buckets than the histogram before
+            # the last of them came
+            assert sum(pending) - pending[-1] < held
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk_size", [1, 7, None])
@@ -562,10 +562,23 @@ class TestPendingMerges:
         merges = _recording_merges(monkeypatch)
         hist = score_all(graph, spec, NO_TEST, workers=workers, chunk_size=chunk_size, max_buckets=distinct)
         assert len(hist.buckets) == distinct
-        if workers == 1:  # at most the cap and one chunk's part
-            assert all(sum(lengths) - lengths[-1] <= distinct for lengths in merges)
+        # at most the cap and one chunk's part
+        assert all(sum(lengths) - lengths[-1] <= distinct for lengths in merges)
         with pytest.raises(MemoryGuardError, match=f"^distinct score values exceeded max_buckets={distinct - 1}$"):
             score_all(graph, spec, NO_TEST, workers=workers, chunk_size=chunk_size, max_buckets=distinct - 1)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7])
+    def test_merges_run_on_the_calling_thread(self, graph, chunk_size, monkeypatch):
+        threads = []
+        real = engine._merge
+
+        def recorded(parts):
+            threads.append(threading.get_ident())
+            return real(parts)
+
+        monkeypatch.setattr(engine, "_merge", recorded)
+        score_all(graph, ScoreSpec(ScoreKind.AA), NO_TEST, workers=2, chunk_size=chunk_size)
+        assert threads and set(threads) == {threading.get_ident()}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_chunk_calls_no_merge(self, workers, monkeypatch):
