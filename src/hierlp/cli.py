@@ -9,7 +9,6 @@ HIERLP_COMPARE_ (click's auto envvar mapping).
 """
 
 import hashlib
-import json
 import math
 import os
 import sys
@@ -22,6 +21,7 @@ from .engine import DEFAULT_CHUNK_SIZE, MemoryGuardError, chunk_size_for, score_
 from .evaluate import (
     build_curves,
     load_split,
+    load_summary,
     save_split,
     split_edges,
     summary_record,
@@ -204,33 +204,18 @@ def improvement_percent(aupr_a, aupr_b):
     return (aupr_a / aupr_b - 1.0) * 100.0
 
 
-#: the keys of a run summary that ``compare`` reads
-_SUMMARY_KEYS = ("score", "seed", "fraction", "positives", "negatives", "aupr", "auroc")
-
-
-def _read_summary(path):
-    """The run summary in ``path``; a ClickException naming the file when
-    it holds anything else."""
-    try:
-        with open(path) as fh:
-            record = json.load(fh)
-    except ValueError as exc:  # not JSON, or not text
-        raise click.ClickException(f"{path} is not a run summary: {exc}") from exc
-    if not isinstance(record, dict):
-        raise click.ClickException(f"{path} is not a run summary: not a JSON object")
-    missing = [key for key in _SUMMARY_KEYS if key not in record]
-    if missing:
-        raise click.ClickException(f"{path} is not a run summary: no {', '.join(missing)}")
-    return record
-
-
 @main.command()
 @click.argument("summaries", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 def compare(summaries):
     """Compare summary JSONs produced by `run` on one shared split, one
     per score."""
-    records = [_read_summary(path) for path in summaries]
+    records = []
+    for path in summaries:
+        try:
+            records.append(load_summary(path))
+        except ValueError as exc:  # not text, not JSON, or not a summary
+            raise click.ClickException(f"{path} is not a run summary: {exc}") from exc
     try:
         result = compare_reports(records, summaries)
     except ValueError as exc:

@@ -144,9 +144,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import _INT64_MAX, _ascii_float, _ascii_int, _opened, _read_artifact, _write_header, _write_rows
+from .graph import _FLOAT, _INT64_MAX, _INTEGER_ID, _ascii_int, _expected, _numeral, _opened, _read_artifact
+from .graph import _scipy_csr, _write_header, _write_rows
 from .scores import INF_FAMILY, UNDIRECTED_KINDS, ScoreKind, log_in_base
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -190,6 +190,11 @@ BUCKET_DTYPE = np.dtype([("value", np.float64), ("tp", np.int64), ("fp", np.int6
 #: the keys of a histogram dump's trailer, each with its values' parsers:
 #: ThresholdHistogram's fields
 _TRAILER_KEYS = {"zero_bucket": (_ascii_int,) * 2, "positives_total": (_ascii_int,), "negatives_total": (_ascii_int,)}
+#: the parsers of a dump row's numbers, one per BUCKET_DTYPE field, with
+#: their rules; each ``holds`` also checks a whole parsed column
+_COUNT = _numeral(int, _INTEGER_ID, "counts in [0, 2^63)", lambda count: (count >= 0) & (count <= _INT64_MAX))
+_VALUE = _numeral(float, _FLOAT, "a finite value above 0", lambda value: (value > 0.0) & (value < math.inf))
+_ROW = (_VALUE, _COUNT, _COUNT)
 
 
 @dataclass(eq=False)
@@ -244,7 +249,8 @@ class ThresholdHistogram:
     @classmethod
     def load(cls, source):
         """Read a histogram ``dump`` wrote by the one artifact reader,
-        ``graph._read_artifact``: its rows by ``_bucket_rows``, then its
+        ``graph._read_artifact``: its rows by ``_bucket_rows``, each
+        number under its rule in ``_ROW``, values descending, then its
         trailer, each key of ``_TRAILER_KEYS`` exactly once and no row
         after it. Raises ValueError naming the line at fault, and
         ValidationError when the counts break ``check_conservation``."""
@@ -256,43 +262,32 @@ class ThresholdHistogram:
 
 def _bucket_rows(body, first_line):
     """The BUCKET_DTYPE rows of a histogram dump's body, one "value tp
-    fp" per line, blank lines skipped, each an ASCII numeral
-    (``graph._ascii_float``, ``graph._ascii_int``). The values must be
-    finite, nonzero and strictly descending, the counts in [0, 2^63).
-    ``np.loadtxt`` reads the rows at once; when it fails or a row breaks
-    a rule, a line loop reads them again and raises ValueError naming
-    the first line at fault, counted from ``first_line``."""
+    fp" per line, blank lines skipped, each number read by its parser of
+    ``_ROW`` and under its rule, the values strictly descending.
+    ``np.loadtxt`` reads the rows at once, and the parsers' ``holds``
+    check its columns; when it fails or a row breaks a rule, a line loop
+    reads them again by the parsers and raises ValueError naming the
+    first line at fault, counted from ``first_line``, in
+    ``graph._read_artifact``'s form."""
     try:
         rows = np.loadtxt(io.StringIO(body), dtype=BUCKET_DTYPE, comments=None, ndmin=1)
     except ValueError:
         pass  # the line loop names the line
     else:
-        values = rows["value"]
-        if (
-            np.isfinite(values).all() and values.all() and (values[1:] < values[:-1]).all()
-            and (rows["tp"] >= 0).all() and (rows["fp"] >= 0).all()
-        ):
+        held = all(parse.holds(rows[name]).all() for parse, name in zip(_ROW, BUCKET_DTYPE.names))
+        if held and (rows["value"][1:] < rows["value"][:-1]).all():
             return rows
     rows = []
     for line_number, line in enumerate(io.StringIO(body), start=first_line):
-        fields = line.split()
-        if not fields:
+        if line.isspace():
             continue
         try:
-            value, tp, fp = _ascii_float(fields[0]), *map(_ascii_int, fields[1:])
+            row = tuple(parse(field) for parse, field in zip(_ROW, line.split(), strict=True))
         except ValueError:
-            fault = "expected 'value tp fp'"
-        else:
-            fault = (
-                "a value that is not finite" if not math.isfinite(value)
-                else "a zero value" if not value
-                else "a value not below the one before" if rows and value >= rows[-1][0]
-                else "a count outside [0, 2^63)" if not 0 <= min(tp, fp) <= max(tp, fp) <= _INT64_MAX
-                else None
-            )
-        if fault:
-            raise ValueError(f"line {line_number}: {line.strip()!r}: {fault}")
-        rows.append((value, tp, fp))
+            raise ValueError(f"line {line_number}: {line.strip()!r}: {_expected(BUCKET_DTYPE.names, _ROW)}") from None
+        if rows and row[0] >= rows[-1][0]:
+            raise ValueError(f"line {line_number}: {line.strip()!r}: a value not below the one before")
+        rows.append(row)
     return np.array(rows, dtype=BUCKET_DTYPE)
 
 
@@ -305,8 +300,8 @@ def _merge(parts):
     values and gathers their counts.
     """
     values = np.concatenate([part[0] for part in parts])
-    # the parts are runs (a histogram descending, a chunk's distinct
-    # values ascending), which a stable sort merges in linear time
+    # every part is a run of descending values (a histogram, or a
+    # chunk's distinct values), which a stable sort merges in linear time
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     starts = _run_bounds(values)[:-1]
@@ -497,7 +492,7 @@ class _RunContext:
                 right = graph._csr(right)
                 if self.z_weight is not None:  # new weights on the graph's index arrays
                     data = np.repeat(self.z_weight, np.diff(right.indptr))
-                    right = sp.csr_matrix((data, right.indices, right.indptr), shape=right.shape)
+                    right = _scipy_csr(data, right.indptr, right.indices, self.n)
                 self.sparse_passes.append((left, graph._csr(left), right))
 
     def weight(self, left, data, at_rows, at_cols):

@@ -6,6 +6,9 @@ from evaluation entirely (they are recorded, but never counted as
 missed positives). Curves are built from a ThresholdHistogram by a
 single descending prefix sum; every distinct score value is one
 threshold and a prediction at exactly the threshold counts as positive.
+A run's summary is written by ``write_summary`` and read back by
+``load_summary``, which checks the fields ``compare`` reads against one
+table of their JSON types, ``_SUMMARY_FIELDS``.
 """
 
 import json
@@ -255,7 +258,34 @@ def summary_record(report, seed, fraction, wall_time, threads, chunk_size, graph
     }
 
 
+#: the fields of a run summary that ``compare`` reads, each with its JSON
+#: type; a summary may lack "log_base" alone, which then reads as e
+_SUMMARY_FIELDS = dict(score="string", seed="integer", fraction="number", positives="integer", negatives="integer",
+                       aupr="number", auroc="number", log_base="number")
+#: the Python types ``json`` reads each JSON type as; a bool is neither
+#: an integer nor a number
+_JSON_TYPES = {"string": (str,), "integer": (int,), "number": (int, float)}
+
+
 def write_summary(record, sink):
     with _opened(sink, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def load_summary(source):
+    """The run summary ``write_summary`` wrote to a path or a stream: a
+    JSON object holding each field of ``_SUMMARY_FIELDS`` with a value of
+    its type, "log_base" where present. Raises ValueError for a text
+    that is no JSON, a JSON value that is no object, a missing field and
+    a field of another type, naming the field."""
+    with _opened(source) as fh:
+        record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    for key, json_type in _SUMMARY_FIELDS.items():
+        if key in record and type(record[key]) not in _JSON_TYPES[json_type]:
+            raise ValueError(f"{key} is {json.dumps(record[key])}, not a JSON {json_type}")
+        if key not in record and key != "log_base":  # an absent log_base is e
+            raise ValueError(f"no {key}")
+    return record

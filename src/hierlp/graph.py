@@ -52,11 +52,12 @@ def _csr_arrays(keys, n):
 
 
 def _scipy_csr(data, indptr, indices, n):
-    """An n x n scipy CSR matrix. Its index arrays are int32 when n and
-    the entry count fit, which spares scipy checking the contents of
-    int64 ones and downcasting them."""
+    """An n x n scipy CSR matrix, the one builder of one. Its index
+    arrays are int32 when n and the entry count fit, which spares scipy
+    checking the contents of int64 ones and downcasting them; int32
+    arrays are taken as they are, not copied."""
     if max(n, len(indices)) <= np.iinfo(np.int32).max:
-        indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+        indptr, indices = indptr.astype(np.int32, copy=False), indices.astype(np.int32, copy=False)
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -346,7 +347,7 @@ def _read_artifact(source, name, table, read_rows, row_keys, title=None):
     one header parser, and the rows between them.
 
     ``table`` maps each key to one ``_numeral`` parser per value, named
-    with its rule where it refuses. Returns (values,
+    with its rule where it refuses (``_expected``). Returns (values,
     rows): ``values`` maps each key to its parsed value, or to the tuple
     of them for a key of several; ``rows`` maps each key of ``row_keys``
     whose header line is followed by a non-blank body to
@@ -373,9 +374,8 @@ def _read_artifact(source, name, table, read_rows, row_keys, title=None):
                 try:
                     value = tuple(parse(f) for parse, f in zip(table[key], fields[2:], strict=True))
                 except ValueError:
-                    shape = " ".join(["#", key, *(parse.__name__ for parse in table[key])])
-                    rules = "".join(f", {parse.rule}" for parse in table[key] if parse.rule)
-                    raise ValueError(f"line {line_number}: {line!r}: expected {shape!r}{rules}") from None
+                    shape = ["#", key, *(parse.__name__ for parse in table[key])]
+                    raise ValueError(f"line {line_number}: {line!r}: {_expected(shape, table[key])}") from None
                 values[key] = value if len(value) > 1 else value[0]
             if body and not body.isspace():
                 if key not in row_keys:
@@ -420,9 +420,12 @@ def _numeral(parse, form, rule=None, holds=None):
     ``form`` alone, in ASCII, since ``int`` and ``float`` alone would
     also take '1_0' (as 10) and digits of other scripts. Raises
     ValueError for any other text and, given a ``rule``, for each value
-    for which ``holds`` is false. The parser's ``rule`` says which
-    values it takes (None: every one of ``form``), and the refusals of
-    ``_read_artifact`` name it."""
+    for which ``holds`` is false. The parser keeps its ``rule``, which
+    says which values it takes (None: every one of ``form``) and which
+    the refusals of its readers name (``_expected``), and its
+    ``holds``. Written with ``&`` rather than ``and`` or a chained
+    comparison, ``holds`` also checks a whole parsed numpy column, as
+    the histogram dump's fast path does."""
 
     def parser(text):
         if form.fullmatch(text) is None:
@@ -432,11 +435,19 @@ def _numeral(parse, form, rule=None, holds=None):
             raise ValueError(rule)
         return value
 
-    parser.__name__, parser.rule = parse.__name__, rule
+    parser.__name__, parser.rule, parser.holds = parse.__name__, rule, holds
     return parser
 
 
-#: the parsers of the numbers of histogram dumps and split-file headers
+def _expected(shape, parsers):
+    """The refusal of a line that ``parsers`` do not read: "expected
+    '<the words of shape>'", then each distinct rule of theirs."""
+    rules = dict.fromkeys(parse.rule for parse in parsers if parse.rule)
+    return "".join([f"expected {' '.join(shape)!r}", *(f", {rule}" for rule in rules)])
+
+
+#: the parsers of numbers that take every value of their form: a histogram
+#: dump trailer's counts and a score token's k
 _ascii_int = _numeral(int, _INTEGER_ID)
 _ascii_float = _numeral(float, _FLOAT)
 

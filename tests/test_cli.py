@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from hierlp.cli import compare_reports, improvement_percent, main
+from hierlp.evaluate import load_summary
 from hierlp import (
     ScoreKind,
     ScoreSpec,
@@ -262,6 +263,20 @@ class TestRun:
         summaries = sorted(out.glob("*_summary.json"))
         assert len(summaries) == 4
 
+    @pytest.mark.parametrize("log_base", ["0", "2"])
+    def test_every_kind_writes_a_summary_compare_reads(self, graph_file, tmp_path, log_base):
+        """The summary of each of the nine kinds passes the one summary
+        reader, ``evaluate.load_summary``, and compare ranks them all."""
+        out = tmp_path / "nine"
+        kinds = [kind.value for kind in ScoreKind]
+        result = run_cli(["run", "--graph", str(graph_file), *(a for k in kinds for a in ("--score", k)),
+                          "--log-base", log_base, "--seed", "3", "--out", str(out)])
+        assert result.exit_code == 0
+        records = [load_summary(out / f"{kind}_summary.json") for kind in kinds]
+        assert [ScoreSpec.parse(r["score"]).kind.value for r in records] == kinds
+        result = run_cli(["compare", *(str(out / f"{kind}_summary.json") for kind in kinds)])
+        assert result.exit_code == 0
+
 
 class TestCompare:
     def test_improvement_formula(self):
@@ -366,6 +381,24 @@ class TestCompare:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"{paths[0]} is not a run summary" in result.output
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("aupr", "0.5", 'aupr is "0.5"'), ("aupr", None, "aupr is null"),
+         ("score", ["x"], 'score is ["x"]'), ("seed", True, "seed is true")],
+        ids=["string-aupr", "null-aupr", "list-score", "bool-seed"],
+    )
+    def test_compare_names_a_summary_field_of_another_type(self, tmp_path, field, value, message):
+        base = {"score": "cn", "aupr": 0.1, "auroc": 0.5,
+                "seed": 1, "fraction": 0.1, "positives": 10, "negatives": 100}
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(dict(base, score="aa")))
+        bad.write_text(json.dumps(dict(base, **{field: value})))
+        result = CliRunner().invoke(main, ["compare", str(good), str(bad)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{bad} is not a run summary: {message}" in result.output
+        assert "Traceback" not in result.output
 
     def test_compare_names_a_summary_without_seed(self, tmp_path):
         base = {"score": "cn", "aupr": 0.1, "auroc": 0.5,

@@ -219,7 +219,7 @@ class TestScoreAllValidation:
         monkeypatch.setattr(engine, "_fold_chunk", fail_first)
         with pytest.raises(ValidationError, match="first chunk fails"):
             score_all(g, ScoreSpec(ScoreKind.CN), NO_TEST, workers=2, chunk_size=1)
-        # 300 chunks; the other worker stops at its next claim
+        # 300 chunks; the calling thread cancels the queued ones
         assert len(folded) < 75
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
@@ -394,6 +394,8 @@ _rows = st.lists(
 
 
 _TRAILER = "# zero_bucket 0 5\n# positives_total 3\n# negatives_total 10\n"
+#: the refusal of a row that breaks a rule of ``engine._ROW``
+_ROW_RULES = re.escape("expected 'value tp fp', a finite value above 0, counts in [0, 2^63)")
 
 
 class TestHistogramLoad:
@@ -402,15 +404,19 @@ class TestHistogramLoad:
     @pytest.mark.parametrize(
         "text, message",
         [
-            # rows: three fields, finite nonzero values strictly descending,
+            # rows: three fields, finite values above 0 strictly descending,
             # counts >= 0
             ("0.5 1 2 0.25 2 3\n" + _TRAILER, "line 1: '0.5 1 2 0.25 2 3': expected 'value tp fp'"),
             ("0.5 1 2\n0.25 2\n" + _TRAILER, "line 2: '0.25 2': expected 'value tp fp'"),
             ("0.5 1 2\n0.25 2.0 3\n" + _TRAILER, "line 2: '0.25 2.0 3': expected"),
-            ("nan 1 2\n0.25 2 3\n" + _TRAILER, "line 1: 'nan 1 2': a value that is not finite"),
-            ("inf 1 2\n0.25 2 3\n" + _TRAILER, "line 1: 'inf 1 2': a value that is not finite"),
-            ("0.5 1 2\n0.0 2 3\n" + _TRAILER, "line 2: '0.0 2 3': a zero value"),
-            ("0.5 4 2\n0.25 -1 3\n" + _TRAILER, r"line 2: '0.25 -1 3': a count outside \[0, 2\^63\)"),
+            ("nan 1 2\n0.25 2 3\n" + _TRAILER, "line 1: 'nan 1 2': " + _ROW_RULES),
+            ("inf 1 2\n0.25 2 3\n" + _TRAILER, "line 1: 'inf 1 2': " + _ROW_RULES),
+            ("0.5 1 2\n0.0 2 3\n" + _TRAILER, "line 2: '0.0 2 3': " + _ROW_RULES),
+            ("0.5 4 2\n0.25 -1 3\n" + _TRAILER, "line 2: '0.25 -1 3': " + _ROW_RULES),
+            # no score is negative: a value below 0 is refused, on the fast
+            # path's columns as in the line loop
+            ("-0.25 1 2\n-0.5 2 3\n" + _TRAILER, "line 1: '-0.25 1 2': " + _ROW_RULES + "$"),
+            ("0.5 1 2\n-0.25 2 3\n" + _TRAILER, "line 2: '-0.25 2 3': " + _ROW_RULES + "$"),
             ("0.5 1 2\n\n0.5 2 3\n" + _TRAILER, "line 3: '0.5 2 3': a value not below the one before"),
             ("0.25 1 2\n0.5 2 3\n" + _TRAILER, "line 2: '0.5 2 3': a value not below the one before"),
             ("0.5 1 2\n0.25 2 3\n# zero_bucket 0 5\n0.125 0 0\n# positives_total 3\n"
@@ -438,7 +444,8 @@ class TestHistogramLoad:
         ],
         ids=[
             "two-rows-on-a-line", "two-fields", "float-count", "nan", "inf", "zero-value",
-            "negative-count", "repeated-value", "ascending-values", "row-after-trailer",
+            "negative-count", "negative-first-value", "negative-later-value", "repeated-value",
+            "ascending-values", "row-after-trailer",
             "no-trailer", "misspelled-key", "one-zero-count", "second-key", "stray-comment",
             "underscore-value", "underscore-count", "arabic-indic-value", "fullwidth-count",
             "underscore-trailer", "arabic-indic-trailer",
@@ -447,6 +454,19 @@ class TestHistogramLoad:
     def test_malformed_dump_refused(self, text, message):
         with pytest.raises(ValueError, match=f"^malformed histogram dump: {message}"):
             ThresholdHistogram.load(io.StringIO(text))
+
+    def test_row_rules_hold_alike_on_a_column(self):
+        """A row parser's ``holds`` gives on a parsed column what it gives
+        on each of its values, so the fast path and the line loop of
+        ``_bucket_rows`` apply one rule."""
+        value, count = engine._ROW[0], engine._ROW[1]
+        assert engine._ROW[2] is count
+        values = [math.nan, math.inf, -math.inf, -0.25, -0.0, 0.0, 5e-324, 0.5, 1.7e308]
+        assert value.holds(np.array(values)).tolist() == [bool(value.holds(v)) for v in values]
+        assert [bool(value.holds(v)) for v in values] == [False] * 6 + [True] * 3
+        counts = [-2**63, -1, 0, 1, 2**63 - 1]
+        assert count.holds(np.array(counts)).tolist() == [bool(count.holds(c)) for c in counts]
+        assert [bool(count.holds(c)) for c in counts + [2**63]] == [False, False, True, True, True, False]
 
     def test_counts_that_do_not_add_up_refused(self):
         with pytest.raises(ValidationError, match="positives_total"):
@@ -1329,15 +1349,15 @@ class TestPathBalancedChunks:
             for chunk_size in (1, 7, 1000, g.vertex_count):
                 assert score_all(g, spec, test, workers=workers, chunk_size=chunk_size) == expected, (kind, chunk_size)
 
-    def test_score_all_claims_the_balanced_chunks(self, hub_split, monkeypatch):
+    def test_score_all_folds_the_balanced_chunks(self, hub_split, monkeypatch):
         g, test = hub_split
-        claimed = []
+        folded = []
         real = engine._fold_chunk
-        monkeypatch.setattr(engine, "_fold_chunk", lambda ctx, lo, hi: claimed.append((lo, hi)) or real(ctx, lo, hi))
+        monkeypatch.setattr(engine, "_fold_chunk", lambda ctx, lo, hi: folded.append((lo, hi)) or real(ctx, lo, hi))
         ctx = engine._RunContext(g, engine._marker(g, test), ScoreSpec(ScoreKind.CN), False)
         balanced = list(engine._chunks(ctx, None))
         score_all(g, ScoreSpec(ScoreKind.CN), test, workers=1)
-        assert claimed == balanced != [(0, 1000), (1000, 2000), (2000, g.vertex_count)]
-        claimed.clear()
+        assert folded == balanced != [(0, 1000), (1000, 2000), (2000, g.vertex_count)]
+        folded.clear()
         score_all(g, ScoreSpec(ScoreKind.CN), test, workers=1, chunk_size=1000)
-        assert claimed == [(0, 1000), (1000, 2000), (2000, g.vertex_count)]
+        assert folded == [(0, 1000), (1000, 2000), (2000, g.vertex_count)]

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import os
 import tracemalloc
@@ -19,7 +20,7 @@ from hierlp import (
     split_edges,
 )
 from hierlp.engine import BUCKET_DTYPE
-from hierlp.evaluate import write_curve_csv
+from hierlp.evaluate import load_summary, write_curve_csv, write_summary
 from hierlp.graph import _WRITE_BLOCK
 from hierlp.oracle import naive_area_under_pr, naive_area_under_roc, naive_curves
 
@@ -541,3 +542,50 @@ class TestWriters:
             finally:
                 tracemalloc.stop()
         assert all(peak < 4 * 2**20 for peak in peaks), peaks
+
+
+_SUMMARY = {"score": "cn", "seed": 1, "fraction": 0.1, "positives": 10, "negatives": 100,
+            "aupr": 0.25, "auroc": 0.5, "log_base": 2.0}
+
+
+class TestLoadSummary:
+    """A summary is read back under one table of the fields ``compare``
+    reads, each with its JSON type."""
+
+    def test_written_summary_reads_back(self):
+        sink = io.StringIO()
+        write_summary(dict(_SUMMARY, k=2.0, threads=1), sink)
+        assert load_summary(io.StringIO(sink.getvalue())) == dict(_SUMMARY, k=2.0, threads=1)
+
+    def test_log_base_may_be_absent(self):
+        record = {key: value for key, value in _SUMMARY.items() if key != "log_base"}
+        assert load_summary(io.StringIO(json.dumps(record))) == record
+
+    def test_integral_numbers_taken(self):
+        record = dict(_SUMMARY, aupr=1, auroc=0, fraction=1, log_base=2)
+        assert load_summary(io.StringIO(json.dumps(record))) == record
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "not a JSON object"),
+            (json.dumps({k: v for k, v in _SUMMARY.items() if k != "auroc"}), "no auroc"),
+            (json.dumps(dict(_SUMMARY, aupr="0.5")), 'aupr is "0.5", not a JSON number'),
+            (json.dumps(dict(_SUMMARY, aupr=None)), "aupr is null, not a JSON number"),
+            (json.dumps(dict(_SUMMARY, score=["x"])), 'score is \\["x"\\], not a JSON string'),
+            (json.dumps(dict(_SUMMARY, seed=True)), "seed is true, not a JSON integer"),
+            (json.dumps(dict(_SUMMARY, seed=1.0)), "seed is 1.0, not a JSON integer"),
+            (json.dumps(dict(_SUMMARY, positives=False)), "positives is false, not a JSON integer"),
+            (json.dumps(dict(_SUMMARY, fraction=True)), "fraction is true, not a JSON number"),
+            (json.dumps(dict(_SUMMARY, log_base=None)), "log_base is null, not a JSON number"),
+        ],
+        ids=["array", "missing", "string-aupr", "null-aupr", "list-score", "bool-seed", "float-seed",
+             "bool-count", "bool-fraction", "null-log-base"],
+    )
+    def test_other_summaries_refused(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_summary(io.StringIO(text))
+
+    def test_no_json_refused(self):
+        with pytest.raises(ValueError):
+            load_summary(io.StringIO("0.5 1 2\n"))
