@@ -42,11 +42,15 @@ second.
 - Dense: every path (x, z, y) is listed with numpy in x, z, y order and
   summed per pair by ``np.bincount`` into a dense accumulator, the one
   of Gustavson's row-wise SpGEMM. It builds no scipy object.
-- Sparse: scipy's SpGEMM, one loop for every kind: each pass
-  multiplies the chunk's rows by the right factor, weights the product
-  and adds it to the passes before it. The scipy factors are built once
-  per call, before any worker starts, and only when the call takes this
-  backend; no call keeps them for the next.
+- Sparse: scipy's SpGEMM. A kind of one pass multiplies the chunk's
+  rows by the right factor and weights the product. The INF family's
+  two passes are unit products whose weight depends on the row alone:
+  ``_binned`` lists the first pass's few pairs one by one, bins the
+  second pass's pairs by (row, path count) and weights each bin once,
+  so no chunk holds a weighted copy or a sum of its products. The
+  scipy factors are built once per call, before any worker starts, and
+  only when the call takes this backend; no call keeps them for the
+  next.
 
 Each kind multiplies the adjacency views its row of ``_PASSES`` names,
 one (left, right) pair per directed pass, and each pass is weighted in
@@ -56,27 +60,35 @@ Their bits agree: ``np.bincount`` and scipy's csr_matmat both add each
 pair's paths one by one from 0.0 in ascending z, both drop a zero sum,
 and the dense backend adds every kind's weighted passes into one
 accumulator from 0.0, the INF family's "out" pass first, and drops a
-zero sum, as scipy's csr_plus_csr adds the INF passes.
+zero sum, as ``_binned`` adds a pair's weighted counts, "out" first,
+and drops a zero value. A weight is a function of the row and the
+count alone, so a bin's one weighted count has the bits of each of its
+pairs'.
 
 A backend only lists values; the fold after it, ``_fold_chunk``, is
 one and does every step that follows. It slices the chunk's listed
 pairs, those of the call's list in the chunk's rows, and hands their
 keys to the backend, which returns the chunk's candidate values, in any
 order, in an array the chunk owns, and the value at each listed key,
-0.0 where the chunk lists none. The fold sorts the values in place, so
-nothing after the product copies or compacts them, and cuts off their
-leading run of 0.0: no score is negative, and a zero is no candidate.
-It counts each run of equal values as one distinct value's plain
-candidates, drops the listed pairs with no value, with their deltas,
-and adds the others' deltas at their values' places. The dense backend
-reads the listed values from its own cells. The sparse one scores them
-directly, the masked product of Azad, Buluç and Gilbert: per pass it
-lists z over the shorter of left(x) and the right view's column y,
-finds each z in the other by ``np.searchsorted`` in that view's sorted
-keys (``Graph._keys``), and sums each pair's terms by ``np.bincount``,
-z ascending from 0.0, so the bits are the product's. A direct value
-found nowhere among the chunk's distinct values is a bit mismatch and
-raises ValidationError.
+0.0 where the chunk lists none, and, for the INF family's bins alone,
+each value's multiplicity, the count of pairs that have it. The fold
+sorts the values in place, so nothing after the product copies or
+compacts them, or, with multiplicities, sorts the few bins and their
+multiplicities together, and cuts off their leading run of 0.0: no
+score is negative, and a zero is no candidate. It counts each run of
+equal values as one distinct value's plain candidates, by its length
+or by its summed multiplicities, drops the listed pairs with no value,
+with their deltas, and adds the others' deltas at their values'
+places. The dense backend reads the listed values from its own cells.
+The sparse one scores them directly (``_direct``), the masked product
+of Azad, Buluç and Gilbert: per pass it lists z over the shorter of
+left(x) and the right view's column y, finds each z in the other by
+``np.searchsorted`` in that view's sorted keys (``Graph._keys``), and
+sums each pair's terms by ``np.bincount``, z ascending from 0.0, so the
+bits are the product's. ``_binned`` looks up its first pass's pairs'
+second counts by the same search (``_path_sums``). A direct value found
+nowhere among the chunk's distinct values is a bit mismatch and raises
+ValidationError.
 
 The undirected kinds (CN, AA, RA, Jaccard) are symmetric. scipy's
 backend scores each unordered pair once: a chunk of rows [lo, hi)
@@ -163,16 +175,22 @@ class MemoryGuardError(RuntimeError):
 def chunk_size_for(n, chunk_size=None):
     """The rows per chunk by which ``score_all`` picks its backend on
     ``n`` vertices: ``chunk_size``, which must be a Python or numpy
-    integer in [1, max(n, 1)], or min(DEFAULT_CHUNK_SIZE, max(n, 1)),
-    which the dense backend also cuts by. Without ``chunk_size`` scipy's
-    backend cuts its chunks by their paths (``_chunks``)."""
+    integer, not a bool, in [1, max(n, 1)], or min(DEFAULT_CHUNK_SIZE,
+    max(n, 1)), which the dense backend also cuts by. Without
+    ``chunk_size`` scipy's backend cuts its chunks by their paths
+    (``_chunks``)."""
     if chunk_size is None:
         return min(DEFAULT_CHUNK_SIZE, max(n, 1))
-    if not isinstance(chunk_size, (int, np.integer)):
+    if not _is_integer(chunk_size):
         raise ValidationError(f"chunk_size must be None or an integer, got {chunk_size!r}")
     if not 1 <= chunk_size <= max(n, 1):
         raise ValidationError(f"chunk_size must be in [1, {max(n, 1)}], got {chunk_size}")
     return chunk_size
+
+
+def _is_integer(value):
+    """Whether ``value`` is a Python or numpy integer: a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -538,18 +556,20 @@ def _expand(indptr, indices, rows):
 
 
 def _dense_candidates(ctx, lo, hi, keys):
-    """(values, fixed) of the candidates of rows [lo, hi), by a dense
-    accumulator of (hi - lo) * n cells: the values of its nonzero cells,
-    in cell order, in an array the chunk owns, and the cell of each of
-    the listed ``keys``, 0.0 where the chunk lists none.
+    """(values, None, fixed) of the candidates of rows [lo, hi), by a
+    dense accumulator of (hi - lo) * n cells: the values of its nonzero
+    cells, in cell order, in an array the chunk owns, no multiplicities,
+    and the cell of each of the listed ``keys``, 0.0 where the chunk
+    lists none.
 
     Every 2-hop path (x, z, y) is listed in x, z, y order and its pair
     summed by ``np.bincount``, which adds in array order: each pair's
     sum adds its z ascending from 0.0, as scipy's csr_matmat does, and
     a zero sum is no candidate, as in scipy's product. Every kind adds
     each pass's weighted nonzero sums into one accumulator of 0.0s, in
-    pass order, and drops a zero cell, as scipy's csr_plus_csr does; a
-    kind of one pass keeps its weighted sums' bits, since 0.0 + v is v.
+    pass order, and drops a zero cell, as ``_binned`` adds and drops
+    the INF family's; a kind of one pass keeps its weighted sums' bits,
+    since 0.0 + v is v.
     """
     n = ctx.n
     cells = (hi - lo) * n
@@ -561,77 +581,130 @@ def _dense_candidates(ctx, lo, hi, keys):
         counts, ys = _expand(*ctx.graph._adjacency(right), z)
         # the first cell of each entry's row x, (x - lo) * n, with x its
         # sorted key x * n + z over n
-        cell =((ctx.graph._keys(left)[indptr[lo]:indptr[hi]] // n - lo) * n).repeat(counts)
+        cell = ((ctx.graph._keys(left)[indptr[lo]:indptr[hi]] // n - lo) * n).repeat(counts)
         cell += ys
         w = None if ctx.z_weight is None else ctx.z_weight[z].repeat(counts)
         sums = np.bincount(cell, weights=w, minlength=cells).astype(np.float64, copy=False)
         found = (sums != 0.0).nonzero()[0]
         total[found] += ctx.weight(left, sums[found], lambda a: a[lo + found // n], lambda a: a[found % n])
-    return total[total != 0.0], total[keys - lo * n]
+    return total[total != 0.0], None, total[keys - lo * n]
 
 
 def _sparse_candidates(ctx, lo, hi, keys):
-    """(values, fixed) of the candidates of rows [lo, hi), by scipy's
-    SpGEMM: the product's data, in the product's order, and the value
-    ``_direct`` scores at each of the listed ``keys``, 0.0 where the
-    product has none.
+    """(values, multiplicities, fixed) of the candidates of rows [lo, hi),
+    by scipy's SpGEMM, and the value ``_direct`` scores at each of the
+    listed ``keys``, 0.0 where the product has none.
 
-    Each pass multiplies the chunk's rows by the right factor's columns
-    from ``first``, weighted, and the passes are added in their order.
-    ``first`` is lo for a symmetric kind, whose pairs y < lo the chunks
-    of rows below lo score as (y, x), and 0 for a directed one, which
-    uses the factor unsliced. A symmetric chunk then drops its pairs
-    y <= x, which lie in its first hi - lo columns: it zeroes them in
-    place, for the fold to cut off.
+    A kind of one pass lists its weighted product's data, in the
+    product's order, without multiplicities. It multiplies the chunk's
+    rows by the right factor's columns from ``first``: lo for a
+    symmetric kind, whose pairs y < lo the chunks of rows below lo score
+    as (y, x), and 0 for a directed one, which uses the factor unsliced.
+    A symmetric chunk then drops its pairs y <= x, which lie in its
+    first hi - lo columns: it zeroes them in place, for the fold to cut
+    off. The INF family lists its values by ``_binned``.
     """
+    if len(ctx.passes) > 1:
+        return (*_binned(ctx, lo, hi), _direct(ctx, *np.divmod(keys, ctx.n)))
     first = lo if ctx.unordered else 0
-    prod = None
-    for view, left, right in ctx.sparse_passes:
-        part = left[lo:hi] @ (right[:, first:] if first else right)
-        counts = np.diff(part.indptr)
-        part.data = ctx.weight(
-            view, part.data, lambda a: np.repeat(a[lo:hi], counts), lambda a: a[first:][part.indices]
-        )
-        prod = part if prod is None else prod + part
+    ((view, left, right),) = ctx.sparse_passes
+    prod = left[lo:hi] @ (right[:, first:] if first else right)
+    counts = np.diff(prod.indptr)
+    prod.data = ctx.weight(
+        view, prod.data, lambda a: np.repeat(a[lo:hi], counts), lambda a: a[first:][prod.indices]
+    )
     if ctx.unordered:
         below = (prod.indices < hi - lo).nonzero()[0]
         row = np.searchsorted(prod.indptr, below, side="right") - 1
         prod.data[below[prod.indices[below] <= row]] = 0.0
-    return prod.data, _direct(ctx, *np.divmod(keys, ctx.n))
+    return prod.data, None, _direct(ctx, *np.divmod(keys, ctx.n))
+
+
+def _binned(ctx, lo, hi):
+    """(values, multiplicities) of the INF family's candidates of rows
+    [lo, hi): nonzero values, in no order, each with the count of the
+    chunk's pairs it stands for; equal values may repeat.
+
+    Both passes are unit products whose weight depends on the row alone,
+    so a pair's value follows from its row and its two path counts. The
+    first pass's pairs (out-out), few, are listed one by one: each looks
+    up its second pass's count, unweighted, as ``_direct`` does, and its
+    value is its first pass's weighted count plus its second's, in pass
+    order, as ``_direct`` and the dense backend add them. The second
+    pass's pairs (in-out) are binned by (row, count), by a key per pair,
+    the row's offset plus the count, each row's offsets as wide as its
+    largest count, sorted in place and cut into runs, in int32 where the
+    keys fit. The first pass's pairs are taken out of their bins, and
+    each bin is weighted once.
+    """
+    (first, first_left, right), (second, second_left, _) = ctx.sparse_passes
+    pairs = first_left[lo:hi] @ right
+    rows = np.repeat(np.arange(lo, hi), np.diff(pairs.indptr))
+    # int64 columns: the lookup's y * n overflows int32 past n = 46,340
+    counts = _path_sums(ctx, *ctx.passes[1], rows, pairs.indices.astype(np.int64))
+    values = ctx.weight(first, pairs.data, lambda a: a[rows], None)
+    shared = (counts != 0.0).nonzero()[0]
+    values[shared] += ctx.weight(second, counts[shared], lambda a: a[rows[shared]], None)
+    product = second_left[lo:hi] @ right
+    per_row = np.diff(product.indptr)
+    width = np.zeros(hi - lo, dtype=np.int64)
+    width[per_row > 0] = np.maximum.reduceat(product.data, product.indptr[:-1][per_row > 0])
+    offsets = np.cumsum(width) - width  # row i's keys lie in (offsets[i], offsets[i] + width[i]]
+    keys = offsets.astype(np.int32 if width.sum() <= np.iinfo(np.int32).max else np.int64).repeat(per_row)
+    np.add(keys, product.data, out=keys, casting="unsafe")
+    del product  # freed before the sort: the keys are a third of its size
+    keys.sort()
+    bounds = _run_bounds(keys)
+    bins, multiplicities = keys[bounds[:-1]].astype(np.int64), np.diff(bounds)
+    taken = bins.searchsorted(offsets[rows[shared] - lo] + counts[shared].astype(np.int64))
+    multiplicities -= np.bincount(taken, minlength=len(bins))
+    row = offsets.searchsorted(bins) - 1
+    values = np.r_[values, ctx.weight(second, (bins - offsets[row]).astype(np.float64), lambda a: a[lo + row], None)]
+    multiplicities = np.concatenate([np.ones(len(rows), dtype=np.int64), multiplicities])
+    kept = (values != 0.0) & (multiplicities > 0)
+    return values[kept], multiplicities[kept]
+
+
+def _path_sums(ctx, left, right, x, y):
+    """The sums of the paths x -> z -> y of the pass (left, right) at the
+    int64 pairs (x, y), unweighted but for AA's and RA's z-weights, 0.0
+    where there are none.
+
+    It lists z over the shorter of left(x) and the right view's column y
+    (row y of its transpose) and finds each z in the other by
+    ``np.searchsorted`` in that view's sorted keys, so a pair's searches
+    ascend within one row. It adds each pair's terms by ``np.bincount``
+    in array order, z ascending from 0.0, as the product adds them.
+    """
+    graph, n = ctx.graph, ctx.n
+    column = _TRANSPOSED[right]
+    shorter = _degrees(graph, left)[x] <= _degrees(graph, column)[y]
+    pairs, zs = [], []
+    for picked, view, ends, other, others in (
+        (shorter.nonzero()[0], left, x, column, y),
+        ((~shorter).nonzero()[0], column, y, left, x),
+    ):
+        counts, z = _expand(*graph._adjacency(view), ends[picked])
+        pair = np.repeat(picked, counts)
+        wanted = others[pair] * n + z
+        keys = graph._keys(other)
+        # a key past the view's last one is found nowhere
+        hit = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
+        pairs.append(pair[hit])
+        zs.append(z[hit])
+    pair, z = np.concatenate(pairs), np.concatenate(zs)
+    w = None if ctx.z_weight is None else ctx.z_weight[z]
+    return np.bincount(pair, weights=w, minlength=len(x)).astype(np.float64, copy=False)
 
 
 def _direct(ctx, x, y):
-    """The product's values at the pairs (x, y), 0.0 where it has none.
-
-    Each pass sums its paths x -> z -> y: it lists z over the shorter of
-    left(x) and the right view's column y (row y of its transpose) and
-    finds each z in the other by ``np.searchsorted`` in that view's
-    sorted keys, so a pair's searches ascend within one row. It adds
-    each pair's terms by ``np.bincount`` in array order, z ascending
-    from 0.0. Only nonzero sums are weighted, and the passes are added
-    in their order, as the product adds them.
+    """The product's values at the int64 pairs (x, y), 0.0 where it has
+    none: each pass's path sums (``_path_sums``), only the nonzero ones
+    weighted, added in pass order from 0.0, as the backends add them.
     """
-    graph, n = ctx.graph, ctx.n
     values = np.zeros(len(x))
     for left, right in ctx.passes:
-        column = _TRANSPOSED[right]
-        shorter = _degrees(graph, left)[x] <= _degrees(graph, column)[y]
-        pairs, zs = [], []
-        for picked, view, ends, other, others in (
-            (shorter.nonzero()[0], left, x, column, y),
-            ((~shorter).nonzero()[0], column, y, left, x),
-        ):
-            counts, z = _expand(*graph._adjacency(view), ends[picked])
-            pair = np.repeat(picked, counts)
-            wanted = others[pair] * n + z
-            keys = graph._keys(other)
-            # a key past the view's last one is found nowhere
-            hit = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
-            pairs.append(pair[hit])
-            zs.append(z[hit])
-        pair, z = np.concatenate(pairs), np.concatenate(zs)
-        w = None if ctx.z_weight is None else ctx.z_weight[z]
-        sums = np.bincount(pair, weights=w, minlength=len(x)).astype(np.float64, copy=False)
+        sums = _path_sums(ctx, left, right, x, y)
         found = (sums != 0.0).nonzero()[0]
         values[found] += ctx.weight(left, sums[found], lambda a: a[x[found]], lambda a: a[y[found]])
     return values
@@ -746,22 +819,31 @@ def _fold_chunk(ctx, lo, hi):
 
     The fold hands the keys of the chunk's listed pairs,
     ``ctx.tagged_pairs``, to the backend ``ctx.dense`` picks, which lists
-    the chunk's values and the listed pairs' values. The fold sorts the
-    values in place and cuts off
-    their leading run of 0.0: no score is negative, and a pair whose
-    paths sum to 0.0, such as the INF family's on a row of out- and
-    in-degree 1 (log 1 = 0), or one scipy's backend zeroed, is left to
-    the zero bucket. Each run of equal values is one distinct value,
-    counted by the run's length, twice with ``ctx.unordered``, where
-    each value counts for (x, y) and for (y, x). The listed pairs with
+    the chunk's values, an optional multiplicity column, and the listed
+    pairs' values. Without the column each value counts once, and the
+    fold sorts the values in place; with it, each value counts its
+    multiplicity, and the fold sorts the values and the column together.
+    It cuts off their leading run of 0.0: no score is negative, and a
+    pair whose paths sum to 0.0, such as the INF family's on a row of
+    out- and in-degree 1 (log 1 = 0), or one scipy's backend zeroed, is
+    left to the zero bucket. Each run of equal values is one distinct
+    value, counted by the run's length or its summed multiplicities,
+    twice with ``ctx.unordered``, where each value counts for (x, y)
+    and for (y, x). The listed pairs with
     no value are dropped with their deltas, and the others' (Δtp, Δfp)
     deltas are added at their values. Raises ValidationError when a
     listed pair's value is not bit for bit among the chunk's values.
     """
     keys, deltas = ctx.tagged_pairs(lo, hi)
-    values, fixed = (_dense_candidates if ctx.dense else _sparse_candidates)(ctx, lo, hi, keys)
-    values.sort()
-    values = values[values.searchsorted(0.0, side="right"):]
+    values, multiplicities, fixed = (_dense_candidates if ctx.dense else _sparse_candidates)(ctx, lo, hi, keys)
+    if multiplicities is None:
+        values.sort()
+    else:
+        order = values.argsort()
+        # the multiplicities become the ends of their values' runs
+        values, multiplicities = values[order], np.r_[0, multiplicities[order].cumsum()]
+    cut = values.searchsorted(0.0, side="right")
+    values = values[cut:]
     hit = fixed != 0.0
     fixed, deltas = fixed[hit], deltas.compress(hit, axis=0)
     bounds = _run_bounds(values)  # the values ascend: a run is one distinct value
@@ -771,7 +853,8 @@ def _fold_chunk(ctx, lo, hi):
         raise ValidationError("a tagged pair's direct value differs from the product's bits")
     # float sums of a chunk's few small counts: exact
     tp, fp = (np.bincount(at, weights=column, minlength=len(distinct)) for column in deltas.T)
-    fp += (bounds[1:] - bounds[:-1]) * (2 if ctx.unordered else 1)
+    ends = bounds if multiplicities is None else multiplicities[cut + bounds]
+    fp += (ends[1:] - ends[:-1]) * (2 if ctx.unordered else 1)
     # the values that count: with a nonzero count, each finite, which
     # the ascending order lets the ends show
     counted = (tp + fp) > 0
@@ -827,10 +910,11 @@ def score_all(
     worker's, a merge's or an interrupt, cancels the chunks not yet
     started, waits for the running ones and is re-raised.
     ``workers`` (one per CPU when None) must be an integer >= 1 and
-    ``max_buckets`` None or an integer >= 0, as checked before any work.
+    ``max_buckets`` None or an integer >= 0, neither a bool, as checked
+    before any work.
     """
     for name, value, least in (("workers", workers, 1), ("max_buckets", max_buckets, 0)):
-        if value is not None and not (isinstance(value, (int, np.integer)) and value >= least):
+        if value is not None and not (_is_integer(value) and value >= least):
             raise ValidationError(f"{name} must be None or an integer >= {least}, got {value!r}")
     n = graph.vertex_count
     rows = chunk_size_for(n, chunk_size)

@@ -4,6 +4,7 @@ import os
 import pickle
 import re
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -23,8 +24,8 @@ from hierlp import (
     universe_stats,
 )
 from hierlp import engine
-from hierlp.engine import _buckets, _inv_log_weights, _log_of_degrees, _merge
-from hierlp.scores import UNDIRECTED_KINDS, ScoreKind, ScoreSpec, log_in_base
+from hierlp.engine import _buckets, _inv_log_weights, _log_of_degrees, _merge, chunk_size_for
+from hierlp.scores import INF_FAMILY, UNDIRECTED_KINDS, ScoreKind, ScoreSpec, log_in_base
 
 from conftest import erdos_renyi_digraph, graph_from_edges, hub_first, preferential_attachment_digraph
 
@@ -161,9 +162,10 @@ class TestScoreAllValidation:
         with pytest.raises(ValidationError):
             score_all(four_cycle, ScoreSpec(ScoreKind.CN), NO_TEST, chunk_size=5)
 
-    @pytest.mark.parametrize("chunk_size", [1.5, 2.0, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("chunk_size", [1.5, 2.0, np.float64(2.0), "2", True, False])
     def test_chunk_size_must_be_an_integer(self, four_cycle, chunk_size):
-        """A chunk size is not truncated and does not reach ``range``."""
+        """A chunk size is not truncated and does not reach ``range``; a
+        bool is no integer option, though Python counts True as 1."""
         with pytest.raises(ValidationError, match="chunk_size must be None or an integer"):
             score_all(four_cycle, ScoreSpec(ScoreKind.CN), NO_TEST, chunk_size=chunk_size)
 
@@ -174,7 +176,8 @@ class TestScoreAllValidation:
         )
 
     @pytest.mark.parametrize("limits", [
-        {"workers": 0}, {"workers": -3}, {"workers": 1.7}, {"max_buckets": -1}, {"max_buckets": 0.5},
+        {"workers": 0}, {"workers": -3}, {"workers": 1.7}, {"workers": True},
+        {"max_buckets": -1}, {"max_buckets": 0.5}, {"max_buckets": False}, {"max_buckets": True},
     ])
     def test_workers_and_max_buckets_checked_before_any_work(self, four_cycle, limits, monkeypatch):
         checks, folds = _counting(monkeypatch, "_marker"), _counting(monkeypatch, "_fold_chunk")
@@ -720,9 +723,11 @@ def _backend_graph(rng, n, pendants):
 
 
 def _listed(ctx, lo, hi):
-    """The backend's (values, fixed) for the listed pairs of rows [lo, hi)."""
+    """The backend's (values, fixed) for the listed pairs of rows [lo, hi),
+    each value repeated by its multiplicity where the backend gives one."""
     backend = engine._dense_candidates if ctx.dense else engine._sparse_candidates
-    return backend(ctx, lo, hi, ctx.tagged_pairs(lo, hi)[0])
+    values, multiplicities, fixed = backend(ctx, lo, hi, ctx.tagged_pairs(lo, hi)[0])
+    return (values if multiplicities is None else values.repeat(multiplicities)), fixed
 
 
 def _count(part):
@@ -826,12 +831,60 @@ class TestBackends:
             real = getattr(engine, name)
 
             def reversed_values(*args, real=real):
-                values, *rest = real(*args)
-                return (values[::-1].copy(), *rest)
+                values, multiplicities, fixed = real(*args)
+                return values[::-1].copy(), None if multiplicities is None else multiplicities[::-1], fixed
 
             monkeypatch.setattr(engine, name, reversed_values)
         for chunk in (1, 7, None):
             assert score_all(train, spec, test, workers=1, chunk_size=chunk) == expected
+
+    @pytest.mark.parametrize("unordered", [False, True])
+    def test_fold_counts_runs_by_their_multiplicities(self, unordered, monkeypatch):
+        """Values listed with a multiplicity column fold as the values
+        repeated by it: each run of equal values counts its summed
+        multiplicities, zeros are cut off, and the listed pairs' deltas
+        land at their values."""
+        rng = np.random.default_rng(28)
+        palette = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
+        for _ in range(200):
+            values = np.sort(rng.choice(palette, size=int(rng.integers(0, 12))))
+            multiplicities = rng.integers(1, 5, size=len(values))
+            listed = int(rng.integers(0, 5))
+            # a listed pair has no value (0.0) or one of the chunk's
+            fixed = rng.choice(np.r_[0.0, values[values != 0.0]], size=listed)
+            deltas = rng.choice(np.array([[0, -1], [1, -1], [0, -2], [1, -2]], dtype=np.int8), size=listed)
+            ctx = types.SimpleNamespace(
+                dense=True, unordered=unordered, tagged_pairs=lambda lo, hi: (np.arange(listed), deltas)
+            )
+            folds = []
+            for column in (multiplicities, None):
+                listing = values.copy() if column is not None else values.repeat(multiplicities)
+                monkeypatch.setattr(engine, "_dense_candidates", lambda *args: (listing, column, fixed))
+                folds.append(engine._fold_chunk(ctx, 0, 1))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(*folds))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [None, 1000])
+    def test_int64_lookup_keys(self, workers, chunk_size):
+        """A small digraph embedded at the top of 50,000 ids, its other
+        vertices isolated: scipy's backend looks up pairs whose keys
+        x * n + y pass 2^31, and the INF family's histograms are the
+        compact graph's, bit for bit, since isolated vertices are not
+        eligible and the passes weigh integer counts by row."""
+        from hierlp import split_edges
+
+        split = split_edges(erdos_renyi_digraph(np.random.default_rng(7), 60, edge_factor=5), 0.1, seed=7)
+        train, test = split.train_graph, split.test_edges
+        n = 50_000
+        shift = n - train.vertex_count
+        embedded = Graph(n, *(ends + shift for ends in train.edges()))
+        assert ((test[:, 0] + shift) * n + test[:, 1] + shift > 2**31).all()
+        assert chunk_size_for(n, chunk_size) * n > engine.DENSE_MAX_CELLS
+        for kind in INF_FAMILY:
+            spec = ScoreSpec(kind)
+            expected = score_all(train, spec, test, workers=1)
+            assert len(expected.buckets) > 1
+            assert score_all(embedded, spec, test + shift, workers=workers, chunk_size=chunk_size) == expected
 
     def test_selection_boundary(self, monkeypatch):
         """A call is dense when a whole chunk's accumulator, chunk_size * n
