@@ -42,15 +42,16 @@ second.
 - Dense: every path (x, z, y) is listed with numpy in x, z, y order and
   summed per pair by ``np.bincount`` into a dense accumulator, the one
   of Gustavson's row-wise SpGEMM. It builds no scipy object.
-- Sparse: scipy's SpGEMM. A kind of one pass multiplies the chunk's
-  rows by the right factor and weights the product. The INF family's
-  two passes are unit products whose weight depends on the row alone:
-  ``_binned`` lists the first pass's few pairs one by one, bins the
-  second pass's pairs by (row, path count) and weights each bin once,
-  so no chunk holds a weighted copy or a sum of its products. The
-  scipy factors are built once per call, before any worker starts, and
-  only when the call takes this backend; no call keeps them for the
-  next.
+- Sparse: scipy's SpGEMM. A directed kind of one pass multiplies the
+  chunk's rows by the right factor, a symmetric kind the left factor's
+  rows from lo on by the transpose of the right factor's chunk rows,
+  and each weights its product. The INF family's two passes are unit
+  products whose weight depends on the row alone: ``_binned`` lists
+  the first pass's few pairs one by one, bins the second pass's pairs
+  by (row, path count) and weights each bin once, so no chunk holds a
+  weighted copy or a sum of its products. The scipy factors are built
+  once per call, before any worker starts, and only when the call
+  takes this backend; no call keeps them for the next.
 
 Each kind multiplies the adjacency views its row of ``_PASSES`` names,
 one (left, right) pair per directed pass, and each pass is weighted in
@@ -68,40 +69,54 @@ pairs'.
 A backend only lists values; the fold after it, ``_fold_chunk``, is
 one and does every step that follows. It slices the chunk's listed
 pairs, those of the call's list in the chunk's rows, and hands their
-keys to the backend, which returns the chunk's candidate values, in any
-order, in an array the chunk owns, and the value at each listed key,
-0.0 where the chunk lists none, and, for the INF family's bins alone,
-each value's multiplicity, the count of pairs that have it. The fold
-sorts the values in place, so nothing after the product copies or
+keys to the backend, which returns the chunk's candidate values, in
+any order, in an array the chunk owns, and the value at each listed
+key, 0.0 where the chunk lists none, and, for the INF family's bins
+alone, each value's multiplicity, the count of pairs that have it. The
+fold sorts the values in place, so nothing after the product copies or
 compacts them, or, with multiplicities, sorts the few bins and their
 multiplicities together, and cuts off their leading run of 0.0: no
 score is negative, and a zero is no candidate. It counts each run of
 equal values as one distinct value's plain candidates, by its length
 or by its summed multiplicities, drops the listed pairs with no value,
 with their deltas, and adds the others' deltas at their values'
-places. The dense backend reads the listed values from its own cells.
-The sparse one scores them directly (``_direct``), the masked product
-of Azad, Buluç and Gilbert: per pass it lists z over the shorter of
-left(x) and the right view's column y, finds each z in the other by
-``np.searchsorted`` in that view's sorted keys (``Graph._keys``), and
-sums each pair's terms by ``np.bincount``, z ascending from 0.0, so the
-bits are the product's. ``_binned`` looks up its first pass's pairs'
-second counts by the same search (``_path_sums``). A direct value found
-nowhere among the chunk's distinct values is a bit mismatch and raises
-ValidationError.
+places. The dense backend reads the listed values from its own cells,
+and scipy's from its own product by scipy's csr_sample_values
+(``_at``), which scans each pair's row, or searches it where ``_at``
+sorts the rows first: a symmetric kind's, DED's and the INF family's
+first (out-out) pass's. The long in-out rows of IND and of the INF
+family's second pass, too long to scan and too many to sort, it scores
+directly (``_direct``), the masked product of Azad, Buluç and Gilbert:
+it lists z over the shorter of left(x) and the right view's column y,
+finds each z in the other by ``np.searchsorted`` in that view's sorted
+keys (``Graph._keys``), and counts each pair's paths by
+``np.bincount``, exactly, as the unit product sums its 1.0s.
+``_binned`` looks up its first pass's pairs' second counts by the same
+search (``_path_sums``). A listed pair's value found nowhere among the
+chunk's distinct values is a bit mismatch and raises ValidationError.
+A value read from the chunk's product is among them by construction,
+so the check compares two computations only where a value is scored
+directly; the oracle remains the independent check.
 
 The undirected kinds (CN, AA, RA, Jaccard) are symmetric. scipy's
 backend scores each unordered pair once: a chunk of rows [lo, hi)
 keeps the pairs y > x only, credits each value to (x, y) and to
 (y, x), and reads ``once``, which holds both directions' deltas. It
-multiplies by the right factor's columns [lo, n), one column slice per
-chunk, then zeroes in place the pairs y <= x, all of which lie in the
-columns [lo, hi), and the fold's cut drops them. The dense backend
-scores both directions, each in its own row, and reads ``own``, as a
-directed kind does: on small chunks, listing both directions cost no
-more than listing both and discarding half. The bits cannot differ
-between (x, y) and (y, x): the product sums over the shared neighbours
-in ascending order either way, and Jaccard's du + dv commutes.
+multiplies the left factor's rows [lo, n) by the transpose of the
+right factor's rows [lo, hi): scipy's row-wise product then keeps an
+accumulator of hi - lo cells, and its row y - lo and column x - lo
+hold the pair (x, y), for every y >= lo. Each term is 1.0 times z's
+weight, 1.0 but for AA's and RA's, whose right factor carries the
+weight of its column z, and the terms are added in ascending z from
+0.0, as a product of the chunk's rows adds them. It then zeroes in
+place the pairs y <= x, all of which lie in the product's first
+hi - lo rows, through a row index of those rows alone, and the fold's
+cut drops them. The dense backend scores both directions, each in its
+own row, and reads ``own``, as a directed kind does: on small chunks,
+listing both directions cost no more than listing both and discarding
+half. The bits cannot differ between (x, y) and (y, x): the product
+sums over the shared neighbours in ascending order either way, and
+Jaccard's du + dv commutes.
 ``score_from_vertex`` is a row query: it folds its whole row by the
 dense backend, exactly as a dense ``score_all`` folds that row, in
 O(n + T + paths of the row): the accumulator has n cells, and finding
@@ -118,7 +133,7 @@ rows whose product lists at most a budget of 2-hop paths, the call's
 paths over ceil(n / DEFAULT_CHUNK_SIZE), so there are about as many
 chunks as fixed ones would be. Fixed chunks of a skewed graph are not: a
 chunk of hubs lists many times the median chunk's paths, and a symmetric
-chunk lists the paths to its columns y >= lo, so the first chunks list
+chunk lists the paths to its pairs' y >= lo, so the first chunks list
 the most. Per-row path counts come from the graph's memo
 (``_row_paths``), and a row over the budget is a chunk of its own.
 Workers only fold chunks (``_fold_chunk``): inline for one worker, on a
@@ -498,7 +513,7 @@ class _RunContext:
         self.unordered = not dense and spec.kind in UNDIRECTED_KINDS
         self.tagged_keys, self.tagged_deltas = marker[1] if self.unordered else marker[2]
         self.passes = _PASSES[spec.kind]
-        # AA and RA weight the right view by a per-vertex weight of its row z
+        # AA and RA weight each path by a per-vertex weight of its z
         self.z_weight = None
         if spec.kind in (ScoreKind.AA, ScoreKind.RA):
             self.z_weight = _z_weight(graph, spec.kind, spec.log_base)
@@ -508,9 +523,8 @@ class _RunContext:
             self.sparse_passes = []
             for left, right in self.passes:
                 right = graph._csr(right)
-                if self.z_weight is not None:  # new weights on the graph's index arrays
-                    data = np.repeat(self.z_weight, np.diff(right.indptr))
-                    right = _scipy_csr(data, right.indptr, right.indices, self.n)
+                if self.z_weight is not None:  # the weight of column z, on the graph's index arrays
+                    right = _scipy_csr(self.z_weight[right.indices], right.indptr, right.indices, self.n)
                 self.sparse_passes.append((left, graph._csr(left), right))
 
     def weight(self, left, data, at_rows, at_cols):
@@ -592,60 +606,102 @@ def _dense_candidates(ctx, lo, hi, keys):
 
 def _sparse_candidates(ctx, lo, hi, keys):
     """(values, multiplicities, fixed) of the candidates of rows [lo, hi),
-    by scipy's SpGEMM, and the value ``_direct`` scores at each of the
-    listed ``keys``, 0.0 where the product has none.
+    by scipy's SpGEMM, and the value at each of the listed ``keys``, 0.0
+    where the product has none.
 
     A kind of one pass lists its weighted product's data, in the
-    product's order, without multiplicities. It multiplies the chunk's
-    rows by the right factor's columns from ``first``: lo for a
-    symmetric kind, whose pairs y < lo the chunks of rows below lo score
-    as (y, x), and 0 for a directed one, which uses the factor unsliced.
-    A symmetric chunk then drops its pairs y <= x, which lie in its
-    first hi - lo columns: it zeroes them in place, for the fold to cut
-    off. The INF family lists its values by ``_binned``.
+    product's order, without multiplicities. A directed kind multiplies
+    the chunk's rows by the unsliced right factor, and its product holds
+    the pair (x, y) at row x - lo, column y. A symmetric kind, whose
+    pairs y < lo the chunks of rows below lo score as (y, x), multiplies
+    the left factor's rows [lo, n) by the transpose of the right
+    factor's rows [lo, hi), so that its product holds the pair (x, y) at
+    row y - lo, column x - lo, for every y >= lo, and the accumulator of
+    scipy's csr_matmat spans hi - lo cells. It drops its pairs y <= x,
+    which lie in the product's first hi - lo rows, each at a column at
+    or past its row's index: it zeroes them in place, through a row
+    index of those rows alone, for the fold to cut off. The listed
+    pairs' values are read from the weighted product (``_at``), so
+    ``_fold_chunk``'s bit check holds for them by construction, but for
+    IND's, whose in-out rows are long: ``_direct`` scores those, and the
+    check compares its values with the product's. The INF family lists
+    its values by ``_binned``.
     """
     if len(ctx.passes) > 1:
-        return (*_binned(ctx, lo, hi), _direct(ctx, *np.divmod(keys, ctx.n)))
-    first = lo if ctx.unordered else 0
+        return _binned(ctx, lo, hi, keys)
+    x, y = np.divmod(keys, ctx.n)
     ((view, left, right),) = ctx.sparse_passes
-    prod = left[lo:hi] @ (right[:, first:] if first else right)
+    if ctx.unordered:  # the pair (x, y) at row y - lo, column x - lo
+        prod, first, x, y = _rows(left, lo, ctx.n) @ _rows(right, lo, hi).T, lo, y, x
+    else:  # the pair (x, y) at row x - lo, column y
+        prod, first = _rows(left, lo, hi) @ right, 0
     counts = np.diff(prod.indptr)
     prod.data = ctx.weight(
-        view, prod.data, lambda a: np.repeat(a[lo:hi], counts), lambda a: a[first:][prod.indices]
+        view, prod.data, lambda a: np.repeat(a[lo:lo + len(counts)], counts), lambda a: a[first:][prod.indices]
     )
     if ctx.unordered:
-        below = (prod.indices < hi - lo).nonzero()[0]
-        row = np.searchsorted(prod.indptr, below, side="right") - 1
-        prod.data[below[prod.indices[below] <= row]] = 0.0
-    return prod.data, None, _direct(ctx, *np.divmod(keys, ctx.n))
+        end = prod.indptr[hi - lo]
+        row = np.repeat(np.arange(hi - lo, dtype=prod.indices.dtype), counts[:hi - lo])
+        prod.data[:end][prod.indices[:end] >= row] = 0.0
+    # IND's in-out rows are long: a search per path beats scanning them
+    return prod.data, None, _direct(ctx, x, y) if view == "in" else _at(prod, x - lo, y - first)
 
 
-def _binned(ctx, lo, hi):
-    """(values, multiplicities) of the INF family's candidates of rows
-    [lo, hi): nonzero values, in no order, each with the count of the
-    chunk's pairs it stands for; equal values may repeat.
+def _rows(matrix, lo, hi):
+    """Rows [lo, hi) of a scipy CSR ``matrix`` on a new indptr, their
+    entries a view on the matrix's while they are at least half of them
+    (scipy copies a smaller view), where scipy's row slice copies them
+    always."""
+    start = matrix.indptr[lo]
+    return _scipy_csr(
+        matrix.data[start:matrix.indptr[hi]], matrix.indptr[lo:hi + 1] - start,
+        matrix.indices[start:matrix.indptr[hi]], matrix.shape[1],
+    )
+
+
+def _at(product, rows, cols):
+    """The values of a scipy ``product`` at the int64 (rows, cols), 0.0
+    where it has none: scipy's csr_sample_values, which takes each
+    pair's entry of the product, so the bits are the product's. It scans
+    the pair's row, but searches it when the rows are sorted and the
+    pairs outnumber a tenth of the entries: so then it sorts the rows in
+    place first, as a few long rows with many pairs each, the hubs of an
+    out-out product, cost more to scan than to sort."""
+    if 10 * len(rows) > product.nnz:
+        product.sort_indices()
+    return np.asarray(product[rows, cols]).reshape(-1) if len(rows) else np.zeros(0)
+
+
+def _binned(ctx, lo, hi, keys):
+    """(values, multiplicities, fixed) of the INF family's candidates of
+    rows [lo, hi): nonzero values, in no order, each with the count of
+    the chunk's pairs it stands for, equal values possibly repeated, and
+    the value at each of the listed ``keys``, 0.0 where there is none.
 
     Both passes are unit products whose weight depends on the row alone,
     so a pair's value follows from its row and its two path counts. The
     first pass's pairs (out-out), few, are listed one by one: each looks
     up its second pass's count, unweighted, as ``_direct`` does, and its
     value is its first pass's weighted count plus its second's, in pass
-    order, as ``_direct`` and the dense backend add them. The second
-    pass's pairs (in-out) are binned by (row, count), by a key per pair,
-    the row's offset plus the count, each row's offsets as wide as its
-    largest count, sorted in place and cut into runs, in int32 where the
-    keys fit. The first pass's pairs are taken out of their bins, and
-    each bin is weighted once.
+    order, as ``_direct`` and the dense backend add them. The listed
+    pairs' values are ``_direct``'s, which reads their first pass's
+    counts from this product and finds their second's by the same
+    search. The second pass's pairs (in-out) are binned by
+    (row, count), by a key per pair, the row's offset plus the count,
+    each row's offsets as wide as its largest count, sorted in place and
+    cut into runs, in int32 where the keys fit. The first pass's pairs
+    are taken out of their bins, and each bin is weighted once.
     """
     (first, first_left, right), (second, second_left, _) = ctx.sparse_passes
-    pairs = first_left[lo:hi] @ right
+    pairs = _rows(first_left, lo, hi) @ right
+    fixed = _direct(ctx, *np.divmod(keys, ctx.n), pairs, lo)  # first: it may sort the product's rows
     rows = np.repeat(np.arange(lo, hi), np.diff(pairs.indptr))
     # int64 columns: the lookup's y * n overflows int32 past n = 46,340
     counts = _path_sums(ctx, *ctx.passes[1], rows, pairs.indices.astype(np.int64))
     values = ctx.weight(first, pairs.data, lambda a: a[rows], None)
     shared = (counts != 0.0).nonzero()[0]
     values[shared] += ctx.weight(second, counts[shared], lambda a: a[rows[shared]], None)
-    product = second_left[lo:hi] @ right
+    product = _rows(second_left, lo, hi) @ right
     per_row = np.diff(product.indptr)
     width = np.zeros(hi - lo, dtype=np.int64)
     width[per_row > 0] = np.maximum.reduceat(product.data, product.indptr[:-1][per_row > 0])
@@ -662,24 +718,26 @@ def _binned(ctx, lo, hi):
     values = np.r_[values, ctx.weight(second, (bins - offsets[row]).astype(np.float64), lambda a: a[lo + row], None)]
     multiplicities = np.concatenate([np.ones(len(rows), dtype=np.int64), multiplicities])
     kept = (values != 0.0) & (multiplicities > 0)
-    return values[kept], multiplicities[kept]
+    return values[kept], multiplicities[kept], fixed
 
 
 def _path_sums(ctx, left, right, x, y):
-    """The sums of the paths x -> z -> y of the pass (left, right) at the
-    int64 pairs (x, y), unweighted but for AA's and RA's z-weights, 0.0
-    where there are none.
+    """The counts of the paths x -> z -> y of the pass (left, right) at
+    the int64 pairs (x, y), as float64, 0.0 where there are none: the
+    one sum read other than from a product, which only IND's pass and
+    the INF family's in-out pass read.
 
     It lists z over the shorter of left(x) and the right view's column y
     (row y of its transpose) and finds each z in the other by
     ``np.searchsorted`` in that view's sorted keys, so a pair's searches
-    ascend within one row. It adds each pair's terms by ``np.bincount``
-    in array order, z ascending from 0.0, as the product adds them.
+    ascend within one row. It counts each pair's paths by
+    ``np.bincount``: an integer count, exact, as the product's sum of
+    1.0s is.
     """
     graph, n = ctx.graph, ctx.n
     column = _TRANSPOSED[right]
     shorter = _degrees(graph, left)[x] <= _degrees(graph, column)[y]
-    pairs, zs = [], []
+    pairs = []
     for picked, view, ends, other, others in (
         (shorter.nonzero()[0], left, x, column, y),
         ((~shorter).nonzero()[0], column, y, left, x),
@@ -691,20 +749,21 @@ def _path_sums(ctx, left, right, x, y):
         # a key past the view's last one is found nowhere
         hit = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
         pairs.append(pair[hit])
-        zs.append(z[hit])
-    pair, z = np.concatenate(pairs), np.concatenate(zs)
-    w = None if ctx.z_weight is None else ctx.z_weight[z]
-    return np.bincount(pair, weights=w, minlength=len(x)).astype(np.float64, copy=False)
+    return np.bincount(np.concatenate(pairs), minlength=len(x)).astype(np.float64)
 
 
-def _direct(ctx, x, y):
+def _direct(ctx, x, y, product=None, lo=0):
     """The product's values at the int64 pairs (x, y), 0.0 where it has
-    none: each pass's path sums (``_path_sums``), only the nonzero ones
-    weighted, added in pass order from 0.0, as the backends add them.
+    none: each pass's path counts (``_path_sums``), only the nonzero
+    ones weighted, added in pass order from 0.0, as the backends add
+    them. IND's listed pairs are scored so. The INF family's hand in
+    their first pass's unit ``product``, of the rows from ``lo`` on, and
+    read that pass's counts from it (``_at``), so that only the second
+    pass is searched.
     """
     values = np.zeros(len(x))
-    for left, right in ctx.passes:
-        sums = _path_sums(ctx, left, right, x, y)
+    for index, (left, right) in enumerate(ctx.passes):
+        sums = _at(product, x - lo, y) if product is not None and not index else _path_sums(ctx, left, right, x, y)
         found = (sums != 0.0).nonzero()[0]
         values[found] += ctx.weight(left, sums[found], lambda a: a[x[found]], lambda a: a[y[found]])
     return values
@@ -734,7 +793,7 @@ def _row_paths(graph, passes, unordered):
 
     A directed pass lists, for row x, the right view's degree of each z
     in left(x). A chunk [lo, hi) of a symmetric kind (``unordered``)
-    lists every path to a column y >= lo, so what a row lists depends on
+    lists every path to a y >= lo, so what a row lists depends on
     the chunk's lo. Its count here is its paths to y >= x, what it lists
     as a chunk's first row: through z, z's neighbours from x's rank in
     row z on, summed over the entries of each row z. A chunk also lists
@@ -784,7 +843,7 @@ def _chunks(ctx, rows):
     chunk of its own: a row is never split, as a chunk must hold all
     paths of its pairs. A directed kind's chunk lists the sum of its
     rows' counts, so one search cuts it. A symmetric chunk's rows list
-    their paths to columns y >= lo, which their counts bound from below:
+    their paths to the y >= lo, which their counts bound from below:
     the search bounds the chunk, and the count of z's neighbours in
     [lo, n), kept for the chunk's lo, gives the exact paths of each row
     up to that bound, in O(the entries of its rows).

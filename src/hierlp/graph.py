@@ -52,13 +52,15 @@ def _csr_arrays(keys, n):
 
 
 def _scipy_csr(data, indptr, indices, n):
-    """An n x n scipy CSR matrix, the one builder of one. Its index
-    arrays are int32 when n and the entry count fit, which spares scipy
-    checking the contents of int64 ones and downcasting them; int32
-    arrays are taken as they are, not copied."""
+    """A scipy CSR matrix of len(indptr) - 1 rows and n columns, the one
+    builder of one. Its index arrays are int32 when n and the entry
+    count fit, which spares scipy checking the contents of int64 ones
+    and downcasting them; int32 arrays, and ``data``, are taken as they
+    are, not copied, so a matrix may be a view on another's rows (scipy
+    copies a view of less than half its base array)."""
     if max(n, len(indices)) <= np.iinfo(np.int32).max:
         indptr, indices = indptr.astype(np.int32, copy=False), indices.astype(np.int32, copy=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n))
 
 
 def _unique(keys):

@@ -1024,7 +1024,8 @@ class TestBackends:
 
     def test_direct_value_one_ulp_off_raises(self, monkeypatch):
         """A tagged pair's direct value must be one of the product's values
-        bit for bit; one ulp off is a mismatch, not a new bucket."""
+        bit for bit; one ulp off is a mismatch, not a new bucket. IND's
+        listed values are scored directly, not read from its product."""
         real = engine._direct
 
         def off(ctx, x, y):
@@ -1032,13 +1033,79 @@ class TestBackends:
             return np.where(values != 0.0, np.nextafter(values, np.inf), 0.0)
 
         train, test = _split_of(3, 80)
-        spec = ScoreSpec(ScoreKind.CN)
+        spec = ScoreSpec(ScoreKind.IND)
         reference = score_all(train, spec, test, workers=1)
         monkeypatch.setattr(engine, "DENSE_MAX_CELLS", -1)
         assert score_all(train, spec, test, workers=1) == reference
         monkeypatch.setattr(engine, "_direct", off)
         with pytest.raises(ValidationError, match="direct value"):
             score_all(train, spec, test, workers=1)
+
+    @pytest.mark.parametrize("kind", [kind for kind in ScoreKind if kind in UNDIRECTED_KINDS])
+    @pytest.mark.parametrize("ids", ["permuted", "hub-first"])
+    def test_symmetric_pairs_within_their_chunk(self, kind, ids, monkeypatch):
+        """Forced onto scipy's backend, a symmetric chunk [lo, hi) reads
+        its listed pairs from its product's rows, the first hi - lo of
+        which it zeroes at y <= x. The test pairs lie a few ids apart and
+        share a neighbour, so many fall inside one chunk, lo <= x < y < hi,
+        and none is zero. 250 eligible vertices hold ids among 1000, spread
+        or hubs first: every histogram, in chunks of 1, 2, 7 and 1000 rows
+        and the default ones, on 1 and 2 workers, is the dense backend's
+        and the oracle's."""
+        rng = np.random.default_rng(29)
+        core = preferential_attachment_digraph(rng, 250, out_per_vertex=3)
+        n = 1000
+        if ids == "permuted":
+            label = rng.permutation(n)
+            g = Graph(n, *(label[ends] for ends in core.edges()))
+        else:
+            g = hub_first(Graph(n, *core.edges()))
+        near = [set(g.out_neighbors(x).tolist()) | set(g.in_neighbors(x).tolist()) for x in range(n)]
+        eligible = np.flatnonzero(g.out_degrees + g.in_degrees)
+        test = []
+        for x in eligible.tolist():
+            for y in eligible[(eligible > x) & (eligible <= x + 7)].tolist():
+                if near[x] & near[y] and y not in near[x]:
+                    # one direction, the other, or both, whose deltas sum in ``once``
+                    test += [[(x, y)], [(y, x)], [(x, y), (y, x)]][len(test) % 3]
+        test = np.array(test, dtype=np.int64)
+        low, high = test.min(axis=1), test.max(axis=1)
+        assert ((low // 2) == (high // 2)).sum() >= 5 and ((low // 7) == (high // 7)).sum() >= 50
+        spec = ScoreSpec(kind)
+        expected = oracle_score_all(g, spec, test, cap=n).histogram
+        assert 7 * n <= engine.DENSE_MAX_CELLS
+        assert score_all(g, spec, test, workers=1, chunk_size=7) == expected
+        monkeypatch.setattr(engine, "DENSE_MAX_CELLS", -1)
+        for workers in (1, 2):
+            for chunk in (1, 2, 7, 1000, None):
+                assert score_all(g, spec, test, workers=workers, chunk_size=chunk) == expected
+
+    def test_only_in_out_rows_are_scored_directly(self, monkeypatch):
+        """On scipy's backend, a symmetric kind and DED read every listed
+        pair from the chunk's own product: no call scores one directly
+        (``_direct``) or searches a view (``_path_sums``). IND's listed
+        pairs are scored directly, and the INF family searches for its
+        in-out pass alone."""
+        train, test = _split_of(3, 80)
+        calls = []
+        for name in ("_direct", "_path_sums"):
+            real = getattr(engine, name)
+
+            def recorded(ctx, *args, name=name, real=real):
+                calls.append((name, args[:2] if name == "_path_sums" else None))
+                return real(ctx, *args)
+
+            monkeypatch.setattr(engine, name, recorded)
+        monkeypatch.setattr(engine, "DENSE_MAX_CELLS", -1)
+        for kind in ScoreKind:
+            calls.clear()
+            for chunk in (1, 7, None):
+                score_all(train, ScoreSpec(kind), test, workers=1, chunk_size=chunk)
+            if kind in UNDIRECTED_KINDS or kind is ScoreKind.DED:
+                assert calls == []
+            else:
+                assert ("_direct", None) in calls
+                assert {passes for name, passes in calls if name == "_path_sums"} == {("in", "out")}
 
     @pytest.mark.parametrize("kind", list(ScoreKind))
     def test_reciprocal_digraph_matches_oracle(self, kind, monkeypatch):
@@ -1062,10 +1129,10 @@ class TestBackends:
     @pytest.mark.parametrize("kind", list(ScoreKind))
     def test_search_past_the_last_key(self, kind, monkeypatch):
         """Forced onto scipy's backend, a tagged pair at the highest
-        vertex id searches a view for a key past all of its keys: the
-        diagonal (3, 3) of a directed kind finds 3*4+2 nowhere in the "in"
-        keys [1, 11, 12], and the training edge (2, 3) of a symmetric one
-        finds 3*4+3 nowhere in the "undirected" keys, which end at 3*4+2."""
+        vertex id: the training edge (0, 3) of IND, and of the INF
+        family's in-out pass, searches the "in" keys [1, 11, 12] for
+        3*4+1, past all of them, and finds it nowhere; the other kinds
+        read their pairs at id 3 from their product."""
         g = graph_from_edges([(0, 3), (3, 2), (1, 0)])
         test = [(2, 0)]
         monkeypatch.setattr(engine, "DENSE_MAX_CELLS", -1)
